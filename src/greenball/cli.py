@@ -92,72 +92,45 @@ class RunConfig:
 # route and these must agree, which `eigs` and `validate` check directly)
 
 
-def catalog_problem(family, weight_text):
+#: family -> (p_0 of the operator -v'' + p_0 v, boundary conditions, weight
+#: factor, shootable):
+#:   wiener      -v'' = mu psi v,        v(0) = v'(1) = 0
+#:   bridge      -v'' = mu psi v,        v(0) = v(1) = 0
+#:   ou          -v''+v = mu (2 psi) v,  v'(0)=v(0), v'(1)=-v(1)
+#:   slepian     -v'' = mu (2 psi) v,    v'(0)+v'(1)=0, v(0)+v(1)-v'(0)=0
+#:   bogolyubov  -v''+omega^2 v = mu psi v, periodic
+#: The periodic problem is not shootable: its eigenvalues come in
+#: multiplicity-two pairs, where the characteristic determinant touches zero
+#: without a sign change, so the shooting scan cannot bracket them.
+_FAMILIES = {
+    "wiener": (lambda cfg: 0.0, (BC(0, 1, 0), BC(1, 0, 1)), 1, True),
+    "bridge": (lambda cfg: 0.0, (BC(0, 1, 0), BC(0, 0, 1)), 1, True),
+    "ou": (lambda cfg: 1.0, (BC(1, 1, 0, alpha_lower=(-1.0,)),
+                             BC(1, 0, 1, gamma_lower=(1.0,))), 2, True),
+    "slepian": (lambda cfg: 0.0,
+                (BC(1, 1, 1), BC(1, -1, 0, alpha_lower=(1.0,),
+                                 gamma_lower=(1.0,))), 2, True),
+    "bogolyubov": (lambda cfg: cfg.omega * cfg.omega,
+                   (BC(0, 1, -1), BC(1, 1, -1)), 1, False),
+}
+
+
+def _catalog_problem(cfg, shooting=True):
     """BVProblem whose eigenvalues are the reciprocals of the covariance
-    eigenvalues for the plain catalog families, or None when no
-    boundary-value formulation ships with the package.
-
-    wiener      -v'' = mu psi v,        v(0) = v'(1) = 0
-    bridge      -v'' = mu psi v,        v(0) = v(1) = 0
-    ou          -v''+v = mu (2 psi) v,  v'(0)=v(0), v'(1)=-v(1)
-    slepian     -v'' = mu (2 psi) v,    v'(0)+v'(1)=0, v(0)+v(1)-v'(0)=0
-
-    The periodic (Bogolyubov) problem is excluded: its eigenvalues come in
-    multiplicity-two pairs, where the characteristic determinant touches
-    zero without a sign change, so the shooting scan cannot bracket them.
-    """
-    fam = _canonical_family(family)
-    if fam in ("wiener", "bridge", "slepian"):
-        op = OperatorSpec(1, (0.0,))
-    elif fam == "ou":
-        op = OperatorSpec(1, (1.0,))
-    elif fam == "bogolyubov":
-        return None  # built by caller (needs omega)
-    else:
+    eigenvalues of a plain (untransformed) catalog family, or None when no
+    boundary-value formulation ships with the package.  shooting=True also
+    returns None where the shooting solver cannot be used: periodic
+    problems and custom covariances."""
+    spec = _process_spec(cfg)
+    entry = _FAMILIES.get(_canonical_family(cfg.family))
+    if entry is None or spec.m or spec.centerings or spec.center_final:
         return None
-    if fam in ("ou", "slepian"):
-        w = Weight.from_text(f"2*({weight_text})")
-    else:
-        w = Weight.from_text(weight_text)
-    if fam == "wiener":
-        bcs = (BC(0, 1, 0), BC(1, 0, 1))
-    elif fam == "bridge":
-        bcs = (BC(0, 1, 0), BC(0, 0, 1))
-    elif fam == "ou":
-        bcs = (BC(1, 1, 0, alpha_lower=(-1.0,)),
-               BC(1, 0, 1, gamma_lower=(1.0,)))
-    else:  # slepian
-        bcs = (BC(1, 1, 1), BC(1, -1, 0, alpha_lower=(1.0,),
-                                gamma_lower=(1.0,)))
-    return BVProblem(op, bcs, w, normalized_system=True)
-
-
-def _bogolyubov_problem(omega, weight_text):
-    op = OperatorSpec(1, (omega * omega,))
-    bcs = (BC(0, 1, -1), BC(1, 1, -1))
-    return BVProblem(op, bcs, Weight.from_text(weight_text),
+    p0, bcs, factor, shootable = entry
+    if shooting and (not shootable or cfg.covariance is not None):
+        return None
+    text = cfg.weight if factor == 1 else f"{factor}*({cfg.weight})"
+    return BVProblem(OperatorSpec(1, (p0(cfg),)), bcs, Weight.from_text(text),
                      normalized_system=True)
-
-
-def _shooting_problem(cfg):
-    """Catalog BVProblem usable with the shooting solver, or None."""
-    spec = _process_spec(cfg)
-    plain = spec.m == 0 and spec.centerings == 0 and not spec.center_final
-    if not plain or cfg.covariance is not None:
-        return None
-    return catalog_problem(_canonical_family(cfg.family), cfg.weight)
-
-
-def _theta_problem(cfg):
-    """Catalog BVProblem for boundary determinants (periodic included)."""
-    spec = _process_spec(cfg)
-    plain = spec.m == 0 and spec.centerings == 0 and not spec.center_final
-    if not plain:
-        return None
-    fam = _canonical_family(cfg.family)
-    if fam == "bogolyubov":
-        return _bogolyubov_problem(cfg.omega, cfg.weight)
-    return catalog_problem(fam, cfg.weight)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +181,7 @@ def _nystrom_grid(cfg, K, floor=512):
 
 def _eigenvalue_lambdas(cfg):
     """(lam descending, tail model, route) for the configured process."""
-    problem = _shooting_problem(cfg)
+    problem = _catalog_problem(cfg)
     if problem is not None:
         res = eigenvalues_shooting(problem, cfg.K)
         lam = 1.0 / np.asarray(res.mu)
@@ -265,7 +238,7 @@ def _fmt(v):
 
 
 def cmd_eigs(cfg):
-    problem = _shooting_problem(cfg)
+    problem = _catalog_problem(cfg)
     if problem is None:
         raise CLIError(
             "eigs needs a catalog family with a boundary-value formulation "
@@ -288,7 +261,7 @@ def cmd_eigs(cfg):
 
 def cmd_theta(cfg):
     from .theta import ThetaInput, theta_det
-    problem = _theta_problem(cfg)
+    problem = _catalog_problem(cfg, shooting=False)
     if problem is None:
         raise CLIError("theta needs a catalog family (wiener, bridge, ou, "
                        "slepian, bogolyubov) and no transforms")
@@ -320,7 +293,7 @@ def cmd_theta(cfg):
 def cmd_compare(cfg):
     if cfg.weight2 is None:
         raise CLIError("compare needs two weights (--weight and --weight2)")
-    problem = _shooting_problem(cfg)
+    problem = _catalog_problem(cfg)
     if problem is None:
         raise CLIError("compare needs a catalog family (wiener, bridge, ou, "
                        "slepian) and no transforms")
@@ -435,7 +408,7 @@ def cmd_validate(cfg):
     all_ok &= _check(rows, "kernel_psd", min_eig > -1e-10, min_eig, -1e-10)
 
     # spectral cross-check against the boundary-value route
-    problem = _shooting_problem(cfg)
+    problem = _catalog_problem(cfg)
     if problem is not None:
         shoot = eigenvalues_shooting(problem, 10)
         nys = nystrom_eigenvalues(_build_kernel(cfg, weighted=False),

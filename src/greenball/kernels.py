@@ -5,18 +5,19 @@ integration, centering, conditioning, weighting -- that realize derived
 processes as dense kernel matrices for the Nystrom eigenvalue route and for
 Monte Carlo sampling of the squared weighted norm.
 
-A kernel is stored sampled on a shared composite Gauss-Legendre grid (1024
-nodes by default).  Besides the matrix itself each kernel carries the smooth
-coefficient of its |t-s| component (``odd``), so quadrature across the
-diagonal can treat the derivative jump exactly, and a ``recipe`` callable
-that re-samples the same kernel on another grid (the Nystrom error estimate
-re-solves on a doubled grid).
+A `Kernel` is lazy: it wraps a sampler mapping a composite Gauss-Legendre
+grid to the kernel matrix on that grid together with the smooth coefficient
+of its |t-s| component (``odd``), so quadrature across the diagonal can
+treat the derivative jump exactly.  Nothing is sampled at construction; the
+matrices on the kernel's own grid (1024 nodes by default) are computed on
+first access and cached, and any other grid -- the Nystrom solve and its
+grid-doubling check pick their own -- is sampled on demand.
 
 Transforms compose by closure: integrating or centering a kernel produces a
-new recipe that re-runs the whole chain from the base formula on whatever
-grid is requested.  Weighting is terminal -- every other transform refuses a
-weighted kernel, which enforces the "weight applied last" rule at the API
-level.
+new sampler that re-runs the whole chain from the base formula on whatever
+grid is requested.  The constructors validate their arguments eagerly.
+Weighting is terminal -- every other transform refuses a weighted kernel,
+which enforces the "weight applied last" rule at the API level.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from math import comb, factorial
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -49,39 +51,54 @@ def _as_grid(grid):
 
 @dataclass(frozen=True, eq=False)
 class Kernel:
-    """Covariance G(t, s) of a mean-zero process, sampled on a grid.
+    """Covariance G(t, s) of a mean-zero process, sampled on demand.
 
-    values[i, j] = G(x_i, x_j).  ``odd`` is the smooth symmetric coefficient
-    O in the decomposition G = S + O(t, s)|t - s| (None when G is C^1 across
-    the diagonal); the quadrature operators use it to integrate the kink with
-    exact panel moments.  ``half_order`` is the n for which the associated
-    differential operator has order 2n (it sets the Weyl tail rate of the
-    spectrum).  ``recipe`` maps a Grid to (values, odd) for re-sampling.
+    ``sampler`` maps a Grid to (values, odd) with values[i, j] = G(x_i, x_j)
+    and ``odd`` the smooth symmetric coefficient O in the decomposition
+    G = S + O(t, s)|t - s| (None when G is C^1 across the diagonal); the
+    quadrature operators use it to integrate the kink with exact panel
+    moments.  ``half_order`` is the n for which the associated differential
+    operator has order 2n (it sets the Weyl tail rate of the spectrum).
+    ``weight`` is the Weight applied by `apply_weight`, None before.
+
+    `evaluate_on` is the only sampling path; ``values`` and ``odd`` are the
+    sample on ``grid``, computed on first access and cached.  The first
+    sample of each kernel is checked for symmetry.
     """
 
     grid: Grid
-    values: np.ndarray
-    odd: np.ndarray | None
     label: str
     half_order: int
-    weighted: bool = False
-    recipe: object = None
+    sampler: Callable
+    weight: object = None
 
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        scale = float(np.abs(v).max()) or 1.0
-        if float(np.abs(v - v.T).max()) > 1e-14 * scale:
-            raise ValueError("kernel matrix is not symmetric to 1e-14")
+    @property
+    def weighted(self):
+        return self.weight is not None
+
+    @property
+    def values(self):
+        return self.evaluate_on(self.grid)[0]
+
+    @property
+    def odd(self):
+        return self.evaluate_on(self.grid)[1]
 
     def evaluate_on(self, grid):
         """(values, odd) of this kernel sampled on `grid`."""
+        own = getattr(self, "_own", None)
+        if grid is self.grid and own is not None:
+            return own
+        values, odd = self.sampler(grid)
+        if not getattr(self, "_symmetric", False):
+            v = np.asarray(values, dtype=float)
+            scale = float(np.abs(v).max()) or 1.0
+            if float(np.abs(v - v.T).max()) > 1e-14 * scale:
+                raise ValueError("kernel matrix is not symmetric to 1e-14")
+            object.__setattr__(self, "_symmetric", True)
         if grid is self.grid:
-            return self.values, self.odd
-        if self.recipe is None:
-            raise ValueError(
-                "kernel carries no re-sampling recipe; it can only be "
-                "evaluated on its own grid")
-        return self.recipe(grid)
+            object.__setattr__(self, "_own", (values, odd))
+        return values, odd
 
     def __repr__(self):  # the matrices are big; keep repr readable
         return (f"Kernel({self.label!r}, n={self.half_order}, "
@@ -129,7 +146,7 @@ def _slepian_values(g):
     return 1.0 - u, np.full((g.n, g.n), -1.0)
 
 
-def _matern_values(g, n):
+def _matern_sampler(n):
     # ((n-1)!/(2n-2)!) e^{-r} sum_k (n+k-1)!/(k!(n-k-1)!) (2r)^{n-k-1}
     c = factorial(n - 1) / factorial(2 * n - 2)
     coef = np.zeros(n)
@@ -142,10 +159,10 @@ def _matern_values(g, n):
         return c * np.exp(-r) * npoly.polyval(r, coef)
 
     slope = c * ((coef[1] if n > 1 else 0.0) - coef[0])
-    return _radial_split(g, f, slope)
+    return lambda g: _radial_split(g, f, slope)
 
 
-def _bogolyubov_values(g, omega, covariance):
+def _bogolyubov_sampler(omega, covariance):
     if covariance is None:
         raise UnsupportedFamily(
             "no covariance formula configured for the Bogolyubov family")
@@ -156,7 +173,7 @@ def _bogolyubov_values(g, omega, covariance):
         def f(r):
             return np.cosh(omega * (r - 0.5)) / s
 
-        return _radial_split(g, f, -0.5)
+        return lambda g: _radial_split(g, f, -0.5)
     if isinstance(covariance, str):
         fn = compile_callable(parse_expression(covariance))
     elif callable(covariance):
@@ -167,7 +184,8 @@ def _bogolyubov_values(g, omega, covariance):
             "(the signed lag), or a callable")
     h = 1e-6
     slope = (float(fn(h)) - float(fn(-h))) / (2.0 * h)
-    return _radial_split(g, lambda r: np.asarray(fn(r), dtype=float), slope)
+    return lambda g: _radial_split(
+        g, lambda r: np.asarray(fn(r), dtype=float), slope)
 
 
 def _canonical_family(name):
@@ -208,25 +226,22 @@ def base_kernel(family, params=None, grid=None):
         n = int(params.pop("n"))
         if n < 1:
             raise ValueError("Matern order n must be >= 1")
-        build = lambda gg: _matern_values(gg, n)  # noqa: E731
-        label, half = f"matern({n})", n
+        sampler, label, half = _matern_sampler(n), f"matern({n})", n
     elif fam == "bogolyubov":
         omega = float(params.pop("omega"))
         if not omega > 0:
             raise ValueError("Bogolyubov omega must be positive")
         cov = params.pop("covariance", "default")
-        build = lambda gg: _bogolyubov_values(gg, omega, cov)  # noqa: E731
+        sampler = _bogolyubov_sampler(omega, cov)
         label, half = f"bogolyubov({omega:g})", 1
     else:
-        build = {"wiener": _wiener_values, "bridge": _bridge_values,
-                 "ou": _ou_values, "slepian": _slepian_values}[fam]
+        sampler = {"wiener": _wiener_values, "bridge": _bridge_values,
+                   "ou": _ou_values, "slepian": _slepian_values}[fam]
         label, half = {"ou": "ornstein-uhlenbeck"}.get(fam, fam), 1
     if params:
         raise ValueError(f"unused parameters for family {fam}: "
                          f"{sorted(params)}")
-    values, odd = build(g)
-    return Kernel(grid=g, values=values, odd=odd, label=label,
-                  half_order=half, recipe=build)
+    return Kernel(g, label, half, sampler)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +249,7 @@ def base_kernel(family, params=None, grid=None):
 
 
 def _require_unweighted(k, op):
-    if k.weighted:
+    if k.weight is not None:
         raise ValueError(
             f"{op} cannot follow apply_weight; the weight is applied last")
 
@@ -250,16 +265,13 @@ def integrate_kernel(k, beta):
         raise ValueError("beta must be 0 or 1")
     _require_unweighted(k, "integrate_kernel")
 
-    def build(g):
+    def sample(g):
         v, o = k.evaluate_on(g)
         A = integrate_rows(g, v, o, lower=beta)
         B = integrate_rows(g, A.T, None, lower=beta).T
         return 0.5 * (B + B.T), None
 
-    values, odd = build(k.grid)
-    return Kernel(grid=k.grid, values=values, odd=odd,
-                  label=f"int[{beta}]({k.label})",
-                  half_order=k.half_order + 1, recipe=build)
+    return Kernel(k.grid, f"int[{beta}]({k.label})", k.half_order + 1, sample)
 
 
 def center_kernel(k):
@@ -271,17 +283,14 @@ def center_kernel(k):
     """
     _require_unweighted(k, "center_kernel")
 
-    def build(g):
+    def sample(g):
         v, o = k.evaluate_on(g)
         r = integrate_full(g, v, o)
         total = g.integrate(r)
         c = v - r[None, :] - r[:, None] + total
         return 0.5 * (c + c.T), o
 
-    values, odd = build(k.grid)
-    return Kernel(grid=k.grid, values=values, odd=odd,
-                  label=f"center({k.label})",
-                  half_order=k.half_order, recipe=build)
+    return Kernel(k.grid, f"center({k.label})", k.half_order, sample)
 
 
 def condition_kernel(k, cross, gram):
@@ -304,7 +313,7 @@ def condition_kernel(k, cross, gram):
             f"(limit {CONDITION_LIMIT:g})")
     P = pinvh(S)
 
-    def build(g):
+    def sample(g):
         v, o = k.evaluate_on(g)
         C = np.asarray(cross(g.x), dtype=float)
         if C.ndim == 1:
@@ -316,35 +325,29 @@ def condition_kernel(k, cross, gram):
         out = v - C @ P @ C.T
         return 0.5 * (out + out.T), o
 
-    values, odd = build(k.grid)
-    return Kernel(grid=k.grid, values=values, odd=odd,
-                  label=f"cond[{S.shape[0]}]({k.label})",
-                  half_order=k.half_order, recipe=build)
+    return Kernel(k.grid, f"cond[{S.shape[0]}]({k.label})", k.half_order,
+                  sample)
 
 
 def apply_weight(k, w):
     """Multiply by sqrt(psi(t) psi(s)); terminal transform.
 
     The weighted kernel is what the squared-psi-norm quadratic form and the
-    Nystrom matrix are built from.  No further transform accepts it.
+    Nystrom matrix are built from; it records `w` as its ``weight``.  No
+    further transform accepts it.
     """
-    if k.weighted:
+    if k.weight is not None:
         raise ValueError("kernel is already weighted; apply_weight is "
                          "terminal and cannot be repeated")
 
-    def build(g):
+    def sample(g):
         v, o = k.evaluate_on(g)
-        psi = np.asarray(w(g.x), dtype=float)
-        if psi.ndim == 0:
-            psi = np.full(g.n, float(psi))
-        half = np.sqrt(psi)
+        half = np.sqrt(np.asarray(w(g.x), dtype=float))
         scale = np.outer(half, half)
         return v * scale, (None if o is None else o * scale)
 
-    values, odd = build(k.grid)
-    return Kernel(grid=k.grid, values=values, odd=odd,
-                  label=f"weight[{w.text}]({k.label})",
-                  half_order=k.half_order, weighted=True, recipe=build)
+    return Kernel(k.grid, f"weight[{w.text}]({k.label})", k.half_order,
+                  sample, weight=w)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +356,7 @@ def apply_weight(k, w):
 
 @dataclass(frozen=True)
 class ProcessSpec:
-    """Recipe for a catalog process: a base family plus a transform chain.
+    """A catalog process: a base family plus a transform chain.
 
     Applied in order: ``centerings`` repetitions of [center, integrate from
     0] -- the recursion that builds the multiply centered-integrated bridge
@@ -432,7 +435,8 @@ def _conditional_integrated_wiener(level, g):
 
 
 def build_process(spec, grid=None):
-    """Kernel of the process described by a ProcessSpec."""
+    """Kernel of the process described by a ProcessSpec (lazy: nothing is
+    sampled until its values are asked for)."""
     g = _as_grid(grid)
     fam = _canonical_family(spec.family)
     if fam == "ciw":

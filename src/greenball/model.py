@@ -12,6 +12,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 
 import numpy as np
 
@@ -36,15 +37,12 @@ class Weight:
     psi0, psi1 : float
         Endpoint values psi(0), psi(1), evaluated from the expression (the
         comparison formulas depend only on these).
-    smoothness_order : int or None
-        Declared smoothness class; recorded, not verified.
     """
 
     expr: tuple
     samples: np.ndarray
     psi0: float
     psi1: float
-    smoothness_order: int | None = None
 
     def __post_init__(self):
         s = np.asarray(self.samples)
@@ -54,14 +52,14 @@ class Weight:
             raise ValueError("weight endpoint values must be positive")
 
     @classmethod
-    def from_text(cls, text, smoothness_order=None):
-        return cls.from_tree(_expr.parse_expression(text), smoothness_order)
+    def from_text(cls, text):
+        return cls.from_tree(_expr.parse_expression(text))
 
     @classmethod
-    def from_tree(cls, tree, smoothness_order=None):
+    def from_tree(cls, tree):
         samples = _expr.evaluate(tree, WEIGHT_GRID.x)
         return cls(tree, samples, _expr.evaluate(tree, 0.0),
-                   _expr.evaluate(tree, 1.0), smoothness_order)
+                   _expr.evaluate(tree, 1.0))
 
     @cached_property
     def _fast(self):
@@ -145,18 +143,11 @@ class OperatorSpec:
         acc = np.zeros(t.shape)
         for i in range(j + 1):
             pts = t + (j / 2.0 - i) * h
-            acc += (-1.0) ** i * _binom(j, i) * np.asarray(_expr.evaluate(c, pts))
+            acc += (-1.0) ** i * comb(j, i) * np.asarray(_expr.evaluate(c, pts))
         return acc / h ** j
 
     def is_constant_coefficient(self):
         return all(not isinstance(c, tuple) for c in self.p)
-
-
-def _binom(a, b):
-    out = 1
-    for i in range(b):
-        out = out * (a - i) // (i + 1)
-    return out
 
 
 @dataclass(eq=False, frozen=True)
@@ -287,8 +278,7 @@ def normalize_weight(w, n):
     if abs(c - 1.0) <= 1e-14:
         return w, 1.0
     tree = _expr.scale(w.expr, c)
-    scaled = Weight(tree, c * np.asarray(w.samples), c * w.psi0, c * w.psi1,
-                    w.smoothness_order)
+    scaled = Weight(tree, c * np.asarray(w.samples), c * w.psi0, c * w.psi1)
     return scaled, c
 
 

@@ -141,31 +141,6 @@ def _kink_partial_moments(order):
     return MDp
 
 
-@lru_cache(maxsize=None)
-def _cumulative_matrix_cached(panels, order):
-    q = order
-    h = 1.0 / panels
-    Q = _partial_weights(order)
-    _, wq = _reference_rule(order)
-    n = panels * q
-    C = np.zeros((n, n))
-    full = np.tile(h * wq, panels)
-    for p in range(panels):
-        rows = slice(p * q, (p + 1) * q)
-        C[rows, :p * q] = full[:p * q]
-        C[rows, rows] = h * Q
-    C.setflags(write=False)
-    return C
-
-def cumulative_matrix(grid):
-    """Matrix C with (C f)_i ~ integral of f over [0, x_i].
-
-    Exact for panelwise polynomials of degree < order; use the kink-corrected
-    `integrate_rows` for integrands with a |u - x_j| component.
-    """
-    return _cumulative_matrix_cached(grid.panels, grid.order)
-
-
 def _diag_panels(grid, odd):
     """Stack of the diagonal panel blocks of `odd`, shape (panels, q, q)."""
     q = grid.order
@@ -200,27 +175,27 @@ def integrate_rows(grid, values, odd=None, lower=0):
 
     `lower` is 0 or 1; lower = 1 yields the signed integral from 1.
     """
-    C = cumulative_matrix(grid)
-    J = C @ values
-    full = grid.w @ values
+    q, P = grid.order, grid.panels
+    _, wq = _reference_rule(q)
+    blocks = np.asarray(values).reshape(P, q, -1)
+    # within-panel partial integrals, and each panel's total
+    J = (grid.h * _partial_weights(q)) @ blocks
+    totals = (grid.h * wq) @ blocks
     if odd is not None:
-        q = grid.order
-        P = grid.panels
+        # the kink of column s lies in the panel holding s: exact moments
+        # correct that panel's total and its partial integrals (MDp axes:
+        # row upper-limit node, kink node, basis node)
         h2 = grid.h ** 2
-        MD = _kink_full_moments(q)
-        MDp = _kink_partial_moments(q)
         diag = _diag_panels(grid, odd)
-        # full-panel crossing corrections, one constant per column
-        cfull = np.einsum("pmj,jm->pj", diag, MD).ravel() * h2
-        # partial-panel corrections within the panel holding the kink
-        # (MDp axes: row upper-limit node, kink node, basis node)
-        cpart = np.einsum("pmj,ijm->pij", diag, MDp) * h2
+        cfull = np.einsum("pmj,jm->pj", diag, _kink_full_moments(q)) * h2
+        cpart = np.einsum("pmj,ijm->pij", diag, _kink_partial_moments(q)) * h2
         for p in range(P):
             blk = slice(p * q, (p + 1) * q)
-            if (p + 1) * q < grid.n:
-                J[(p + 1) * q:, blk] += cfull[blk]
-            J[blk, blk] += cpart[p]
-        full = full + cfull
+            totals[p, blk] += cfull[p]
+            J[p, :, blk] += cpart[p]
+    # every row also collects the totals of all earlier panels
+    J[1:] += np.cumsum(totals[:-1], axis=0)[:, None, :]
+    J = J.reshape(np.shape(values))
     if lower:
-        J = J - full[None, :]
+        J = J - totals.sum(axis=0)
     return J

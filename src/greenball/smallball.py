@@ -33,7 +33,7 @@ from .errors import (DegenerateTheta, InversionUnstable, NotNormalized,
 from .kernels import ProcessSpec, _canonical_family
 from .model import normalization_integral
 from .spectrum import eigenvalues_shooting
-from .theta import ratio_limit
+from .theta import ratio_limit, vandermonde
 
 # ---------------------------------------------------------------------------
 # notation block: z_n, eps-transforms, D_n, index sums
@@ -82,16 +82,6 @@ def K_tilde_of(betas):
 def _check_betas(betas):
     if any(b not in (0, 1) for b in betas):
         raise ValueError("betas must be 0/1")
-
-
-def _vabs(nodes):
-    """|Vandermonde| of a complex node list (empty/singleton -> 1)."""
-    nodes = list(nodes)
-    out = 1.0
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            out *= abs(nodes[j] - nodes[i])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +190,8 @@ def _wiener_form(m, betas, p0, p1):
     z, d = constants(n)
     kk = K_of(betas)
     nodes = [complex(1.0)] + [z ** k for k in _beta_nodes(m, betas, 1)]
-    c = (2 * m + 2) ** (m / 2.0 + 1) / (_vabs(nodes) * math.sqrt(math.pi * d))
+    c = ((2 * m + 2) ** (m / 2.0 + 1)
+         / (abs(vandermonde(nodes)) * math.sqrt(math.pi * d)))
     endpoint = (p1 / p0) ** (-(m + 1) / 8.0 + kk / (4.0 * (m + 1)))
     return AsymptoticForm(C=c, gamma=1.0, D=d, transform="eps_n", order=n,
                           endpoint_correction=endpoint,
@@ -214,7 +205,7 @@ def _bridge_form(m, betas, p0, p1):
     nodes = [z ** k for k in _beta_nodes(m, betas, 1)]
     c = ((2 * m + 2) ** ((m + 1) / 2.0)
          * math.sqrt(2.0 * math.sin(math.pi / (2 * m + 2)))
-         / (_vabs(nodes) * math.sqrt(math.pi * d)))
+         / (abs(vandermonde(nodes)) * math.sqrt(math.pi * d)))
     endpoint = (p0 ** ((m + 1) / 8.0 - kk / (4.0 * (m + 1)))
                 * p1 ** ((kk + 1) / (4.0 * (m + 1)) - (m + 1) / 8.0))
     return AsymptoticForm(C=c, gamma=0.0, D=d, transform="eps_n", order=n,
@@ -230,7 +221,7 @@ def _conditional_form(m, p0, p1):
     for j in range(m + 1):
         prod *= math.factorial(j) / math.factorial(m + 1 + j)
     c = ((2 * m + 2) ** (m / 2.0 + 1) * math.sqrt(prod)
-         / (_vabs(nodes) * math.sqrt(math.pi * d)))
+         / (abs(vandermonde(nodes)) * math.sqrt(math.pi * d)))
     endpoint = (p0 * p1) ** 0.125
     return AsymptoticForm(C=c, gamma=-m * (m + 2.0), D=d, transform="eps_n",
                           order=n, endpoint_correction=endpoint,
@@ -244,7 +235,7 @@ def _ou_form(m, betas, p0, p1, slepian=False):
     nodes = [z ** k for k in _beta_nodes(m, betas, 1)]
     c = ((2 * m + 2) ** ((m + 1) / 2.0) * 2.0 * math.sqrt(math.e)
          * math.sqrt(math.sin(math.pi / (2 * m + 2)))
-         / (_vabs(nodes) * math.sqrt(math.pi * d)))
+         / (abs(vandermonde(nodes)) * math.sqrt(math.pi * d)))
     # endpoint exponents asymmetric ((K+1) at psi(0), K at psi(1)) as
     # in closed form; the m = 0 case is cross-checked against the separated
     # closed-form ratio in the tests
@@ -262,7 +253,7 @@ def _matern_form(n, p0, p1):
     z, d = constants(n)
     nodes = [z ** j for j in range(n)]
     c = (math.sqrt(2.0 ** (n * n + n + 1) * n ** (n + 1) * math.e ** n)
-         / (_vabs(nodes) * math.sqrt(math.pi * d)))
+         / (abs(vandermonde(nodes)) * math.sqrt(math.pi * d)))
     endpoint = (p0 * p1) ** (-n / 8.0)
     return AsymptoticForm(C=c, gamma=n * n + 1.0, D=d, transform="eps_hat_n",
                           order=n, endpoint_correction=endpoint,
@@ -276,7 +267,8 @@ def _bogolyubov_form(m, betas, omega, p0, p1):
     ks = _beta_nodes(m, betas, 1)
     bracket = _endpoint_bracket(n, ks, p0, p1, 2 * m + 1)
     c = (2.0 ** (m + 2) * (m + 1) ** (m + 1) * math.sinh(omega / 2.0)
-         / (_vabs([z ** k for k in ks]) * math.sqrt(math.pi * d)))
+         / (abs(vandermonde([z ** k for k in ks]))
+            * math.sqrt(math.pi * d)))
     endpoint = ((p0 / p1) ** (m * (m + 2.0) / (8.0 * (m + 1))
                               - kk / (4.0 * (m + 1))) * bracket)
     return AsymptoticForm(C=c, gamma=1.0, D=d, transform="eps_n", order=n,
@@ -293,7 +285,8 @@ def _centered_integrated_bridge_form(m, betas, p0, p1):
     bracket = _endpoint_bracket(n, ks, p0, p1, 2 * m + 3)
     c = ((2 * m + 4) ** ((m + 2) / 2.0)
          * math.sqrt(2.0 * math.sin(3.0 * math.pi / (2 * m + 4)))
-         / (_vabs([z ** k for k in ks]) * math.sqrt(math.pi * d)))
+         / (abs(vandermonde([z ** k for k in ks]))
+            * math.sqrt(math.pi * d)))
     endpoint = (p0 ** ((m * m - 3) / (8.0 * n) - kt / (4.0 * n))
                 * p1 ** (kt / (4.0 * n) - (m * m + 8 * m + 3) / (8.0 * n))
                 * bracket)
@@ -311,7 +304,8 @@ def _multiply_centered_bridge_form(m, p0, p1):
     nodes = ([root0 * z ** j for j in range(m + 1)]
              + [root1 * z ** j for j in range(m + 1, 2 * m + 2)])
     c = (2 * m + 2) ** ((m + 2) / 2.0) / math.sqrt(math.pi * d)
-    endpoint = (p0 * p1) ** ((2 * m + 1) / 8.0) * _vabs(nodes) ** -0.5
+    endpoint = ((p0 * p1) ** ((2 * m + 1) / 8.0)
+                * abs(vandermonde(nodes)) ** -0.5)
     return AsymptoticForm(C=c, gamma=-(2 * m + 1.0), D=d, transform="eps_n",
                           order=n, endpoint_correction=endpoint,
                           label=f"multiply-centered-bridge({m})")

@@ -13,11 +13,13 @@ solves the dense symmetric eigenproblem.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
 from .errors import (GridTooCoarse, MissedRoot, NonConvergence,
                      NormalizationMismatch, StepFailure)
+from .kernels import apply_weight
 from .model import BVProblem, normalization_integral
 from .quadrature import Grid, _kink_full_moments
 
@@ -98,13 +100,6 @@ def _integrate_batch(rhs, y0, t0, t1, rtol=ODE_RTOL, atol=1e-14,
     return y
 
 
-def _binom(a, b):
-    out = 1
-    for i in range(b):
-        out = out * (a - i) // (i + 1)
-    return out
-
-
 def _make_rhs(problem, zetas):
     """Right-hand side of the companion system for L v = zeta^{2n} psi v.
 
@@ -126,7 +121,7 @@ def _make_rhs(problem, zetas):
                 terms.append((2 * m, 1.0, m, 0, float(c)))
             continue
         for j in range(m + 1):
-            terms.append((2 * m - j, float(_binom(m, j)), m, j, None))
+            terms.append((2 * m - j, float(comb(m, j)), m, j, None))
 
     def rhs(t, Y):
         dY = np.empty_like(Y)
@@ -344,41 +339,40 @@ def eigenvalues_shooting(problem, K, rtol=ODE_RTOL):
 def nystrom_eigenvalues(kern, w, K, grid=None):
     """First K eigenvalues mu = 1/lambda of the weighted covariance operator.
 
-    Discretizes sqrt(psi(t) psi(s)) G(t, s) on a composite Gauss-Legendre
-    grid, corrects the diagonal panels for the |t-s| kink exactly, applies
-    the sqrt(quadrature-weight) similarity to get a symmetric matrix, and
-    solves the dense eigenproblem.  Error estimates come from re-solving on
-    a doubled grid.
+    A weight `w` is applied with `apply_weight`; pass None when `kern` is
+    unweighted or already carries its weight.  The kernel is sampled on a
+    composite Gauss-Legendre grid (`grid`: a Grid, a node count, or None
+    for the kernel's own grid), the diagonal panels are corrected for the
+    |t-s| kink exactly, the sqrt(quadrature-weight) similarity gives a
+    symmetric matrix, and the dense eigenproblem is solved.  The same solve
+    on the doubled grid supplies the returned eigenvalues; `err` is their
+    relative gap to the solve on `grid`, and GridTooCoarse is raised when
+    it exceeds 1e-4.  theta_norm is the normalization integral of the
+    kernel's weight (1 when unweighted).
     """
     g = kern.grid if grid is None else grid
     if isinstance(g, int):
         g = Grid.composite(g, kern.grid.order)
     if g.n < 8 * K:
         raise GridTooCoarse(f"grid size {g.n} < 8K = {8 * K}")
+    if w is not None:
+        kern = apply_weight(kern, w)
 
-    lam = _nystrom_lambdas(kern, w, K, g)
-    lam_fine = _nystrom_lambdas(kern, w, K, g.doubled())
+    lam = _nystrom_lambdas(kern, K, g)
+    lam_fine = _nystrom_lambdas(kern, K, g.doubled())
     rel = np.abs(lam - lam_fine) / np.abs(lam_fine)
     if (rel > 1e-4).any():
         raise GridTooCoarse(
             f"grid-doubling moved an eigenvalue by {rel.max():.2e} relative "
             "(> 1e-4); increase the grid")
-    theta = (normalization_integral(w, getattr(kern, "half_order", 1))
-             if w is not None else 1.0)
-    mu = 1.0 / lam
-    return SpectrumResult(mu=mu, method="nystrom", err=rel, theta_norm=theta)
+    theta = (1.0 if kern.weight is None
+             else normalization_integral(kern.weight, kern.half_order))
+    return SpectrumResult(mu=1.0 / lam_fine, method="nystrom", err=rel,
+                          theta_norm=theta)
 
 
-def _nystrom_lambdas(kern, w, K, g):
+def _nystrom_lambdas(kern, K, g):
     values, odd = kern.evaluate_on(g)
-    if w is not None:
-        psi = np.asarray(w(g.x), dtype=float)
-        if psi.ndim == 0:
-            psi = np.full(g.n, float(psi))
-        half = np.sqrt(psi)
-        values = values * np.outer(half, half)
-        odd = None if odd is None else odd * np.outer(half, half)
-
     sw = np.sqrt(g.w)
     S = values * np.outer(sw, sw)
     if odd is not None:

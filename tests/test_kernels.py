@@ -13,14 +13,15 @@ Closed-form oracles used below (t <= s throughout; symmetrize for t > s):
 import numpy as np
 import pytest
 
-from greenball.errors import SingularConditioning, UnsupportedFamily
+from greenball.errors import (NormalizationMismatch, SingularConditioning,
+                              UnsupportedFamily)
 from greenball.kernels import (DEFAULT_GRID, Kernel, ProcessSpec, apply_weight,
                                base_kernel, build_process, center_kernel,
                                condition_kernel, export_kernel_csv,
                                integrate_kernel)
 from greenball.model import Weight
 from greenball.quadrature import Grid, integrate_full
-from greenball.spectrum import nystrom_eigenvalues
+from greenball.spectrum import eigenvalue_product, nystrom_eigenvalues
 
 GRID = Grid.composite(256, 8)
 
@@ -137,8 +138,33 @@ def test_family_rejects():
 
 def test_kernel_symmetry_guard():
     bad = np.array([[0.0, 1.0], [0.5, 0.0]])
+    k = Kernel(grid=GRID, label="bad", half_order=1,
+               sampler=lambda g: (bad, None))
+    # construction samples nothing; the first sample is checked
     with pytest.raises(ValueError):
-        Kernel(grid=GRID, values=bad, odd=None, label="bad", half_order=1)
+        k.evaluate_on(GRID)
+    with pytest.raises(ValueError):
+        k.values
+
+
+def test_build_process_samples_lazily(monkeypatch):
+    import greenball.kernels as kernels
+    calls = []
+    wiener = kernels._wiener_values
+
+    def counted(g):
+        calls.append(g.n)
+        return wiener(g)
+
+    monkeypatch.setattr(kernels, "_wiener_values", counted)
+    k = build_process(ProcessSpec("wiener", m=2, betas=(0, 1)), GRID)
+    assert calls == []
+    values = k.values
+    assert k.odd is None and k.evaluate_on(GRID)[0] is values
+    assert calls == [GRID.n]
+    k.evaluate_on(GRID.doubled())
+    assert calls == [GRID.n, 2 * GRID.n]
+    assert k.values is values
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +320,20 @@ def test_weighted_kernel_matches_weight_argument_route():
     s_pre = nystrom_eigenvalues(apply_weight(k, w), None, 8)
     s_arg = nystrom_eigenvalues(k, w, 8)
     assert np.allclose(s_pre.mu, s_arg.mu, rtol=1e-12)
+    assert s_pre.theta_norm == s_arg.theta_norm
+
+
+def test_preweighted_kernel_carries_its_normalization():
+    # int sqrt(4) = 2, so the product against the unweighted spectrum
+    # diverges and must be refused on both routes
+    k = base_kernel("wiener", grid=GRID)
+    w = Weight.from_text("4")
+    plain = nystrom_eigenvalues(k, None, 8)
+    s_pre = nystrom_eigenvalues(apply_weight(k, w), None, 8)
+    assert s_pre.theta_norm == pytest.approx(2.0, rel=1e-14)
+    for s in (s_pre, nystrom_eigenvalues(k, w, 8)):
+        with pytest.raises(NormalizationMismatch):
+            eigenvalue_product(s, plain)
 
 
 def test_weight_is_terminal():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from greenball.quadrature import Grid, cumulative_matrix, integrate_rows
+from greenball.quadrature import Grid, _partial_weights, integrate_rows
 
 
 @pytest.fixture(scope="module")
@@ -40,18 +40,31 @@ def test_half_and_doubled(grid):
     assert v == pytest.approx(np.e - 1, rel=1e-13)
 
 
-def test_cumulative_matrix_smooth(grid):
-    C = cumulative_matrix(grid)
-    F = C @ np.sin(3 * grid.x)
-    np.testing.assert_allclose(F, (1 - np.cos(3 * grid.x)) / 3, atol=1e-13)
-
-
 def test_integrate_rows_smooth(grid):
     x = grid.x
     vals = 0.5 * np.add.outer(x, x)
     J = integrate_rows(grid, vals)
     exact = 0.5 * (np.outer(x, x) + 0.5 * x[:, None] ** 2)
     np.testing.assert_allclose(J, exact, atol=1e-13)
+    F = integrate_rows(grid, np.sin(3 * x)[:, None])
+    np.testing.assert_allclose(F[:, 0], (1 - np.cos(3 * x)) / 3, atol=1e-13)
+
+
+def test_integrate_rows_matches_dense_cumulative_matrix():
+    # reference: the dense n x n matrix whose row i holds the weights of
+    # the integral over [0, x_i]; the panel prefix sum must reproduce it
+    g = Grid.composite(64, 8)
+    q = g.order
+    C = np.zeros((g.n, g.n))
+    for p in range(g.panels):
+        rows = slice(p * q, (p + 1) * q)
+        C[rows, :p * q] = g.w[:p * q]
+        C[rows, rows] = g.h * _partial_weights(q)
+    vals = np.random.default_rng(3).standard_normal((g.n, 5))
+    np.testing.assert_allclose(integrate_rows(g, vals), C @ vals,
+                               rtol=0, atol=1e-14)
+    np.testing.assert_allclose(integrate_rows(g, vals, lower=1),
+                               C @ vals - g.w @ vals, rtol=0, atol=1e-14)
 
 
 def test_integrate_rows_kinked(grid):

@@ -3,6 +3,7 @@ import pytest
 from scipy.optimize import brentq
 
 from greenball.errors import GridTooCoarse, MissedRoot, NormalizationMismatch
+from greenball.kernels import ProcessSpec, build_process
 from greenball.model import (BoundaryCondition, BVProblem, OperatorSpec,
                              Weight)
 from greenball.quadrature import Grid
@@ -32,6 +33,8 @@ class _ClosedFormKernel:
     """Minimal kernel stand-in: closed-form values and odd |t-s| coefficient."""
 
     half_order = 1
+    label = "closed-form"
+    weight = None
 
     def __init__(self, fn, grid=None):
         self.fn = fn
@@ -164,6 +167,17 @@ class TestNystrom:
                 BC(1, 0, 1, gamma_lower=(1.0,))], p=(1.0,))
         shoot = eigenvalues_shooting(prob, 10)
         np.testing.assert_allclose(res.mu, shoot.mu / 2, rtol=1e-6)
+
+    def test_integrated_wiener_matches_cantilever_roots(self):
+        # integrated Wiener is the cantilever beam, mu = x^4 with
+        # 1 + cos x cosh x = 0; its |t-s|^3 kink limits Nystrom to O(h^4),
+        # so the doubled-grid solve is the accurate one to report
+        kern = build_process(ProcessSpec("wiener", m=1, betas=(0,)))
+        res = nystrom_eigenvalues(kern, None, 80, grid=1600)
+        f = lambda x: np.cos(x) + 1.0 / np.cosh(x)
+        x = np.array([brentq(f, (k - 1) * np.pi, k * np.pi, xtol=1e-14)
+                      for k in range(1, 81)])
+        np.testing.assert_allclose(res.mu, x ** 4, rtol=1e-6)
 
     def test_grid_precondition(self):
         with pytest.raises(GridTooCoarse):
