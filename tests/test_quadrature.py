@@ -40,14 +40,19 @@ def test_half_and_doubled(grid):
     assert v == pytest.approx(np.e - 1, rel=1e-13)
 
 
+def test_cumulative_matrix_smooth(grid):
+    # the cumulative integral of a single column, x -> int_0^x sin(3u) du
+    F = integrate_rows(grid, np.sin(3 * grid.x)[:, None])
+    np.testing.assert_allclose(F[:, 0], (1 - np.cos(3 * grid.x)) / 3,
+                               atol=1e-13)
+
+
 def test_integrate_rows_smooth(grid):
     x = grid.x
     vals = 0.5 * np.add.outer(x, x)
     J = integrate_rows(grid, vals)
     exact = 0.5 * (np.outer(x, x) + 0.5 * x[:, None] ** 2)
     np.testing.assert_allclose(J, exact, atol=1e-13)
-    F = integrate_rows(grid, np.sin(3 * x)[:, None])
-    np.testing.assert_allclose(F[:, 0], (1 - np.cos(3 * x)) / 3, atol=1e-13)
 
 
 def test_integrate_rows_matches_dense_cumulative_matrix():
