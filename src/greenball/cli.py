@@ -25,7 +25,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +34,7 @@ from .errors import (ExpressionSyntaxError, GreenballError,
                      NormalizationMismatch, NotNormalized, UnsupportedFamily)
 from .kernels import (ProcessSpec, _canonical_family, apply_weight,
                       base_kernel, build_process)
-from .model import (BoundaryCondition, BVProblem, OperatorSpec, Weight,
-                    normalization_integral)
+from .model import BoundaryCondition, BVProblem, OperatorSpec, Weight
 from .quadrature import Grid
 from .smallball import (WeylTailModel, comparison_convergence,
                         evaluate_asymptotic, log_evaluate_asymptotic,

@@ -34,7 +34,8 @@ class DegenerateTheta(GreenballError):
 
 
 class StepFailure(GreenballError):
-    """The ODE integrator could not meet its tolerance."""
+    """The propagator cannot resolve the characteristic determinant to the
+    shooting tolerance."""
 
 
 class MissedRoot(GreenballError):

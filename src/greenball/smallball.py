@@ -30,7 +30,7 @@ from scipy.special import zeta as hurwitz_zeta
 
 from .errors import (DegenerateTheta, InversionUnstable, NotNormalized,
                      TiltNotFound, UnsupportedFamily)
-from .kernels import ProcessSpec, _canonical_family
+from .kernels import _canonical_family
 from .model import normalization_integral
 from .spectrum import eigenvalues_shooting
 from .theta import ratio_limit, vandermonde
@@ -674,8 +674,7 @@ class ComparisonTable:
     K: int
 
 
-def comparison_convergence(problem, psi1, psi2, eps_values, K=200,
-                           rtol=1e-12):
+def comparison_convergence(problem, psi1, psi2, eps_values, K=200):
     """Table of (eps, p1, p2, p1/p2) plus the determinant-ratio limit.
 
     Spectra come from the shooting solver with K eigenvalues each and are
@@ -688,7 +687,7 @@ def comparison_convergence(problem, psi1, psi2, eps_values, K=200,
     tails = []
     for w in (psi1, psi2):
         theta = normalization_integral(w, problem.op.n)
-        spec = eigenvalues_shooting(problem.with_weight(w), K, rtol=rtol)
+        spec = eigenvalues_shooting(problem.with_weight(w), K)
         lam = 1.0 / np.asarray(spec.mu)
         lams.append(lam)
         tails.append(WeylTailModel.calibrated(problem.op.n, theta, K,

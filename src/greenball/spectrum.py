@@ -2,12 +2,15 @@
 discretization of covariance kernels, plus the infinite eigenvalue-product
 evaluator used for weight comparisons.
 
-The shooting route integrates the order-2n system for a batch of spectral
-parameters zeta with a shared-step adaptive Runge-Kutta 7(8) and locates the
-sign-change roots of the boundary determinant F(zeta); eigenvalues are
-mu_k = zeta_k^{2n}.  The Nystrom route discretizes the weighted kernel on a
-composite Gauss-Legendre grid with an exact correction for the |t-s| kink and
-solves the dense symmetric eigenproblem.
+The shooting route propagates the order-2n companion system for a batch of
+spectral parameters zeta across a fixed mesh of cells, whose size depends
+only on the scan window: one 4th-order Magnus step per cell (psi and the
+operator coefficients sampled once at two Gauss nodes), Richardson
+extrapolation over a mesh halving, and positive rescaling that moves no
+roots.  It locates the sign-change roots of the boundary determinant
+F(zeta); eigenvalues are mu_k = zeta_k^{2n}.  The Nystrom route discretizes
+the weighted kernel on a composite Gauss-Legendre grid with an exact
+correction for the |t-s| kink and solves the dense symmetric eigenproblem.
 """
 
 from __future__ import annotations
@@ -16,129 +19,126 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
+from scipy.linalg import expm
 
 from .errors import (GridTooCoarse, MissedRoot, NonConvergence,
                      NormalizationMismatch, StepFailure)
 from .kernels import apply_weight
-from .model import BVProblem, normalization_integral
+from .model import normalization_integral
 from .quadrature import Grid, _kink_full_moments
 
 # ---------------------------------------------------------------------------
-# Runge-Kutta 7(8) (Fehlberg), 13 stages, shared adaptive step over a batch
+# Fixed-mesh Magnus-4 propagation of the companion system
 
-_RK_C = np.array([0, 2 / 27, 1 / 9, 1 / 6, 5 / 12, 1 / 2, 5 / 6, 1 / 6,
-                  2 / 3, 1 / 3, 1, 0, 1])
-_RK_A = np.zeros((13, 13))
-_RK_A[1, 0] = 2 / 27
-_RK_A[2, :2] = [1 / 36, 1 / 12]
-_RK_A[3, :3] = [1 / 24, 0, 1 / 8]
-_RK_A[4, :4] = [5 / 12, 0, -25 / 16, 25 / 16]
-_RK_A[5, :5] = [1 / 20, 0, 0, 1 / 4, 1 / 5]
-_RK_A[6, :6] = [-25 / 108, 0, 0, 125 / 108, -65 / 27, 125 / 54]
-_RK_A[7, :7] = [31 / 300, 0, 0, 0, 61 / 225, -2 / 9, 13 / 900]
-_RK_A[8, :8] = [2, 0, 0, -53 / 6, 704 / 45, -107 / 9, 67 / 90, 3]
-_RK_A[9, :9] = [-91 / 108, 0, 0, 23 / 108, -976 / 135, 311 / 54, -19 / 60,
-                17 / 6, -1 / 12]
-_RK_A[10, :10] = [2383 / 4100, 0, 0, -341 / 164, 4496 / 1025, -301 / 82,
-                  2133 / 4100, 45 / 82, 45 / 164, 18 / 41]
-_RK_A[11, :11] = [3 / 205, 0, 0, 0, 0, -6 / 41, -3 / 205, -3 / 41, 3 / 41,
-                  6 / 41, 0]
-_RK_A[12, :12] = [-1777 / 4100, 0, 0, -341 / 164, 4496 / 1025, -289 / 82,
-                  2193 / 4100, 51 / 82, 33 / 164, 12 / 41, 0, 1]
-_RK_B = np.array([0, 0, 0, 0, 0, 34 / 105, 9 / 35, 9 / 35, 9 / 280, 9 / 280,
-                  0, 41 / 840, 41 / 840])
-_RK_ERR = np.zeros(13)
-_RK_ERR[[0, 10, 11, 12]] = [41 / 840, 41 / 840, -41 / 840, -41 / 840]
-
-#: default integrator tolerance for the shooting route
-ODE_RTOL = 1e-12
+#: Gauss-Legendre nodes of a cell, as fractions of its width
+_GAUSS = 0.5 + np.array([-0.5, 0.5]) / np.sqrt(3.0)
 #: root refinement stops at this relative bracket width
 ROOT_RTOL = 1e-12
-#: rescale fundamental columns above this sup-norm (roots are scale-free)
-RESCALE_LIMIT = 1e80
+#: relative accuracy of the shooting eigenvalues; StepFailure beyond it
+SHOOT_TOL = 1e-8
+#: coarse cells whose exponentials are formed at once (a power of two)
+_CELLS_PER_CHUNK = 64
 
 
-def _integrate_batch(rhs, y0, t0, t1, rtol=ODE_RTOL, atol=1e-14,
-                     rescale=False):
-    """Shared-step adaptive integration of a batched first-order system.
+def _mesh(problem, zmax):
+    """Magnus-4 exponents (Omega0, Omega1) on N and on 2N equal cells.
 
-    y has shape (B, d, c); with rescale=True the trailing axis (fundamental
-    columns) is renormalized by its sup-norm whenever it exceeds
-    RESCALE_LIMIT, which leaves determinant roots in place.
+    A(t, zeta) = A_0(t) + zeta^{2n} psi(t) E is the traceless companion
+    matrix of v^{(2n)} = (-1)^n [zeta^{2n} psi v - sum_m (p_m v^{(m)})^{(m)}],
+    E = (-1)^n in the bottom-left corner.  With A sampled at the two Gauss
+    nodes of a cell, Omega = h/2 (A_1 + A_2) + (sqrt(3)/12) h^2 [A_2, A_1]
+    = Omega0 + zeta^{2n} Omega1, since [E, E] = 0.  N resolves the largest
+    local frequency omega = zmax max(psi)^(1/2n) for zeta up to zmax: at
+    h omega <= 0.62 the extrapolated eigenvalues are good to about 1e-11
+    relative (the error goes like h^6 omega^4.3 on the weighted-Wiener
+    problem), and N >= 2048 keeps small windows at the rounding level.
     """
-    t = t0
-    y = np.array(y0, dtype=float)
-    h = (t1 - t0) * 0.01
-    steps = 0
-    k = np.empty((13,) + y.shape)
-    while t < t1 - 1e-14:
-        if h < 1e-13:
-            raise StepFailure("adaptive step size underflow in the "
-                              "fundamental-system integration")
-        if steps > 10 ** 6:
-            raise StepFailure("step budget exhausted")
-        h = min(h, t1 - t)
-        for i in range(13):
-            yi = y + h * np.tensordot(_RK_A[i, :i], k[:i], axes=(0, 0)) \
-                if i else y
-            k[i] = rhs(t + _RK_C[i] * h, yi)
-        ynew = y + h * np.tensordot(_RK_B, k, axes=(0, 0))
-        errv = h * np.tensordot(_RK_ERR, k, axes=(0, 0))
-        sc = atol + rtol * np.maximum(np.abs(y), np.abs(ynew))
-        err = np.sqrt(np.mean((errv / sc) ** 2, axis=tuple(range(1, y.ndim))))
-        emax = err.max()
-        if emax <= 1.0:
-            t += h
-            y = ynew
-            steps += 1
-            if rescale:
-                colmax = np.abs(y).max(axis=1, keepdims=True)
-                big = colmax > RESCALE_LIMIT
-                if big.any():
-                    y = np.where(big, y / np.where(big, colmax, 1.0), y)
-        h *= min(5.0, max(0.2, 0.9 * (emax + 1e-300) ** (-1.0 / 8.0)))
-    return y
+    n = problem.op.n
+    d = 2 * n
+    omega = zmax * problem.weight.samples.max() ** (1.0 / (2 * n))
+    N = 1 << int(np.ceil(np.log2(max(2048.0, 1.6 * omega))))
+    E = np.zeros((d, d))
+    E[-1, 0] = (-1.0) ** n
+    out = []
+    for cells in (N, 2 * N):
+        h = 1.0 / cells
+        t = ((np.arange(cells)[:, None] + _GAUSS) * h).ravel()
+        A = np.zeros((t.size, d, d))
+        A[:, np.arange(d - 1), np.arange(1, d)] = 1.0
+        for m in range(n):
+            for j in range(m + 1):
+                A[:, -1, 2 * m - j] -= ((-1.0) ** n * comb(m, j)
+                                        * problem.op.p_derivative(m, j, t))
+        A1, A2 = A[0::2], A[1::2]
+        psi1, psi2 = problem.weight(t).reshape(-1, 2).T[:, :, None, None]
+        c = np.sqrt(3.0) / 12.0 * h * h
+        om0 = 0.5 * h * (A1 + A2) + c * (A2 @ A1 - A1 @ A2)
+        om1 = 0.5 * h * (psi1 + psi2) * E + c * (
+            psi1 * (A2 @ E - E @ A2) - psi2 * (A1 @ E - E @ A1))
+        out.append((om0, om1))
+    return N, out
 
 
-def _make_rhs(problem, zetas):
-    """Right-hand side of the companion system for L v = zeta^{2n} psi v.
+def _expm_cells(om):
+    """exp of a stack of traceless exponents, shape (..., d, d).
 
-    v^{(2n)} = (-1)^n [zeta^{2n} psi v - sum_m (p_m v^{(m)})^{(m)}], with the
-    product derivative expanded through binomial terms in p_m^{(j)} v^{(2m-j)}.
+    For d = 2, Omega^2 = s^2 I with s^2 = -det Omega, so exp(Omega) is
+    cosh(s) I + sinh(s)/s Omega (cos/sin when s^2 < 0); larger systems use
+    scipy's expm.
     """
-    op = problem.op
-    n = op.n
-    sgn = (-1.0) ** n
-    z2n = np.asarray(zetas, dtype=float) ** (2 * n)
-    psi = problem.weight
-
-    # (derivative-order, binomial factor, m, j) for every expanded term
-    terms = []
-    for m in range(n):
-        c = op.p[m]
-        if not isinstance(c, tuple):
-            if c != 0.0:
-                terms.append((2 * m, 1.0, m, 0, float(c)))
-            continue
-        for j in range(m + 1):
-            terms.append((2 * m - j, float(comb(m, j)), m, j, None))
-
-    def rhs(t, Y):
-        dY = np.empty_like(Y)
-        dY[:, :-1, :] = Y[:, 1:, :]
-        top = (z2n * float(psi(t)))[:, None] * Y[:, 0, :]
-        for d, c, m, j, const in terms:
-            pv = const if const is not None else float(op.p_derivative(m, j, t))
-            top -= (c * pv) * Y[:, d, :]
-        dY[:, -1, :] = sgn * top
-        return dY
-
-    return rhs
+    if om.shape[-1] > 2:
+        return expm(om)
+    s2 = om[..., 0, 0] ** 2 + om[..., 0, 1] * om[..., 1, 0]
+    r = np.sqrt(np.abs(s2))
+    cs, sn = np.cos(r), np.sin(r)
+    grow = s2 > 0.0
+    if grow.any():
+        cs[grow], sn[grow] = np.cosh(r[grow]), np.sinh(r[grow])
+    sn = np.divide(sn, r, out=np.ones_like(r), where=r > 0.0)
+    out = sn[..., None, None] * om
+    out[..., 0, 0] += cs
+    out[..., 1, 1] += cs
+    return out
 
 
-def fundamental_system(problem, zeta, rtol=ODE_RTOL):
+def _propagate(problem, zetas, mesh):
+    """Fundamental matrices at t = 1 for a batch of zeta values.
+
+    Both meshes of `mesh` advance the batch a chunk of cells at a time in
+    the scaled variables (v, v'/sigma, ..., v^{(2n-1)}/sigma^{2n-1}),
+    sigma = max(zeta, 1), rescaled per zeta after every chunk.  Returns
+    (Y, Y_fine, log_growth): the Richardson extrapolant
+    Y_fine + (Y_fine - Y_coarse)/15 and Y_fine, in the original variables
+    and divided by exp(log_growth), the growth of the scaled variables.
+    """
+    N, meshes = mesh
+    d = meshes[0][0].shape[-1]
+    z = np.asarray(zetas, dtype=float)
+    sigma = np.maximum(z, 1.0)
+    ij = np.arange(d)
+    # diag(sigma^-i) Omega diag(sigma^i) scales entry (i, j) by sigma^(j-i)
+    scale = sigma[:, None, None] ** (ij[None, :] - ij[:, None])
+    z2n = (z ** d)[:, None, None, None]
+    Y = [np.broadcast_to(np.eye(d), (z.size, d, d)).copy() for _ in meshes]
+    logs = [np.zeros(z.size) for _ in meshes]
+    for start in range(0, N, _CELLS_PER_CHUNK):
+        for k, (om0, om1) in enumerate(meshes):
+            sl = slice((k + 1) * start, (k + 1) * (start + _CELLS_PER_CHUNK))
+            P = _expm_cells((om0[sl] + z2n * om1[sl]) * scale[:, None])
+            while P.shape[1] > 1:
+                P = P[:, 1::2] @ P[:, 0::2]
+            Y[k] = P[:, 0] @ Y[k]
+            s = np.abs(Y[k]).max(axis=(1, 2))
+            Y[k] /= s[:, None, None]
+            logs[k] += np.log(s)
+    Y_coarse = Y[0] * np.exp(logs[0] - logs[1])[:, None, None]
+    Y_rich = Y[1] + (Y[1] - Y_coarse) / 15.0
+    return Y_rich / scale, Y[1] / scale, logs[1]
+
+
+def fundamental_system(problem, zeta):
     """Canonical solutions phi_j (phi_j^{(i)}(0) = delta_ij) of
-    L v = zeta^{2n} psi v, integrated across [0,1].
+    L v = zeta^{2n} psi v, propagated across [0,1].
 
     Returns (Y0, Y1) where Y0 is the identity initial data and
     Y1[i, j] = phi_j^{(i)}(1).  Accepts a scalar or a 1-d array of zeta
@@ -147,32 +147,33 @@ def fundamental_system(problem, zeta, rtol=ODE_RTOL):
     zetas = np.atleast_1d(np.asarray(zeta, dtype=float))
     if (zetas < 0).any():
         raise ValueError("zeta must be nonnegative")
-    d = 2 * problem.op.n
-    Y0 = np.broadcast_to(np.eye(d), (len(zetas), d, d)).copy()
-    Y1 = _integrate_batch(_make_rhs(problem, zetas), Y0, 0.0, 1.0, rtol=rtol)
-    if np.isscalar(zeta) or np.asarray(zeta).ndim == 0:
-        return np.eye(d), Y1[0]
-    return np.broadcast_to(np.eye(d), Y1.shape), Y1
+    Y1, _, log_growth = _propagate(problem, zetas,
+                                   _mesh(problem, zetas.max()))
+    Y1 = Y1 * np.exp(log_growth)[:, None, None]
+    Y0 = np.eye(Y1.shape[-1])
+    if np.ndim(zeta) == 0:
+        return Y0, Y1[0]
+    return np.broadcast_to(Y0, Y1.shape), Y1
 
 
-def _boundary_matrix(problem, Y1):
+def _boundary_matrix(problem, Y1, w0=1.0):
     """Apply the boundary forms to the fundamental solutions.
 
     M[nu, j] = alpha_nu phi_j^{(k_nu)}(0) + gamma_nu phi_j^{(k_nu)}(1)
                + lower-order contributions; phi_j^{(i)}(0) = delta_ij.
+    When Y1 is the fundamental matrix times a positive per-zeta factor w0,
+    the t = 0 terms of every row that reads Y1 are scaled by w0 as well,
+    which multiplies that row by w0 and so moves no roots.
     """
-    d = Y1.shape[-1]
-    B = Y1.shape[0]
-    M = np.zeros((B, d, d))
+    w0 = np.reshape(w0, (-1, 1))
+    I = np.eye(Y1.shape[-1])
+    M = np.zeros(Y1.shape)
     for nu, bc in enumerate(problem.bcs):
-        row = bc.alpha * np.eye(d)[bc.k] + bc.gamma * Y1[:, bc.k, :]
-        for j in range(bc.k):
-            a = bc.lower_coefficient(0, j)
-            g = bc.lower_coefficient(1, j)
-            if a:
-                row = row + a * np.eye(d)[j]
-            if g:
-                row = row + g * Y1[:, j, :]
+        a = [bc.lower_coefficient(0, j) for j in range(bc.k)] + [bc.alpha]
+        g = [bc.lower_coefficient(1, j) for j in range(bc.k)] + [bc.gamma]
+        row = sum(c * I[j] for j, c in enumerate(a) if c)
+        if any(g):
+            row = w0 * row + sum(c * Y1[:, j, :] for j, c in enumerate(g) if c)
         M[:, nu, :] = row
     return M
 
@@ -185,37 +186,29 @@ def _equilibrated_det(M):
     return np.linalg.det(M / scale)
 
 
-def characteristic_function(problem, zeta, rtol=ODE_RTOL):
+def characteristic_function(problem, zeta):
     """Boundary determinant F(zeta); its positive roots give mu = zeta^{2n}.
 
-    Rescaled row-wise (and column-wise during integration for growing
-    solutions), which moves no roots.  Vectorized over a 1-d zeta array.
+    Evaluated from the Richardson-extrapolated fundamental matrix on a mesh
+    fixed by the largest zeta, rescaled by positive factors (which move no
+    roots).  Vectorized over a 1-d zeta array.
     """
     zetas = np.atleast_1d(np.asarray(zeta, dtype=float))
-    vals = _characteristic_batch(problem, zetas, rtol=rtol)
-    if np.isscalar(zeta) or np.asarray(zeta).ndim == 0:
+    vals = _characteristic_batch(problem, zetas,
+                                 _mesh(problem, zetas.max()))[0]
+    if np.ndim(zeta) == 0:
         return float(vals[0])
     return vals
 
 
-#: batch chunk size for the shared-step integrator; one shared pass is
-#: cheapest because the per-step cost is dominated by fixed overhead
-_CHUNK = 4096
-
-
-def _characteristic_batch(problem, zetas, rtol=ODE_RTOL):
-    zetas = np.asarray(zetas, dtype=float)
-    order = np.argsort(zetas)
-    out = np.empty(len(zetas))
-    d = 2 * problem.op.n
-    for start in range(0, len(zetas), _CHUNK):
-        idx = order[start:start + _CHUNK]
-        zc = zetas[idx]
-        Y0 = np.broadcast_to(np.eye(d), (len(zc), d, d)).copy()
-        Y1 = _integrate_batch(_make_rhs(problem, zc), Y0, 0.0, 1.0,
-                              rtol=rtol, rescale=True)
-        out[idx] = _equilibrated_det(_boundary_matrix(problem, Y1))
-    return out
+def _characteristic_batch(problem, zetas, mesh):
+    """(F, F_fine - F, log_growth) on a fixed mesh: the extrapolated and
+    fine-mesh determinants and the growth of the scaled solutions."""
+    Y, Y_fine, log_growth = _propagate(problem, zetas, mesh)
+    w0 = np.exp(-log_growth)
+    F = _equilibrated_det(_boundary_matrix(problem, Y, w0))
+    F_fine = _equilibrated_det(_boundary_matrix(problem, Y_fine, w0))
+    return F, F_fine - F, log_growth
 
 
 # ---------------------------------------------------------------------------
@@ -248,48 +241,44 @@ def weyl_tail(n, theta, k):
     return (np.pi * np.asarray(k) / theta) ** (2 * n)
 
 
-def _refine_roots(problem, lo, hi, flo, fhi, rtol_root=ROOT_RTOL, maxit=80):
-    """Safeguarded secant/bisection, batched over all bracketed roots."""
-    a, b = lo.copy(), hi.copy()
-    fa, fb = flo.copy(), fhi.copy()
-    x0, f0 = a.copy(), fa.copy()
-    x1, f1 = b.copy(), fb.copy()
+def _refine_roots(f, a, b, fa, fb, rtol_root=ROOT_RTOL, maxit=80):
+    """Safeguarded secant/bisection of f, batched over all brackets whose
+    ends differ in sign bit.  Returns the roots, interpolated linearly
+    across the final brackets, and the bracket widths."""
+    x0, f0, x1, f1 = a, fa, b, fb
     for _ in range(maxit):
         active = (b - a) > rtol_root * np.abs(b)
         if not active.any():
             break
-        denom = f1 - f0
         with np.errstate(divide="ignore", invalid="ignore"):
-            xs = x1 - f1 * (x1 - x0) / denom
-        mid = 0.5 * (a + b)
-        take = np.isfinite(xs) & (xs > a) & (xs < b)
-        xp = np.where(take, xs, mid)
+            xs = x1 - f1 * (x1 - x0) / (f1 - f0)
+        take = np.isfinite(xs) & (xs >= a) & (xs <= b)
+        # a step within half the tolerance of a bracket end is pushed to that
+        # distance, so a converged iterate or an exact zero at an end lands
+        # across the root and closes the bracket (Dekker)
+        tol = 0.5 * rtol_root * np.abs(b)
+        xp = np.clip(np.where(take, xs, 0.5 * (a + b)), a + tol, b - tol)
         fp = np.zeros_like(xp)
-        fp[active] = _characteristic_batch(problem, xp[active])
-        # keep the sign-change bracket; an exact zero collapses it
-        hit = active & (fp == 0.0)
-        same_as_left = np.sign(fp) == np.sign(fa)
-        x0, f0 = x1.copy(), f1.copy()
-        x1, f1 = xp.copy(), fp.copy()
-        a = np.where(active & same_as_left, xp, a)
-        fa = np.where(active & same_as_left, fp, fa)
-        b = np.where(active & ~same_as_left, xp, b)
-        fb = np.where(active & ~same_as_left, fp, fb)
-        a = np.where(hit, xp, a)
-        b = np.where(hit, xp, b)
-    width = b - a
-    root = np.where(np.abs(fa) < np.abs(fb), a, b)
-    exact = fa == 0.0
-    root = np.where(exact, a, root)
-    return root, width
+        fp[active] = f(xp[active])
+        left = active & ((fp < 0) == (fa < 0))
+        right = active & ~left
+        a, fa = np.where(left, xp, a), np.where(left, fp, fa)
+        b, fb = np.where(right, xp, b), np.where(right, fp, fb)
+        x0, f0, x1, f1 = x1, f1, xp, fp
+    return a - fa * (b - a) / (fb - fa), b - a
 
 
-def eigenvalues_shooting(problem, K, rtol=ODE_RTOL):
+def eigenvalues_shooting(problem, K):
     """First K eigenvalues of L v = mu psi v by characteristic-root search.
 
     Scans F(zeta) on a grid of spacing pi/(4 theta) up to (K+2) pi / theta,
     brackets sign changes, refines each root to relative 1e-12, and checks
-    the count against the leading-order growth model.
+    the count against the leading-order growth model.  F comes from a
+    fixed-mesh Magnus-4 propagator with Richardson extrapolation, its mesh
+    set by the scan window.  `err` is the relative error bound on mu from
+    the mesh-halving gap (the shift between the fine-mesh and extrapolated
+    roots), the final bracket width and the rounding that the growth of the
+    solutions amplifies; StepFailure is raised when it exceeds SHOOT_TOL.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -305,22 +294,19 @@ def eigenvalues_shooting(problem, K, rtol=ODE_RTOL):
         grid = np.arange(spacing, z_hi + 0.5 * spacing, spacing)
         # extra points near the origin in case of a low first root
         grid = np.concatenate(([1e-4, 1e-3, 1e-2, 0.1 * spacing], grid))
-        F = _characteristic_batch(problem, grid, rtol=rtol)
-        sign_change = np.where(np.sign(F[:-1]) * np.sign(F[1:]) < 0)[0]
-        node_hits = np.where(F == 0.0)[0]
-        if len(sign_change) + len(node_hits) >= K:
+        mesh = _mesh(problem, z_hi)
+        F = _characteristic_batch(problem, grid, mesh)[0]
+        # a bracket wherever the sign bit flips, so an exact zero at a node
+        # closes one bracket
+        lo = np.flatnonzero((F[:-1] < 0) != (F[1:] < 0))
+        if len(lo) >= K:
             break
-    if len(sign_change) + len(node_hits) < K:
-        raise MissedRoot(f"found only {len(sign_change) + len(node_hits)} "
-                         f"roots up to zeta={z_hi:.3g} but {K} were requested")
-    roots, widths = _refine_roots(problem, grid[sign_change],
-                                  grid[sign_change + 1], F[sign_change],
-                                  F[sign_change + 1])
-    if len(node_hits):
-        roots = np.concatenate([roots, grid[node_hits]])
-        widths = np.concatenate([widths, np.zeros(len(node_hits))])
-        order = np.argsort(roots)
-        roots, widths = roots[order], widths[order]
+    if len(lo) < K:
+        raise MissedRoot(f"found only {len(lo)} roots up to zeta={z_hi:.3g} "
+                         f"but {K} were requested")
+    roots, widths = _refine_roots(
+        lambda z: _characteristic_batch(problem, z, mesh)[0],
+        grid[lo], grid[lo + 1], F[lo], F[lo + 1])
 
     # count sanity check against the growth model over the first scan window
     in_first = roots <= zmax
@@ -330,10 +316,23 @@ def eigenvalues_shooting(problem, K, rtol=ODE_RTOL):
             f"root count {in_first.sum()} on [0, {zmax:.3g}] is inconsistent "
             f"with the expected {predicted:.1f} +- {n + 1}")
 
-    roots, widths = roots[:K], widths[:K]
-    mu = roots ** (2 * n)
-    err = 2 * n * (widths / roots) + 10 * rtol
-    return SpectrumResult(mu=mu, method="shooting", err=err, theta_norm=theta)
+    roots, widths, lo = roots[:K], widths[:K], lo[:K]
+    # error bar in zeta: the fine-mesh root's shift from the extrapolated
+    # one (F difference over the scan slope of F), the bracket width, and
+    # rounding, which the growth G of the scaled solutions amplifies to
+    # about eps * G (the equilibrated determinant's slope falls like 1/G)
+    _, dF, log_growth = _characteristic_batch(problem, roots, mesh)
+    gap = np.abs(dF) * np.diff(grid)[lo] / np.abs(np.diff(F)[lo])
+    rounding = np.finfo(float).eps * np.exp(log_growth)
+    err = 2 * n * (gap + widths + rounding) / roots
+    if not (err <= SHOOT_TOL).all():
+        k = np.argmin(err <= SHOOT_TOL)
+        raise StepFailure(
+            f"eigenvalue {k + 1} is resolved only to relative {err[k]:.1e} "
+            f"> {SHOOT_TOL:.0e} (the solutions grow by "
+            f"{np.exp(log_growth[k]):.1e} across [0, 1])")
+    return SpectrumResult(mu=roots ** (2 * n), method="shooting", err=err,
+                          theta_norm=theta)
 
 
 def nystrom_eigenvalues(kern, w, K, grid=None):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTheta
-from .model import (BVProblem, Weight, classify_boundary_conditions,
+from .model import (Weight, classify_boundary_conditions,
                     require_equal_normalization)
 
 ROUTE_DIRECT = "direct-determinant"

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from greenball.errors import GridTooCoarse, MissedRoot, NormalizationMismatch
+from greenball.errors import (GridTooCoarse, MissedRoot, NormalizationMismatch,
+                             StepFailure)
 from greenball.kernels import ProcessSpec, build_process
 from greenball.model import (BoundaryCondition, BVProblem, OperatorSpec,
                              Weight)
@@ -134,6 +135,38 @@ class TestShooting:
         per = make_problem(1, [BC(0, 1, -1), BC(1, 1, -1)])
         with pytest.raises(MissedRoot):
             eigenvalues_shooting(per, 5)
+
+    def test_err_bounds_the_actual_error(self):
+        # psi = (0.5+1.5t)^{-4}: Wiener roots solve 3 sin x + x cos x = 0,
+        # and the weighted bridge keeps mu = (k pi)^2
+        w = Weight.from_text("(0.5+1.5*t)^(-4)")
+        f = lambda x: 3 * np.sin(x) + x * np.cos(x)
+        exact = np.array([brentq(f, (k - 1) * np.pi + 1e-9, k * np.pi - 1e-9,
+                                 xtol=1e-13) ** 2 for k in range(1, 21)])
+        for problem, mu in ((wiener(w), exact),
+                            (bridge(w), (np.arange(1, 11) * np.pi) ** 2)):
+            res = eigenvalues_shooting(problem, len(mu))
+            rel = np.abs(res.mu - mu) / mu
+            assert (rel <= res.err).all(), (rel / res.err).max()
+
+    def test_cantilever_n2(self):
+        # v'''' = mu v, v(0) = v'(0) = 0, v''(1) = v'''(1) = 0: mu = x^4 with
+        # 1 + cos x cosh x = 0.  The fundamental matrix grows like e^x, so
+        # the determinant loses digits with every root: a large K must raise
+        # rather than return a silently wrong spectrum
+        prob = make_problem(2, [BC(0, 1, 0), BC(1, 1, 0), BC(2, 0, 1),
+                                BC(3, 0, 1)])
+        f = lambda x: np.cos(x) + 1.0 / np.cosh(x)
+        exact = np.array([brentq(f, (k - 1) * np.pi, k * np.pi, xtol=1e-14)
+                          for k in range(1, 11)]) ** 4
+        res = eigenvalues_shooting(prob, 5)
+        np.testing.assert_allclose(res.mu, exact[:5], rtol=1e-10)
+        try:
+            res = eigenvalues_shooting(prob, 10)
+        except (StepFailure, MissedRoot):
+            return
+        rel = np.abs(res.mu - exact) / exact
+        assert (rel <= np.maximum(res.err, 1e-8)).all()
 
 
 class TestNystrom:
