@@ -7,11 +7,12 @@ Monte Carlo sampling of the squared weighted norm.
 
 A `Kernel` is lazy: it wraps a sampler mapping a composite Gauss-Legendre
 grid to the kernel matrix on that grid together with the smooth coefficient
-of its |t-s| component (``odd``), so quadrature across the diagonal can
-treat the derivative jump exactly.  Nothing is sampled at construction; the
-matrices on the kernel's own grid (1024 nodes by default) are computed on
-first access and cached, and any other grid -- the Nystrom solve and its
-grid-doubling check pick their own -- is sampled on demand.
+of its |t-s| component (``odd``) on the diagonal panel blocks, which hold the
+derivative jump that quadrature integrates exactly there.  Nothing is
+sampled at construction; the matrices on the kernel's own grid (1024 nodes
+by default) are computed on first access and cached, and any other grid --
+the Nystrom solve and its grid-doubling check pick their own -- is sampled
+on demand.
 
 Transforms compose by closure: integrating or centering a kernel produces a
 new sampler that re-runs the whole chain from the base formula on whatever
@@ -55,10 +56,12 @@ class Kernel:
 
     ``sampler`` maps a Grid to (values, odd) with values[i, j] = G(x_i, x_j)
     and ``odd`` the smooth symmetric coefficient O in the decomposition
-    G = S + O(t, s)|t - s| (None when G is C^1 across the diagonal); the
-    quadrature operators use it to integrate the kink with exact panel
-    moments.  ``half_order`` is the n for which the associated differential
-    operator has order 2n (it sets the Weyl tail rate of the spectrum).
+    G = S + O(t, s)|t - s| on the diagonal panel blocks, where the kink lies:
+    shape (grid.panels, grid.order, grid.order), block p holding O(x_i, x_j)
+    for the nodes of panel p (None when G is C^1 across the diagonal); the
+    quadrature operators integrate the kink with exact panel moments.
+    ``half_order`` is the n for which the associated differential operator
+    has order 2n (it sets the Weyl tail rate of the spectrum).
     ``weight`` is the Weight applied by `apply_weight`, None before.
 
     `evaluate_on` is the only sampling path; ``values`` and ``odd`` are the
@@ -109,6 +112,17 @@ class Kernel:
 # base families
 
 
+def _panel_lags(g):
+    """In-panel lags x_i - x_j, shape (panels, order, order)."""
+    xb = g.x.reshape(g.panels, g.order)
+    return xb[:, :, None] - xb[:, None, :]
+
+
+def _panel_constant(g, c):
+    """A kink coefficient that is the constant c on every panel block."""
+    return np.full((g.panels, g.order, g.order), c)
+
+
 def _radial_split(g, f, diag_slope):
     """Sample f(|t-s|) together with its |t-s| kink coefficient.
 
@@ -116,8 +130,8 @@ def _radial_split(g, f, diag_slope):
     profile); the coefficient is (f(u) - f(-u)) / (2u) with the supplied
     limit on the diagonal.
     """
-    u = g.x[:, None] - g.x[None, :]
-    values = f(np.abs(u))
+    values = f(np.abs(g.x[:, None] - g.x[None, :]))
+    u = _panel_lags(g)
     den = np.where(u == 0.0, 1.0, 2.0 * u)
     odd = np.where(u == 0.0, diag_slope, (f(u) - f(-u)) / den)
     return values, odd
@@ -125,17 +139,17 @@ def _radial_split(g, f, diag_slope):
 
 def _wiener_values(g):
     t = g.x
-    return np.minimum.outer(t, t), np.full((g.n, g.n), -0.5)
+    return np.minimum.outer(t, t), _panel_constant(g, -0.5)
 
 
 def _bridge_values(g):
     t = g.x
-    return np.minimum.outer(t, t) - np.outer(t, t), np.full((g.n, g.n), -0.5)
+    return np.minimum.outer(t, t) - np.outer(t, t), _panel_constant(g, -0.5)
 
 
 def _ou_values(g):
-    u = g.x[:, None] - g.x[None, :]
-    values = np.exp(-np.abs(u))
+    values = np.exp(-np.abs(g.x[:, None] - g.x[None, :]))
+    u = _panel_lags(g)
     den = np.where(u == 0.0, 1.0, u)
     odd = np.where(u == 0.0, -1.0, -np.sinh(u) / den)
     return values, odd
@@ -143,7 +157,7 @@ def _ou_values(g):
 
 def _slepian_values(g):
     u = np.abs(g.x[:, None] - g.x[None, :])
-    return 1.0 - u, np.full((g.n, g.n), -1.0)
+    return 1.0 - u, _panel_constant(g, -1.0)
 
 
 def _matern_sampler(n):
@@ -343,8 +357,10 @@ def apply_weight(k, w):
     def sample(g):
         v, o = k.evaluate_on(g)
         half = np.sqrt(np.asarray(w(g.x), dtype=float))
-        scale = np.outer(half, half)
-        return v * scale, (None if o is None else o * scale)
+        if o is not None:
+            hb = half.reshape(g.panels, g.order)
+            o = o * (hb[:, :, None] * hb[:, None, :])
+        return v * np.outer(half, half), o
 
     return Kernel(k.grid, f"weight[{w.text}]({k.label})", k.half_order,
                   sample, weight=w)

@@ -141,14 +141,10 @@ def _kink_partial_moments(order):
     return MDp
 
 
-def _diag_panels(grid, odd):
-    """Stack of the diagonal panel blocks of `odd`, shape (panels, q, q)."""
-    q = grid.order
-    diag = np.empty((grid.panels, q, q))
-    for p in range(grid.panels):
-        blk = slice(p * q, (p + 1) * q)
-        diag[p] = odd[blk, blk]
-    return diag
+def _kink_totals(grid, odd):
+    """Exact-minus-naive panel totals of the |t-s| kink, (panels, order)."""
+    return (np.einsum("pmj,jm->pj", odd, _kink_full_moments(grid.order))
+            * grid.h ** 2)
 
 
 def integrate_full(grid, values, odd=None):
@@ -159,9 +155,7 @@ def integrate_full(grid, values, odd=None):
     """
     full = grid.w @ values
     if odd is not None:
-        diag = _diag_panels(grid, odd)
-        MD = _kink_full_moments(grid.order)
-        full = full + np.einsum("pmj,jm->pj", diag, MD).ravel() * grid.h ** 2
+        full = full + _kink_totals(grid, odd).ravel()
     return full
 
 
@@ -170,8 +164,10 @@ def integrate_rows(grid, values, odd=None, lower=0):
 
     Returns J with J[i, j] ~ integral over u in [lower, x_i] of K(u, x_j),
     where K is `values` sampled at grid x grid.  If `odd` is given, K is
-    understood as smooth + odd(u,s)*|u - s| and the |u - s| kink (at the node
-    u = x_j) is integrated with exact panel moments.
+    understood as smooth + odd(u,s)*|u - s|, with odd of shape
+    (panels, order, order) holding the coefficient on the diagonal panel
+    blocks, and the |u - s| kink (at the node u = x_j) is integrated with
+    exact panel moments.
 
     `lower` is 0 or 1; lower = 1 yields the signed integral from 1.
     """
@@ -185,14 +181,10 @@ def integrate_rows(grid, values, odd=None, lower=0):
         # the kink of column s lies in the panel holding s: exact moments
         # correct that panel's total and its partial integrals (MDp axes:
         # row upper-limit node, kink node, basis node)
-        h2 = grid.h ** 2
-        diag = _diag_panels(grid, odd)
-        cfull = np.einsum("pmj,jm->pj", diag, _kink_full_moments(q)) * h2
-        cpart = np.einsum("pmj,ijm->pij", diag, _kink_partial_moments(q)) * h2
-        for p in range(P):
-            blk = slice(p * q, (p + 1) * q)
-            totals[p, blk] += cfull[p]
-            J[p, :, blk] += cpart[p]
+        p = np.arange(P)
+        totals.reshape(P, P, q)[p, p] += _kink_totals(grid, odd)
+        J.reshape(P, q, P, q)[p, :, p] += np.einsum(
+            "pmj,ijm->pij", odd, _kink_partial_moments(q)) * grid.h ** 2
     # every row also collects the totals of all earlier panels
     J[1:] += np.cumsum(totals[:-1], axis=0)[:, None, :]
     J = J.reshape(np.shape(values))

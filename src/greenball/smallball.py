@@ -30,7 +30,7 @@ from scipy.special import zeta as hurwitz_zeta
 
 from .errors import (DegenerateTheta, InversionUnstable, NotNormalized,
                      TiltNotFound, UnsupportedFamily)
-from .kernels import _canonical_family
+from .kernels import _canonical_family, build_process
 from .model import normalization_integral
 from .spectrum import eigenvalues_shooting
 from .theta import ratio_limit, vandermonde
@@ -135,17 +135,6 @@ def _psi_endpoints(psi):
     if psi is None:
         return 1.0, 1.0
     return float(psi.psi0), float(psi.psi1)
-
-
-def _spec_half_order(spec):
-    fam = _canonical_family(spec.family)
-    if fam == "matern":
-        base = spec.n
-    elif fam == "ciw":
-        base = spec.level + 1
-    else:
-        base = 1
-    return base + spec.centerings + spec.m
 
 
 def _require_normalized(psi, n):
@@ -321,7 +310,7 @@ def process_asymptotic(spec, psi=None):
     beta pattern.
     """
     fam = _canonical_family(spec.family)
-    n = _spec_half_order(spec)
+    n = build_process(spec).half_order
     _require_normalized(psi, n)
     p0, p1 = _psi_endpoints(psi)
     plain = spec.centerings == 0 and not spec.center_final
@@ -472,9 +461,8 @@ class WeylTailModel:
         return out + ser
 
 
-def _chunked(fn, u, chunk=16384):
-    parts = [fn(u[i:i + chunk]) for i in range(0, u.size, chunk)]
-    return np.concatenate(parts) if len(parts) > 1 else parts[0]
+#: entries of the largest (contour points x eigenvalues) outer product
+_OUTER_ENTRIES = 1 << 20
 
 
 def smallball_probability_exact(lams, r, tail=None):
@@ -549,7 +537,15 @@ def smallball_probability_exact(lams, r, tail=None):
 
     def quadrature(h, T):
         u = np.arange(0.0, T + 0.5 * h, h)
-        vals = np.real(np.exp(_chunked(log_integrand, u) - g0))
+        width = lam.size
+        if tail is not None:
+            # grow the tail block for the whole contour, then chunk to it
+            tail._ensure_valid(float(np.max(np.abs(sstar + 1j * u))))
+            width = max(width, tail._jmax)
+        step = max(1, _OUTER_ENTRIES // width)
+        vals = np.real(np.exp(np.concatenate(
+            [log_integrand(u[i:i + step]) for i in range(0, u.size, step)])
+            - g0))
         S = h * (vals.sum() - 0.5 * vals[0] - 0.5 * vals[-1])
         tail_int, tail_err, d1, d3 = end_data(u[-1])
         S += -h * h / 12.0 * d1 + h ** 4 / 720.0 * d3

@@ -163,7 +163,9 @@ def _boundary_matrix(problem, Y1, w0=1.0):
                + lower-order contributions; phi_j^{(i)}(0) = delta_ij.
     When Y1 is the fundamental matrix times a positive per-zeta factor w0,
     the t = 0 terms of every row that reads Y1 are scaled by w0 as well,
-    which multiplies that row by w0 and so moves no roots.
+    which multiplies that row by w0 and so moves no roots.  Each row is
+    divided by the sum of the sup-norms of its terms (the t = 0 terms, each
+    Y1 term): positive, continuous in zeta and nonzero where they cancel.
     """
     w0 = np.reshape(w0, (-1, 1))
     I = np.eye(Y1.shape[-1])
@@ -171,19 +173,13 @@ def _boundary_matrix(problem, Y1, w0=1.0):
     for nu, bc in enumerate(problem.bcs):
         a = [bc.lower_coefficient(0, j) for j in range(bc.k)] + [bc.alpha]
         g = [bc.lower_coefficient(1, j) for j in range(bc.k)] + [bc.gamma]
-        row = sum(c * I[j] for j, c in enumerate(a) if c)
-        if any(g):
-            row = w0 * row + sum(c * Y1[:, j, :] for j, c in enumerate(g) if c)
-        M[:, nu, :] = row
+        terms = [c * Y1[:, j, :] for j, c in enumerate(g) if c]
+        if any(a):
+            row = sum(c * I[j] for j, c in enumerate(a) if c)
+            terms.append(w0 * row if terms else row)
+        scale = sum(np.abs(t).max(axis=-1, keepdims=True) for t in terms)
+        M[:, nu, :] = sum(terms) / scale
     return M
-
-
-def _equilibrated_det(M):
-    """Determinant after scaling each row by its sup-norm (positive factors,
-    so sign changes and roots are preserved)."""
-    scale = np.abs(M).max(axis=2, keepdims=True)
-    scale = np.where(scale == 0.0, 1.0, scale)
-    return np.linalg.det(M / scale)
 
 
 def characteristic_function(problem, zeta):
@@ -206,8 +202,8 @@ def _characteristic_batch(problem, zetas, mesh):
     fine-mesh determinants and the growth of the scaled solutions."""
     Y, Y_fine, log_growth = _propagate(problem, zetas, mesh)
     w0 = np.exp(-log_growth)
-    F = _equilibrated_det(_boundary_matrix(problem, Y, w0))
-    F_fine = _equilibrated_det(_boundary_matrix(problem, Y_fine, w0))
+    F = np.linalg.det(_boundary_matrix(problem, Y, w0))
+    F_fine = np.linalg.det(_boundary_matrix(problem, Y_fine, w0))
     return F, F_fine - F, log_growth
 
 
@@ -376,13 +372,12 @@ def _nystrom_lambdas(kern, K, g):
     S = values * np.outer(sw, sw)
     if odd is not None:
         # exact |t-s| moments on the diagonal panels replace the plain rule
-        q = g.order
-        MD = _kink_full_moments(q)
-        h2 = g.h ** 2
-        for p in range(g.panels):
-            sl = slice(p * q, (p + 1) * q)
-            corr = odd[sl, sl] * (h2 * MD)
-            S[sl, sl] += sw[sl, None] * corr / sw[None, sl]
+        P, q = g.panels, g.order
+        p = np.arange(P)
+        swb = sw.reshape(P, q)
+        corr = odd * (g.h ** 2 * _kink_full_moments(q))
+        S.reshape(P, q, P, q)[p, :, p] += (swb[:, :, None] * corr
+                                           / swb[:, None, :])
     S = 0.5 * (S + S.T)
     lam = np.linalg.eigvalsh(S)[::-1][:K]
     if (lam <= 0).any():

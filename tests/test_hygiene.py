@@ -1,4 +1,5 @@
-"""Source hygiene: every name a greenball module imports is used.
+"""Source hygiene: every name a greenball module imports is used, and every
+private module-level helper is referenced somewhere in the package.
 
 A name counts as used when the module refers to it anywhere in its code
 (attribute chains such as ``np.linalg`` start at a plain name) or lists it in
@@ -52,3 +53,54 @@ def test_no_unused_imports(path):
     unused = unused_imports(path.read_text())
     assert not unused, ", ".join(f"{path.name}:{line} imports {name}"
                                  for line, name in unused)
+
+
+def private_definitions(tree):
+    """Module-level functions, classes and constants named _x (not dunder)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def referenced_names(tree):
+    """Names read anywhere: plain loads, attributes and imported names."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def dead_private_helpers(sources):
+    """(module, name) of private module-level definitions that no module of
+    `sources` (a name -> source text mapping) references."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    used = set().union(*(referenced_names(t) for t in trees.values()))
+    return sorted((mod, name) for mod, tree in trees.items()
+                  for name in private_definitions(tree) if name not in used)
+
+
+def test_dead_helper_scanner():
+    sources = {"a": ("_LIMIT = 3\n_spare = 1\n__all__ = []\n"
+                     "def _used():\n    return _LIMIT\n"
+                     "def _dead():\n    pass\nclass _Gone:\n    pass\n"),
+               "b": "from .a import _used\nprint(_used())\n"}
+    assert dead_private_helpers(sources) == [
+        ("a", "_Gone"), ("a", "_dead"), ("a", "_spare")]
+
+
+def test_no_dead_private_helpers():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    dead = dead_private_helpers(sources)
+    assert not dead, ", ".join(f"{mod} defines {name}, which no module "
+                               "references" for mod, name in dead)

@@ -50,6 +50,23 @@ def _centered_bridge(t, s):
             - s * (1.0 - s) / 2.0 + 1.0 / 12.0)
 
 
+def _panel_lags(g=GRID):
+    """In-panel lags x_i - x_j, shape (panels, order, order)."""
+    xb = g.x.reshape(g.panels, g.order)
+    return xb[:, :, None] - xb[:, None, :]
+
+
+def _diag_blocks(m, g=GRID):
+    """Diagonal panel blocks of a grid x grid matrix, the blocks on which a
+    kernel's kink coefficient is defined."""
+    p = np.arange(g.panels)
+    return m.reshape(g.panels, g.order, g.panels, g.order)[p, :, p]
+
+
+def _panel_constant(c, g=GRID):
+    return np.full((g.panels, g.order, g.order), c)
+
+
 def _gram_min_eig(k):
     sw = np.sqrt(k.grid.w)
     return np.linalg.eigvalsh(k.values * np.outer(sw, sw)).min()
@@ -65,11 +82,13 @@ def test_wiener_and_bridge_values():
     kb = base_kernel("Bridge", grid=GRID)
     assert np.array_equal(kw.values, np.minimum.outer(x, x))
     assert np.array_equal(kb.values, np.minimum.outer(x, x) - np.outer(x, x))
-    # smooth + odd*|t-s| must reassemble the kernel; for min the smooth
-    # part is (t+s)/2
-    u = np.abs(x[:, None] - x[None, :])
-    smooth = kw.values - kw.odd * u
-    assert np.allclose(smooth, (x[:, None] + x[None, :]) / 2.0, atol=1e-15)
+    # smooth + odd*|t-s| must reassemble the kernel on the diagonal panel
+    # blocks, where odd is defined; for min the smooth part is (t+s)/2
+    assert kw.odd.shape == (GRID.panels, GRID.order, GRID.order)
+    xb = x.reshape(GRID.panels, GRID.order)
+    smooth = _diag_blocks(kw.values) - kw.odd * np.abs(_panel_lags())
+    assert np.allclose(smooth, (xb[:, :, None] + xb[:, None, :]) / 2.0,
+                       atol=1e-15)
     assert kw.half_order == 1 and kb.half_order == 1
 
 
@@ -78,10 +97,11 @@ def test_ou_decomposition():
     x = GRID.x
     u = x[:, None] - x[None, :]
     assert np.allclose(k.values, np.exp(-np.abs(u)), rtol=1e-15, atol=0)
-    # exp(-|u|) = cosh(u) - (sinh(u)/u)|u|
-    smooth = k.values - k.odd * np.abs(u)
-    assert np.allclose(smooth, np.cosh(u), rtol=0, atol=1e-15)
-    assert np.allclose(np.diag(k.odd), -1.0, atol=0)
+    # exp(-|u|) = cosh(u) - (sinh(u)/u)|u| on the diagonal panel blocks
+    ub = _panel_lags()
+    smooth = _diag_blocks(k.values) - k.odd * np.abs(ub)
+    assert np.allclose(smooth, np.cosh(ub), rtol=0, atol=1e-15)
+    assert np.allclose(np.diagonal(k.odd, axis1=1, axis2=2), -1.0, atol=0)
 
 
 def test_slepian_values():
@@ -104,7 +124,8 @@ def test_matern_2_formula_and_smoothness():
     u = np.abs(GRID.x[:, None] - GRID.x[None, :])
     assert np.allclose(k.values, np.exp(-u) * (1.0 + u), rtol=1e-14, atol=0)
     # C^1 kernel: the |t-s| coefficient vanishes on the diagonal
-    assert np.allclose(np.diag(k.odd), 0.0, atol=1e-15)
+    assert np.allclose(np.diagonal(k.odd, axis1=1, axis2=2), 0.0,
+                       atol=1e-15)
     assert k.half_order == 2
 
 
@@ -114,7 +135,8 @@ def test_bogolyubov_default_and_custom():
     assert np.allclose(np.diag(k.values),
                        np.cosh(om / 2) / (2 * om * np.sinh(om / 2)),
                        rtol=1e-15)
-    assert np.allclose(np.diag(k.odd), -0.5, atol=1e-14)
+    assert np.allclose(np.diagonal(k.odd, axis1=1, axis2=2), -0.5,
+                       atol=1e-14)
     # a custom expression in the signed lag reproduces OU exactly
     kc = base_kernel("bogolyubov", {"omega": 1.0, "covariance": "exp(-t)"},
                      GRID)
@@ -234,7 +256,7 @@ def test_center_bridge_annihilates_constants():
     assert np.abs(c.values - expect).max() < 1e-13
     # kink coefficient untouched by the rank-one smooth subtraction
     assert c.odd is base_kernel("bridge", grid=GRID).odd \
-        or np.array_equal(c.odd, np.full((GRID.n, GRID.n), -0.5))
+        or np.array_equal(c.odd, _panel_constant(-0.5))
 
 
 def test_center_idempotent():
@@ -366,8 +388,7 @@ def test_build_process_centered_integrated_bridge():
     # independent route: integrate the closed-form centered-bridge kernel
     from greenball.quadrature import integrate_rows
     kc = _sym_closed_form(_centered_bridge, GRID.x)
-    odd = np.full((GRID.n, GRID.n), -0.5)
-    A = integrate_rows(GRID, kc, odd, lower=0)
+    A = integrate_rows(GRID, kc, _panel_constant(-0.5), lower=0)
     expect = integrate_rows(GRID, A.T, None, lower=0).T
     expect = 0.5 * (expect + expect.T)
     assert np.abs(got.values - expect).max() < 1e-10

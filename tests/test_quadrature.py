@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
 
-from greenball.quadrature import Grid, _partial_weights, integrate_rows
+from greenball.quadrature import (Grid, _kink_full_moments,
+                                  _kink_partial_moments, _partial_weights,
+                                  integrate_full, integrate_rows)
 
 
 @pytest.fixture(scope="module")
 def grid():
     return Grid.composite(1024, 8)
+
+
+def _kink_blocks(grid, c):
+    """A |t-s| coefficient that is the constant c, on the diagonal panel
+    blocks where quadrature reads it."""
+    return np.full((grid.panels, grid.order, grid.order), c)
 
 
 def test_composite_grid_shape(grid):
@@ -76,9 +84,8 @@ def test_integrate_rows_kinked(grid):
     # min(a, b) = (a + b - |a - b|)/2 has a diagonal kink; the corrected
     # scheme must integrate it to near machine precision anyway
     x = grid.x
-    odd = np.full((grid.n, grid.n), -0.5)
-    vals = 0.5 * np.add.outer(x, x) + odd * np.abs(np.subtract.outer(x, x))
-    J = integrate_rows(grid, vals, odd=odd)
+    vals = 0.5 * np.add.outer(x, x) - 0.5 * np.abs(np.subtract.outer(x, x))
+    J = integrate_rows(grid, vals, odd=_kink_blocks(grid, -0.5))
     exact = np.where(x[:, None] <= x[None, :], 0.5 * x[:, None] ** 2,
                      x[None, :] * x[:, None] - 0.5 * x[None, :] ** 2)
     np.testing.assert_allclose(J, exact, atol=1e-12)
@@ -86,13 +93,35 @@ def test_integrate_rows_kinked(grid):
 
 def test_integrate_rows_kinked_from_one(grid):
     x = grid.x
-    odd = np.full((grid.n, grid.n), -0.5)
-    vals = 0.5 * np.add.outer(x, x) + odd * np.abs(np.subtract.outer(x, x))
-    J = integrate_rows(grid, vals, odd=odd, lower=1)
+    vals = 0.5 * np.add.outer(x, x) - 0.5 * np.abs(np.subtract.outer(x, x))
+    J = integrate_rows(grid, vals, odd=_kink_blocks(grid, -0.5), lower=1)
     full = x[None, :] - 0.5 * x[None, :] ** 2
     exact = np.where(x[:, None] <= x[None, :], 0.5 * x[:, None] ** 2,
                      x[None, :] * x[:, None] - 0.5 * x[None, :] ** 2) - full
     np.testing.assert_allclose(J, exact, atol=1e-12)
+
+
+def test_kink_blocks_match_panel_loop():
+    # reference: a loop over the panels that adds the exact-moment
+    # correction of each diagonal block to the columns of its panel; a
+    # random, unsymmetric coefficient catches transposed block axes
+    g = Grid.composite(64, 8)
+    P, q, h2 = g.panels, g.order, g.h ** 2
+    rng = np.random.default_rng(5)
+    vals = rng.standard_normal((g.n, g.n))
+    odd = rng.standard_normal((P, q, q))
+    J, full = integrate_rows(g, vals), g.w @ vals
+    for p in range(P):
+        blk = slice(p * q, (p + 1) * q)
+        total = np.einsum("mj,jm->j", odd[p], _kink_full_moments(q)) * h2
+        J[blk, blk] += np.einsum("mj,ijm->ij", odd[p],
+                                 _kink_partial_moments(q)) * h2
+        J[(p + 1) * q:, blk] += total
+        full[blk] += total
+    np.testing.assert_allclose(integrate_rows(g, vals, odd), J,
+                               rtol=0, atol=1e-14)
+    np.testing.assert_allclose(integrate_full(g, vals, odd), full,
+                               rtol=0, atol=1e-14)
 
 
 def test_uncorrected_kink_is_visibly_worse(grid):

@@ -19,13 +19,14 @@ Hand-derived reference values used below:
 """
 
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
 
-from greenball.errors import (DegenerateTheta, NotNormalized, TiltNotFound,
-                              UnsupportedFamily)
+from greenball.errors import (DegenerateTheta, InversionUnstable,
+                              NotNormalized, TiltNotFound, UnsupportedFamily)
 from greenball.kernels import ProcessSpec, base_kernel, build_process, \
     center_kernel
 from greenball.model import (BoundaryCondition, BVProblem, OperatorSpec,
@@ -313,8 +314,30 @@ def test_deep_tail_logs_are_finite():
     assert np.isfinite(est.log_p) and est.log_p < -30
 
 
+def test_small_radius_memory_is_bounded():
+    # at r = 5e-3 the calibrated tail block grows to 16000 eigenvalues; the
+    # contour is chunked so that no (points x eigenvalues) outer product
+    # exceeds a fixed number of entries
+    lam = wiener_lams(200)
+    tail = WeylTailModel.calibrated(1, 1.0, 200, float(lam[-1]))
+    tracemalloc.start()
+    try:
+        est = smallball_probability_exact(lam, 5e-3, tail=tail)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.log_p == pytest.approx(-5004.484322194895, rel=1e-12)
+    assert peak < 100e6
+
+
 # ---------------------------------------------------------------------------
 # Weyl tail model
+
+
+def test_tail_model_out_of_reach_raises():
+    # s = 1e15 needs an explicit block beyond 2^21 model eigenvalues
+    with pytest.raises(InversionUnstable):
+        WeylTailModel(1, 1.0, 0.0, 10).log_laplace(np.array([1e15]))
 
 
 def test_tail_model_split_invariant():

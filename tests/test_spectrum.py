@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from greenball.errors import (GridTooCoarse, MissedRoot, NormalizationMismatch,
-                             StepFailure)
+from greenball.errors import (GridTooCoarse, MissedRoot, NonConvergence,
+                             NormalizationMismatch, StepFailure)
 from greenball.kernels import ProcessSpec, build_process
 from greenball.model import (BoundaryCondition, BVProblem, OperatorSpec,
                              Weight)
@@ -42,24 +42,29 @@ class _ClosedFormKernel:
         self.grid = grid if grid is not None else Grid.composite(1024, 8)
 
     def evaluate_on(self, g):
-        return self.fn(g.x)
+        return self.fn(g)
 
 
-def wiener_kernel_values(x):
-    vals = np.minimum.outer(x, x)
-    odd = np.full((len(x), len(x)), -0.5)
+# the |t-s| coefficient is sampled on the diagonal panel blocks only,
+# shape (panels, order, order), where the Nystrom kink correction reads it
+
+
+def wiener_kernel_values(g):
+    vals = np.minimum.outer(g.x, g.x)
+    odd = np.full((g.panels, g.order, g.order), -0.5)
     return vals, odd
 
 
-def bridge_kernel_values(x):
-    vals = np.minimum.outer(x, x) - np.outer(x, x)
-    odd = np.full((len(x), len(x)), -0.5)
+def bridge_kernel_values(g):
+    vals = np.minimum.outer(g.x, g.x) - np.outer(g.x, g.x)
+    odd = np.full((g.panels, g.order, g.order), -0.5)
     return vals, odd
 
 
-def ou_kernel_values(x):
-    u = np.abs(np.subtract.outer(x, x))
-    vals = np.exp(-u)
+def ou_kernel_values(g):
+    vals = np.exp(-np.abs(np.subtract.outer(g.x, g.x)))
+    xb = g.x.reshape(g.panels, g.order)
+    u = np.abs(xb[:, :, None] - xb[:, None, :])
     odd = -np.where(u > 1e-8, np.sinh(u) / np.where(u > 1e-8, u, 1.0),
                     1.0 + u * u / 6)
     return vals, odd
@@ -148,6 +153,18 @@ class TestShooting:
             res = eigenvalues_shooting(problem, len(mu))
             rel = np.abs(res.mu - mu) / mu
             assert (rel <= res.err).all(), (rel / res.err).max()
+
+    def test_slepian_roots_where_a_boundary_row_vanishes(self):
+        # -v'' = mu (2) v, v'(0) + v'(1) = 0, v(0) + v(1) - v'(0) = 0: at
+        # mu_2 = pi^2/2 and mu_4 = 9 pi^2/2 the whole row v'(0) + v'(1) of
+        # the boundary matrix vanishes, so F must stay continuous there
+        prob = make_problem(1, [BC(1, 1, 1),
+                                BC(1, -1, 0, alpha_lower=(1.0,),
+                                   gamma_lower=(1.0,))],
+                            Weight.from_text("2"))
+        mu = eigenvalues_shooting(prob, 4).mu
+        assert mu[1] == pytest.approx(np.pi ** 2 / 2, rel=1e-14)
+        assert mu[3] == pytest.approx(9 * np.pi ** 2 / 2, rel=1e-14)
 
     def test_cantilever_n2(self):
         # v'''' = mu v, v(0) = v'(0) = 0, v''(1) = v'''(1) = 0: mu = x^4 with
@@ -255,6 +272,14 @@ class TestEigenvalueProduct:
         assert val == pytest.approx(exact, rel=6e-3)
         assert abs(val - exact) < 3 * err
         assert err < 0.02 * val
+
+    def test_disagreeing_extrapolants_raise(self):
+        # prod (1 + 1/k) grows like K: Aitken and the 1/K fit disagree
+        k = np.arange(1, 41)
+        base = ((k - 0.5) * np.pi) ** 2
+        with pytest.raises(NonConvergence):
+            eigenvalue_product(self._result(base * (1 + 1 / k)),
+                               self._result(base), tol=1e-12)
 
     def test_normalization_guard(self):
         k = np.arange(1, 51)
