@@ -8,8 +8,12 @@ Three ways to get at P(||X||_psi <= eps):
   `AsymptoticForm` and evaluated by `evaluate_asymptotic`;
 * the exact chi-square-form distribution P(sum lam_j xi_j^2 <= r^2) by
   saddle-point-anchored Bromwich inversion of the Laplace transform
-  prod(1+2 s lam_j)^{-1/2}, with an optional Weyl-model continuation of the
-  eigenvalue sequence beyond the computed truncation;
+  L(s) = prod(1+2 s lam_j)^{-1/2}, with an optional Weyl-model continuation
+  of the eigenvalue sequence beyond the computed truncation.  log L and its
+  first two s-derivatives come from one sum (`_log_laplace_sums`) over the
+  computed eigenvalues plus `WeylTailModel.log_laplace(s, k)` for the
+  continuation; the tilt, the contour integrand and its end corrections all
+  read them through that pair;
 * plain Monte Carlo over the same quadratic form.
 
 The asymptotic forms assume the weight is normalized for the process
@@ -359,16 +363,22 @@ class ProbabilityEstimate:
 class WeylTailModel:
     """Continuation lam_j = (theta/(pi (j+delta)))^{2n} for j > K.
 
-    Contributes the truncated part of the log-Laplace transform: the first
-    `jmax` model eigenvalues are summed explicitly and the remainder enters
-    through power sums sum_{j} lam_j^p evaluated with the Hurwitz zeta
-    function (valid once |2 s lam_j| is small, which the explicit block is
-    extended to guarantee).
+    Contributes the truncated part of the log-Laplace transform,
+    -(1/2) sum_{j>K} log(1 + 2 s lam_j).  The first model eigenvalues (a
+    block of 4000, doubled whenever the largest |s| asked for needs it) are
+    summed explicitly; the remainder enters through the series
+    -(1/2) sum_p (-1)^{p+1} (2s)^p S_p/p, p = 1..6, whose power sums
+    S_p = sum_{j past the block} lam_j^p are Hurwitz zeta values.  The
+    block is grown until |2 s lam_j| <= 0.3 past it, where the series
+    converges; past 2^21 terms InversionUnstable is raised instead.
+    `log_laplace(s, k)` returns the k-th s-derivative of the whole
+    continuation.
     """
 
     _SERIES = 6
+    _BLOCK = 4000
 
-    def __init__(self, n, theta, delta, K, jmax=4000):
+    def __init__(self, n, theta, delta, K):
         if K + 1 + delta <= 0:
             raise ValueError("delta too negative for the truncation index")
         self.n = n
@@ -376,93 +386,94 @@ class WeylTailModel:
         self.delta = delta
         self.K = K
         self._a = (theta / math.pi) ** (2 * n)
-        self._set_block(jmax)
+        self._set_block(self._BLOCK)
 
     @classmethod
-    def calibrated(cls, n, theta, K, lam_K, jmax=4000):
+    def calibrated(cls, n, theta, K, lam_K):
         """Model with delta chosen so that lam(K) = lam_K exactly."""
         delta = theta / (math.pi * lam_K ** (1.0 / (2 * n))) - K
-        return cls(n, theta, delta, K, jmax=jmax)
+        return cls(n, theta, delta, K)
 
     @classmethod
-    def fitted(cls, n, lams, window=20, jmax=4000):
+    def fitted(cls, n, lams):
         """Model with theta and delta both fitted to the computed spectrum.
 
         lam_j^{-1/(2n)}/pi is asymptotically (j + delta)/theta, so a linear
-        fit over the trailing `window` eigenvalues recovers both parameters;
-        averaging over a window also tolerates spectra with multiplicity
-        pairs, where single-point calibration is ill-posed.
+        fit over the trailing 20 eigenvalues (all of them when there are
+        fewer) recovers both parameters; averaging over a window also
+        tolerates spectra with multiplicity pairs, where single-point
+        calibration is ill-posed.  A line needs at least two eigenvalues.
         """
         lam = np.asarray(lams, dtype=float)
         K = lam.size
-        w = min(window, K)
+        if K < 2:
+            raise ValueError("fitting a tail model needs at least 2 "
+                             f"eigenvalues, got {K}")
+        w = min(20, K)
         j = np.arange(K - w + 1, K + 1, dtype=float)
         y = lam[-w:] ** (-1.0 / (2 * n)) / math.pi
         slope, intercept = np.polyfit(j, y, 1)
         if slope <= 0:
             raise ValueError("spectrum tail is not decreasing; cannot fit "
                              "a growth model")
-        return cls(n, 1.0 / slope, intercept / slope, K, jmax=jmax)
+        return cls(n, 1.0 / slope, intercept / slope, K)
 
-    def _set_block(self, jmax):
-        self._jmax = jmax
-        j = np.arange(self.K + 1, self.K + 1 + jmax)
+    def _set_block(self, size):
+        j = np.arange(self.K + 1, self.K + 1 + size)
         self._lam = (self.theta / (np.pi * (j + self.delta))) ** (2 * self.n)
-        hi = self.K + jmax
+        hi = self.K + size
         self._S = [self._a ** p
                    * hurwitz_zeta(2 * self.n * p, hi + 1 + self.delta)
                    for p in range(1, self._SERIES + 1)]
 
-    def _ensure_valid(self, smax):
-        # series needs |2 s lam| < ~0.3 on the remainder block
-        while 2.0 * smax * self._lam[-1] > 0.3:
-            if self._jmax >= 2 ** 21:
-                raise InversionUnstable(
-                    "tail model cannot reach the series-convergent regime")
-            self._set_block(self._jmax * 2)
-
     def mean(self):
         return float(self._lam.sum() + self._S[0])
 
-    def log_laplace(self, s):
-        """-(1/2) sum_{j>K} log(1+2 s lam_j); s real or complex array."""
-        s = np.asarray(s)
-        self._ensure_valid(float(np.max(np.abs(s))))
-        out = -0.5 * np.sum(
-            np.log1p(2.0 * np.multiply.outer(s, self._lam)), axis=-1)
-        x = 2.0 * s
+    def log_laplace(self, s, k=0):
+        """k-th s-derivative (k = 0, 1, 2) of
+        -(1/2) sum_{j>K} log(1 + 2 s lam_j); s a real or complex scalar or
+        array."""
+        smax = float(np.max(np.abs(s)))
+        while 2.0 * smax * self._lam[-1] > 0.3:
+            if self._lam.size >= 2 ** 21:
+                raise InversionUnstable(
+                    "tail model cannot reach the series-convergent regime")
+            self._set_block(2 * self._lam.size)
+        # d^k/ds^k (2s)^p = 2^k p!/(p-k)! (2s)^{p-k}
+        x = 2.0 * np.asarray(s)
         ser = 0.0
-        for p in range(1, self._SERIES + 1):
-            ser = ser + (-1) ** (p + 1) * x ** p * self._S[p - 1] / p
-        return out - 0.5 * ser
-
-    def d1(self, s):
-        """d/ds of log_laplace."""
-        s = np.asarray(s)
-        self._ensure_valid(float(np.max(np.abs(s))))
-        out = -np.sum(self._lam / (1.0 + 2.0 * np.multiply.outer(s, self._lam)),
-                      axis=-1)
-        ser = 0.0
-        for p in range(1, self._SERIES + 1):
-            ser = ser + (-1) ** (p + 1) * 2.0 ** (p - 1) * s ** (p - 1) \
-                * self._S[p - 1]
-        return out - ser
-
-    def d2(self, s):
-        """d^2/ds^2 of log_laplace."""
-        s = np.asarray(s)
-        self._ensure_valid(float(np.max(np.abs(s))))
-        den = 1.0 + 2.0 * np.multiply.outer(s, self._lam)
-        out = np.sum(2.0 * self._lam ** 2 / den ** 2, axis=-1)
-        ser = 0.0
-        for p in range(2, self._SERIES + 1):
-            ser = ser + (-1) ** p * 2.0 ** (p - 1) * (p - 1) * s ** (p - 2) \
-                * self._S[p - 1]
-        return out + ser
+        for p in range(max(k, 1), self._SERIES + 1):
+            c = (-1) ** (p + 1) * math.perm(p, k) * 2 ** k / p
+            ser = ser + c * x ** (p - k) * self._S[p - 1]
+        return _log_laplace_sums(s, self._lam, k) - 0.5 * ser
 
 
-#: entries of the largest (contour points x eigenvalues) outer product
-_OUTER_ENTRIES = 1 << 20
+#: entries of the largest (points x eigenvalues) outer product; 4 MB of
+#: complex values stays below the 8 MB work arrays of shooting, so freeing a
+#: chunk does not raise the allocator's mmap threshold for later solves
+_OUTER_ENTRIES = 1 << 18
+
+
+def _log_laplace_sums(s, lam, k):
+    """k-th s-derivative (k = 0, 1, 2) of -(1/2) sum_j log(1 + 2 s lam_j).
+
+    s is a real or complex scalar or array; its points are taken in chunks
+    so that no (points x eigenvalues) outer product exceeds
+    `_OUTER_ENTRIES` entries.
+    """
+    s = np.asarray(s)
+    flat = s.reshape(-1)
+    step = max(1, _OUTER_ENTRIES // lam.size)
+    out = []
+    for i in range(0, flat.size, step):
+        x = 2.0 * np.multiply.outer(flat[i:i + step], lam)
+        if k == 0:
+            out.append(-0.5 * np.sum(np.log1p(x), axis=-1))
+        elif k == 1:
+            out.append(-np.sum(lam / (1.0 + x), axis=-1))
+        else:
+            out.append(np.sum(2.0 * lam ** 2 / (1.0 + x) ** 2, axis=-1))
+    return np.concatenate(out).reshape(s.shape)
 
 
 def smallball_probability_exact(lams, r, tail=None):
@@ -485,37 +496,21 @@ def smallball_probability_exact(lams, r, tail=None):
     if r <= 0:
         raise ValueError("radius must be positive")
     q = r * r
-    mean = float(lam.sum()) + (tail.mean() if tail is not None else 0.0)
 
-    def phi1(s):
-        out = -np.sum(lam / (1.0 + 2.0 * np.multiply.outer(s, lam)), axis=-1)
+    def cgf(s, k):  # k-th derivative of log L(s), head plus tail
+        out = _log_laplace_sums(s, lam, k)
         if tail is not None:
-            out = out + tail.d1(s)
+            out = out + tail.log_laplace(s, k)
         return out
 
-    def phi2(s):
-        den = 1.0 + 2.0 * np.multiply.outer(s, lam)
-        out = np.sum(2.0 * lam ** 2 / den ** 2, axis=-1)
-        if tail is not None:
-            out = out + tail.d2(s)
-        return out
+    sstar = _solve_tilt(q, cgf)
 
-    def f1(s):  # d/ds of [s q + log L(s) - log s]
-        return q + phi1(s) - 1.0 / s
-
-    sstar = _solve_tilt(lam, q, mean, phi1, f1)
-
-    def log_integrand(u):
+    def log_integrand(u):  # s q + log L(s) - log s at s = s* + i u
         s = sstar + 1j * u
-        v = s * q - 0.5 * np.sum(
-            np.log1p(2.0 * np.multiply.outer(s, lam)), axis=-1)
-        if tail is not None:
-            v = v + tail.log_laplace(s)
-        return v - np.log(s)
+        return s * q + cgf(s, 0) - np.log(s)
 
-    g0 = float(np.real(log_integrand(np.array([0.0]))[0]))
-    curv = float(phi2(np.array([sstar]))[0] + 1.0 / sstar ** 2)
-    sigma = 1.0 / math.sqrt(curv)
+    g0 = float(np.real(log_integrand(0.0)))
+    sigma = 1.0 / math.sqrt(float(cgf(sstar, 2)) + 1.0 / sstar ** 2)
 
     def end_data(T):
         """Tail restoration and end-derivative data at the truncation point.
@@ -525,10 +520,10 @@ def smallball_probability_exact(lams, r, tail=None):
         Euler-Maclaurin end corrections of the trapezoid (the u = 0 end
         contributes nothing because the integrand is even there).
         """
-        sT = np.array([sstar + 1j * T])
-        G = np.exp(log_integrand(np.array([T])) - g0)[0]
-        p1v = 1j * f1(sT)[0]
-        p2v = -(phi2(sT)[0] + 1.0 / sT[0] ** 2)
+        sT = sstar + 1j * T
+        G = np.exp(log_integrand(T) - g0)
+        p1v = 1j * (q + cgf(sT, 1) - 1.0 / sT)
+        p2v = -(cgf(sT, 2) + 1.0 / sT ** 2)
         tail_int = (-G / p1v * (1.0 + p2v / p1v ** 2)).real
         tail_err = abs(G) * abs(p2v) ** 2 / abs(p1v) ** 5 * 3.0
         d1 = (p1v * G).real
@@ -537,15 +532,7 @@ def smallball_probability_exact(lams, r, tail=None):
 
     def quadrature(h, T):
         u = np.arange(0.0, T + 0.5 * h, h)
-        width = lam.size
-        if tail is not None:
-            # grow the tail block for the whole contour, then chunk to it
-            tail._ensure_valid(float(np.max(np.abs(sstar + 1j * u))))
-            width = max(width, tail._jmax)
-        step = max(1, _OUTER_ENTRIES // width)
-        vals = np.real(np.exp(np.concatenate(
-            [log_integrand(u[i:i + step]) for i in range(0, u.size, step)])
-            - g0))
+        vals = np.real(np.exp(log_integrand(u) - g0))
         S = h * (vals.sum() - 0.5 * vals[0] - 0.5 * vals[-1])
         tail_int, tail_err, d1, d3 = end_data(u[-1])
         S += -h * h / 12.0 * d1 + h ** 4 / 720.0 * d3
@@ -579,21 +566,18 @@ def smallball_probability_exact(lams, r, tail=None):
                                log_p=logp)
 
 
-def _solve_tilt(lam, q, mean, phi1, f1):
-    """Contour abscissa: the tilt solving q + phi1(s) = 0 when it is well
+def _solve_tilt(q, cgf):
+    """Contour abscissa: the tilt solving q + cgf'(s) = 0 when it is well
     separated from the s = 0 pole, else the saddle of the full integrand
-    (q + phi1(s) = 1/s), which always exists on s > 0."""
+    (q + cgf'(s) = 1/s), which always exists on s > 0.  cgf(s, k) is the
+    k-th derivative of log L at a real scalar s."""
 
     def bisect(fn):
         lo, hi = 1e-300, 1.0
-        for _ in range(4000):
-            if fn(hi) > 0:
-                break
+        while not fn(hi) > 0:
             hi *= 2.0
             if hi > 1e280:
                 raise TiltNotFound("tilt bracketing failed")
-        else:
-            raise TiltNotFound("tilt bracketing failed")
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             if fn(mid) > 0:
@@ -602,46 +586,45 @@ def _solve_tilt(lam, q, mean, phi1, f1):
                 lo = mid
         return 0.5 * (lo + hi)
 
-    def g(s):
-        return q + float(phi1(np.array([s]))[0])
-
-    if q < mean:
-        sstar = bisect(g)
-        curv = float(
-            np.sum(2.0 * lam ** 2 / (1.0 + 2.0 * sstar * lam) ** 2))
+    if q < -float(cgf(0.0, 1)):  # below the mean of Q
+        sstar = bisect(lambda s: q + float(cgf(s, 1)))
+        curv = float(cgf(sstar, 2))
         sigma = 1.0 / math.sqrt(curv) if curv > 0 else np.inf
         if sstar >= 2.0 * sigma:
             return sstar
     # pole-anchored saddle of e^{sq} L(s)/s
-    return bisect(lambda s: float(f1(np.array([s]))[0]))
+    return bisect(lambda s: q + float(cgf(s, 1)) - 1.0 / s)
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo oracle
 
 
-def monte_carlo_probability(lams, eps, N, seed, batch_size=100_000,
-                            tail=None):
+#: samples per Monte Carlo batch; each batch draws from its own spawned seed
+_MC_BATCH = 100_000
+
+
+def monte_carlo_probability(lams, eps, N, seed, tail=None):
     """Empirical P(sum lam_j xi_j^2 <= eps^2) from N Gaussian samples.
 
     Sampling happens in the Karhunen-Loeve eigenbasis, where the squared
     norm is exactly the weighted chi-square sum, so no path construction is
     needed.  Batches draw from seeds spawned off `seed`; results are
-    reproducible for a fixed (seed, N, batch_size) triple.  The optional
-    tail model only reports the mean of the dropped remainder as
-    `truncation_bias` (the estimate itself uses the given eigenvalues).
+    reproducible for a fixed (seed, N) pair.  The optional tail model only
+    reports the mean of the dropped remainder as `truncation_bias` (the
+    estimate itself uses the given eigenvalues).
     """
     lam = np.asarray(lams, dtype=float)
     if N < 1:
         raise ValueError("need at least one sample")
     q = eps * eps
-    n_batches = -(-N // batch_size)
+    n_batches = -(-N // _MC_BATCH)
     children = np.random.SeedSequence(seed).spawn(n_batches)
     hits = 0
     done = 0
     for child in children:
         rng = np.random.default_rng(child)
-        b = min(batch_size, N - done)
+        b = min(_MC_BATCH, N - done)
         xi = rng.standard_normal((b, lam.size))
         hits += int(np.count_nonzero((xi * xi) @ lam <= q))
         done += b

@@ -326,6 +326,15 @@ def test_invalid_eps_exits_2(capsys):
     assert rc == 2
 
 
+def test_prob_single_eigenvalue_exits_2(capsys):
+    # one eigenvalue cannot fix the two parameters of the fitted tail
+    rc, out, err = run_cli(["prob", "--process", "wiener", "-K", "1",
+                            "--eps", "0.5"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert "at least 2 eigenvalues" in err
+
+
 def test_unknown_subcommand_raises_argparse_exit():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

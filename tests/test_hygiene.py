@@ -1,5 +1,6 @@
-"""Source hygiene: every name a greenball module imports is used, and every
-private module-level helper is referenced somewhere in the package.
+"""Source hygiene: every name a greenball module imports is used, every
+private module-level helper is referenced somewhere in the package, and no
+module reads another object's private (``_name``) attributes.
 
 A name counts as used when the module refers to it anywhere in its code
 (attribute chains such as ``np.linalg`` start at a plain name) or lists it in
@@ -104,3 +105,36 @@ def test_no_dead_private_helpers():
     dead = dead_private_helpers(sources)
     assert not dead, ", ".join(f"{mod} defines {name}, which no module "
                                "references" for mod, name in dead)
+
+
+def foreign_private_reads(source):
+    """(line, 'owner._name') for every read of a non-dunder _name attribute
+    on anything but `self` or `cls`: one object reaching into another's
+    internals."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and node.attr.startswith("_")
+                and not node.attr.startswith("__")
+                and not (isinstance(node.value, ast.Name)
+                         and node.value.id in ("self", "cls"))):
+            owner = ast.unparse(node.value)
+            out.append((node.lineno, f"{owner}.{node.attr}"))
+    return sorted(out)
+
+
+def test_foreign_private_read_scanner():
+    source = ("class A:\n    def f(self, other):\n"
+              "        self._x = other._y\n        other._z = 1\n"
+              "        return (cls._w, self._v, other.__dict__,\n"
+              "                mod._helper())\n")
+    assert foreign_private_reads(source) == [(3, "other._y"),
+                                             (6, "mod._helper")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_foreign_private_reads(path):
+    reads = foreign_private_reads(path.read_text())
+    assert not reads, ", ".join(f"{path.name}:{line} reads {name}"
+                                for line, name in reads)

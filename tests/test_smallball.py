@@ -341,17 +341,21 @@ def test_tail_model_out_of_reach_raises():
 
 
 def test_tail_model_split_invariant():
-    """The explicit-block / zeta-series split must not matter: a short block
-    and a long block give the same transform, and the mean matches the
-    exact Hurwitz-zeta value sum_{j>50} (pi(j-1/2))^{-2}."""
+    """The explicit-block / zeta-series split must not matter: a fresh
+    block and one grown by a call far out give the same transform, and the
+    mean matches the exact Hurwitz-zeta value sum_{j>50} (pi(j-1/2))^{-2}."""
     from scipy.special import zeta as hurwitz_zeta
-    short = WeylTailModel(1, 1.0, -0.5, 50, jmax=200)
-    long = WeylTailModel(1, 1.0, -0.5, 50, jmax=20000)
+    fresh = WeylTailModel(1, 1.0, -0.5, 50)
+    grown = WeylTailModel(1, 1.0, -0.5, 50)
+    # s = 1e8 needs 2 s lam_j <= 0.3 past the block: 4000 -> 16000 terms
+    grown.log_laplace(1e8)
+    assert grown._lam.size == 16000
     exact_mean = hurwitz_zeta(2, 50.5) / np.pi ** 2
-    assert short.mean() == pytest.approx(exact_mean, rel=1e-12)
+    assert fresh.mean() == pytest.approx(exact_mean, rel=1e-12)
+    assert grown.mean() == pytest.approx(exact_mean, rel=1e-12)
     for s in (0.5, 30.0, 2000.0):
-        a = complex(short.log_laplace(np.array([s]))[0]).real
-        b = complex(long.log_laplace(np.array([s]))[0]).real
+        a = float(fresh.log_laplace(s))
+        b = float(grown.log_laplace(s))
         assert a == pytest.approx(b, rel=1e-10)
 
 
@@ -359,12 +363,20 @@ def test_tail_model_derivatives_consistent():
     # step sized so the second difference stays above roundoff in f ~ 0.1
     tail = WeylTailModel(1, 1.0, -0.5, 50)
     s0, h = 40.0, 0.5
-    f = lambda s: float(np.real(tail.log_laplace(np.array([s]))[0]))
-    d1 = float(np.real(tail.d1(np.array([s0]))[0]))
-    d2 = float(np.real(tail.d2(np.array([s0]))[0]))
+    f = lambda s: float(tail.log_laplace(s))
+    d1 = float(tail.log_laplace(s0, 1))
+    d2 = float(tail.log_laplace(s0, 2))
     assert d1 == pytest.approx((f(s0 + h) - f(s0 - h)) / (2 * h), rel=1e-4)
     assert d2 == pytest.approx((f(s0 + h) - 2 * f(s0) + f(s0 - h)) / h ** 2,
                                rel=1e-3)
+
+
+def test_tail_model_fit_needs_two_eigenvalues():
+    # a line through one point is undetermined (numpy only warns)
+    with pytest.raises(ValueError, match="at least 2"):
+        WeylTailModel.fitted(1, wiener_lams(1))
+    assert WeylTailModel.fitted(1, wiener_lams(2)).delta == \
+        pytest.approx(-0.5, abs=1e-9)
 
 
 def test_tail_calibration_wiener_delta_is_minus_half():
@@ -385,6 +397,19 @@ def test_tail_model_changes_deep_probabilities():
     assert math.exp(with_tail.log_p - asym) == pytest.approx(1.0, abs=0.05)
     # dropping the tail removes factors < 1 from the transform, inflating p
     assert without.log_p - asym > math.log(5.0)
+
+
+def test_head_tail_seam_is_invisible():
+    """Wiener with 200 computed eigenvalues and a calibrated tail, and with
+    500 and a calibrated tail, describe the same law: moving eigenvalues
+    201..500 from the tail block into the head must not change p."""
+    short, long = wiener_lams(200), wiener_lams(500)
+    t200 = WeylTailModel.calibrated(1, 1.0, 200, float(short[-1]))
+    t500 = WeylTailModel.calibrated(1, 1.0, 500, float(long[-1]))
+    for r in (0.3, 0.1, 0.05, 0.02):
+        a = smallball_probability_exact(short, r, tail=t200)
+        b = smallball_probability_exact(long, r, tail=t500)
+        assert a.p == pytest.approx(b.p, rel=1e-12), r
 
 
 # ---------------------------------------------------------------------------
