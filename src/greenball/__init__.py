@@ -36,7 +36,7 @@ from .smallball import (AsymptoticForm, ComparisonTable, ProbabilityEstimate,
                         monte_carlo_probability, process_asymptotic,
                         smallball_probability_exact)
 from .spectrum import (SpectrumResult, eigenvalue_product,
-                       eigenvalues_shooting, nystrom_eigenvalues, weyl_tail)
+                       eigenvalues_shooting, nystrom_eigenvalues)
 from .theta import (ComparisonResult, ThetaInput, closed_form_ratio,
                     ratio_limit, separated_ratio, theta_det)
 
@@ -58,5 +58,5 @@ __all__ = [
     "normalization_integral", "normalize_weight", "nystrom_eigenvalues",
     "process_asymptotic", "ratio_limit", "require_equal_normalization",
     "separated_ratio", "smallball_probability_exact", "theta_det",
-    "weyl_tail", "__version__",
+    "__version__",
 ]

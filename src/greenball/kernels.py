@@ -470,10 +470,3 @@ def build_process(spec, grid=None):
     if spec.center_final:
         k = center_kernel(k)
     return k
-
-
-def export_kernel_csv(k, path):
-    """Write a kernel to CSV: one row of grid nodes, then the matrix rows."""
-    with open(path, "w") as f:
-        np.savetxt(f, k.grid.x[None, :], fmt="%.17g", delimiter=",")
-        np.savetxt(f, k.values, fmt="%.17g", delimiter=",")

@@ -146,9 +146,6 @@ class OperatorSpec:
             acc += (-1.0) ** i * comb(j, i) * np.asarray(_expr.evaluate(c, pts))
         return acc / h ** j
 
-    def is_constant_coefficient(self):
-        return all(not isinstance(c, tuple) for c in self.p)
-
 
 @dataclass(eq=False, frozen=True)
 class BVProblem:
@@ -253,17 +250,9 @@ def classify_boundary_conditions(problem):
     return BCClass(tag="general")
 
 
-def normalization_integral(w, n, with_error=False):
-    """Integral of psi^(1/2n) over [0,1] on the fixed quadrature grid.
-
-    With with_error=True also returns the half-resolution comparison estimate.
-    """
-    theta = WEIGHT_GRID.integrate(w.samples ** (1.0 / (2 * n)))
-    if not with_error:
-        return theta
-    half = WEIGHT_GRID.half()
-    theta_half = half.integrate(np.asarray(w(half.x)) ** (1.0 / (2 * n)))
-    return theta, abs(theta - theta_half)
+def normalization_integral(w, n):
+    """Integral of psi^(1/2n) over [0,1] on the fixed quadrature grid."""
+    return WEIGHT_GRID.integrate(w.samples ** (1.0 / (2 * n)))
 
 
 def normalize_weight(w, n):

@@ -52,10 +52,6 @@ class Grid:
         """Quadrature of values sampled at the grid nodes."""
         return float(self.w @ np.asarray(values))
 
-    def half(self):
-        """Same rule at half the panel count (for error estimates)."""
-        return Grid.composite(self.n // 2, self.order)
-
     def doubled(self):
         """Same rule at twice the panel count."""
         return Grid.composite(self.n * 2, self.order)

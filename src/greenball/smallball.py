@@ -13,7 +13,8 @@ Three ways to get at P(||X||_psi <= eps):
   first two s-derivatives come from one sum (`_log_laplace_sums`) over the
   computed eigenvalues plus `WeylTailModel.log_laplace(s, k)` for the
   continuation; the tilt, the contour integrand and its end corrections all
-  read them through that pair;
+  read them through that pair.  The continuation costs the same at every s:
+  a fixed block of 32 model eigenvalues, then a closed-form remainder;
 * plain Monte Carlo over the same quadratic form.
 
 The asymptotic forms assume the weight is normalized for the process
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
-from scipy.special import zeta as hurwitz_zeta
 
 from .errors import (DegenerateTheta, InversionUnstable, NotNormalized,
                      TiltNotFound, UnsupportedFamily)
@@ -360,23 +360,45 @@ class ProbabilityEstimate:
             raise ValueError("negative error")
 
 
+_BLOCK = 32  # model eigenvalues summed before the closed-form remainder
+#: |2 s lam_Y| up to which the remainder is a power series of _SERIES terms;
+#: nearer s = 0 the root form's second derivative loses about
+#: (2n-1)(4n-1)/(2n) |2 s lam_Y|^{1/n-2} ulps (45 at 0.5 for n = 4)
+_SWITCH, _SERIES = 0.5, 60
+#: (2m, B_2m), m = 1..10: Stirling's series meets |z| = Y sin(pi/4n) = 6.4
+#: at n = 4, K = 0, where six terms would leave 1e-12
+_BERNOULLI = ((2, 1 / 6), (4, -1 / 30), (6, 1 / 42), (8, -1 / 30),
+              (10, 5 / 66), (12, -691 / 2730), (14, 7 / 6),
+              (16, -3617 / 510), (18, 43867 / 798), (20, -174611 / 330))
+
+
+def _scaled_zeta(p, y):
+    """y^p zeta(p, y) = sum_i (y/(y+i))^p, in [1, 1 + y/(p-1)] even where
+    zeta(p, y) and y^p leave the double range: terms summed up to
+    z >= 3(p + 13), then Euler-Maclaurin, exact to rounding from there."""
+    m = max(0, math.ceil(3 * (p + 13) - y))
+    z, rising, em = y + m, float(p), (y + m) / (p - 1) + 0.5
+    for j, b in _BERNOULLI:  # rising = (p)_{j-1}, a rising factorial
+        em += b / math.factorial(j) * rising / z ** (j - 1)
+        rising *= (p + j - 1) * (p + j)
+    return float(np.sum((y / (y + np.arange(m))) ** p) + (y / z) ** p * em)
+
+
 class WeylTailModel:
     """Continuation lam_j = (theta/(pi (j+delta)))^{2n} for j > K.
 
-    Contributes the truncated part of the log-Laplace transform,
-    -(1/2) sum_{j>K} log(1 + 2 s lam_j).  The first model eigenvalues (a
-    block of 4000, doubled whenever the largest |s| asked for needs it) are
-    summed explicitly; the remainder enters through the series
-    -(1/2) sum_p (-1)^{p+1} (2s)^p S_p/p, p = 1..6, whose power sums
-    S_p = sum_{j past the block} lam_j^p are Hurwitz zeta values.  The
-    block is grown until |2 s lam_j| <= 0.3 past it, where the series
-    converges; past 2^21 terms InversionUnstable is raised instead.
-    `log_laplace(s, k)` returns the k-th s-derivative of the whole
-    continuation.
+    `log_laplace(s, k)` is the k-th s-derivative of its share of the
+    log-Laplace transform, -(1/2) sum_{j>K} log(1 + 2 s lam_j), in the same
+    work at every s; the model is immutable.  It sums `_BLOCK` model
+    eigenvalues; with Y = K + 1 + delta + _BLOCK and c = 2 s (theta/pi)^{2n}
+    the rest, G = sum_{i>=0} log(1 + c/(Y+i)^{2n}), is in closed form.
+    Where |u| = |2 s lam_Y| <= `_SWITCH` (s = 0, the mean, included) it is
+    the power series sum_p (-1)^{p+1} t_p u^p/p, t_p = S_p/lam_Y^p =
+    `_scaled_zeta`(2np, Y).  Elsewhere it is sum_k [log Gamma(Y) -
+    log Gamma(Y - rho_k)] over the 2n roots rho_k = c^{1/2n} e^{i pi (2k+1)/2n}
+    of x^{2n} = -c, which sum to zero, by Stirling's series.  For Re s > 0 no
+    rho_k lies on [Y, inf), so G is analytic along the Bromwich contour.
     """
-
-    _SERIES = 6
-    _BLOCK = 4000
 
     def __init__(self, n, theta, delta, K):
         if K + 1 + delta <= 0:
@@ -385,8 +407,14 @@ class WeylTailModel:
         self.theta = theta
         self.delta = delta
         self.K = K
-        self._a = (theta / math.pi) ** (2 * n)
-        self._set_block(self._BLOCK)
+        j = np.arange(K + 1, K + 1 + _BLOCK)
+        self._block = (theta / (np.pi * (j + delta))) ** (2 * n)
+        self._Y = K + 1 + delta + _BLOCK
+        self._lam_Y = (theta / (math.pi * self._Y)) ** (2 * n)
+        p = np.arange(1, _SERIES + 1)  # G's coefficients of u^0, u^1, ...
+        t = np.array([_scaled_zeta(2 * n * q, self._Y) for q in p])
+        self._coef = np.concatenate(([0.0], (-1.0) ** (p + 1) * t / p))
+        self._roots = np.exp(1j * np.pi * (2 * np.arange(2 * n) + 1) / (2 * n))
 
     @classmethod
     def calibrated(cls, n, theta, K, lam_K):
@@ -418,34 +446,54 @@ class WeylTailModel:
                              "a growth model")
         return cls(n, 1.0 / slope, intercept / slope, K)
 
-    def _set_block(self, size):
-        j = np.arange(self.K + 1, self.K + 1 + size)
-        self._lam = (self.theta / (np.pi * (j + self.delta))) ** (2 * self.n)
-        hi = self.K + size
-        self._S = [self._a ** p
-                   * hurwitz_zeta(2 * self.n * p, hi + 1 + self.delta)
-                   for p in range(1, self._SERIES + 1)]
-
     def mean(self):
-        return float(self._lam.sum() + self._S[0])
+        """sum_{j>K} lam_j, the mean of the dropped part of Q."""
+        return -float(self.log_laplace(0.0, 1))
 
     def log_laplace(self, s, k=0):
         """k-th s-derivative (k = 0, 1, 2) of
         -(1/2) sum_{j>K} log(1 + 2 s lam_j); s a real or complex scalar or
-        array."""
-        smax = float(np.max(np.abs(s)))
-        while 2.0 * smax * self._lam[-1] > 0.3:
-            if self._lam.size >= 2 ** 21:
-                raise InversionUnstable(
-                    "tail model cannot reach the series-convergent regime")
-            self._set_block(2 * self._lam.size)
-        # d^k/ds^k (2s)^p = 2^k p!/(p-k)! (2s)^{p-k}
-        x = 2.0 * np.asarray(s)
-        ser = 0.0
-        for p in range(max(k, 1), self._SERIES + 1):
-            c = (-1) ** (p + 1) * math.perm(p, k) * 2 ** k / p
-            ser = ser + c * x ** (p - k) * self._S[p - 1]
-        return _log_laplace_sums(s, self._lam, k) - 0.5 * ser
+        array with Re s > 0, or s = 0."""
+        s = np.asarray(s)
+        flat = s.reshape(-1)
+        u = 2.0 * flat * self._lam_Y
+        near = np.abs(u) <= _SWITCH
+        rem = np.empty(flat.shape, dtype=np.result_type(flat, float))
+        rem[near] = self._series(u[near], k)
+        rem[~near] = self._stirling(flat[~near], k)
+        return (_log_laplace_sums(s, self._block, k)
+                - 0.5 * rem.reshape(s.shape))
+
+    def _series(self, u, k):
+        """k-th s-derivative of G by its power series; du/ds = 2 lam_Y."""
+        poly = np.polynomial.polynomial
+        return ((2.0 * self._lam_Y) ** k
+                * poly.polyval(u, poly.polyder(self._coef, k)))
+
+    def _stirling(self, s, k):
+        """k-th s-derivative of G by the root form: with z_k = Y - rho_k,
+        L_k = log(1 - rho_k/Y), psi_k = digamma(z_k) - log Y (log Y cancels
+        over k) and d rho_k/ds = rho_k/(2 n s), G = sum_k [(rho_k - Y + 1/2)
+        L_k + sum_m B_2m (Y^{1-2m} - z_k^{1-2m})/(2m(2m-1))], G' = sum_k
+        rho_k psi_k/(2ns), G'' = sum_k [(1-2n) rho_k psi_k - rho_k^2
+        trigamma(z_k)]/(2ns)^2."""
+        n2, Y = 2 * self.n, self._Y
+        rho = Y * np.multiply.outer((2.0 * s * self._lam_Y) ** (1.0 / n2),
+                                    self._roots)
+        z, L = Y - rho, np.log1p(-rho / Y)
+        if k == 0:
+            out = (rho - Y + 0.5) * L + sum(
+                b / (m * (m - 1)) * (Y ** (1 - m) - z ** (1 - m))
+                for m, b in _BERNOULLI)
+        else:
+            out = rho * (L - 0.5 / z
+                         - sum(b / m * z ** -m for m, b in _BERNOULLI))
+            if k == 2:
+                out = (1 - n2) * out - rho ** 2 * (1 / z + 0.5 / z ** 2 + sum(
+                    b * z ** -(m + 1) for m, b in _BERNOULLI))
+            out = out / (n2 * s[:, None]) ** k
+        out = out.sum(axis=-1)
+        return out.real if np.isrealobj(s) else out
 
 
 #: entries of the largest (points x eigenvalues) outer product; 4 MB of
@@ -544,6 +592,8 @@ def smallball_probability_exact(lams, r, tail=None):
     rel_err = None
     for _ in range(60):
         cand, end_err, last = quadrature(h, T)
+        if not np.isfinite(cand):
+            break  # no step or contour length makes a non-finite sum finite
         # end of contour must be resolved: integrand below 1e-16 of peak
         # or the integration-by-parts correction self-certified
         if abs(last) > 1e-16 and end_err > 1e-14 * max(abs(cand), 1e-300):

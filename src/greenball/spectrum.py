@@ -232,11 +232,6 @@ class SpectrumResult:
         return len(self.mu)
 
 
-def weyl_tail(n, theta, k):
-    """Leading-order eigenvalue growth model (pi k / theta)^{2n}."""
-    return (np.pi * np.asarray(k) / theta) ** (2 * n)
-
-
 def _refine_roots(f, a, b, fa, fb, rtol_root=ROOT_RTOL, maxit=80):
     """Safeguarded secant/bisection of f, batched over all brackets whose
     ends differ in sign bit.  Returns the roots, interpolated linearly
@@ -274,7 +269,9 @@ def eigenvalues_shooting(problem, K):
     set by the scan window.  `err` is the relative error bound on mu from
     the mesh-halving gap (the shift between the fine-mesh and extrapolated
     roots), the final bracket width and the rounding that the growth of the
-    solutions amplifies; StepFailure is raised when it exceeds SHOOT_TOL.
+    solutions amplifies.  StepFailure is raised when it exceeds SHOOT_TOL,
+    before any root is refined when the rounding at the scan brackets alone
+    does.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -291,7 +288,7 @@ def eigenvalues_shooting(problem, K):
         # extra points near the origin in case of a low first root
         grid = np.concatenate(([1e-4, 1e-3, 1e-2, 0.1 * spacing], grid))
         mesh = _mesh(problem, z_hi)
-        F = _characteristic_batch(problem, grid, mesh)[0]
+        F, _, scan_growth = _characteristic_batch(problem, grid, mesh)
         # a bracket wherever the sign bit flips, so an exact zero at a node
         # closes one bracket
         lo = np.flatnonzero((F[:-1] < 0) != (F[1:] < 0))
@@ -300,6 +297,12 @@ def eigenvalues_shooting(problem, K):
     if len(lo) < K:
         raise MissedRoot(f"found only {len(lo)} roots up to zeta={z_hi:.3g} "
                          f"but {K} were requested")
+    # fail before refining when rounding alone, amplified by the smaller
+    # growth at the ends of one of the first K brackets, breaks the tolerance
+    first = lo[:K]
+    floor = (2 * n * np.finfo(float).eps / grid[first + 1] * np.exp(
+        np.minimum(scan_growth[first], scan_growth[first + 1])))
+    _check_resolved(floor, scan_growth[first])
     roots, widths = _refine_roots(
         lambda z: _characteristic_batch(problem, z, mesh)[0],
         grid[lo], grid[lo + 1], F[lo], F[lo + 1])
@@ -321,14 +324,19 @@ def eigenvalues_shooting(problem, K):
     gap = np.abs(dF) * np.diff(grid)[lo] / np.abs(np.diff(F)[lo])
     rounding = np.finfo(float).eps * np.exp(log_growth)
     err = 2 * n * (gap + widths + rounding) / roots
+    _check_resolved(err, log_growth)
+    return SpectrumResult(mu=roots ** (2 * n), method="shooting", err=err,
+                          theta_norm=theta)
+
+
+def _check_resolved(err, log_growth):
+    """StepFailure at the first relative error bound `err` > SHOOT_TOL."""
     if not (err <= SHOOT_TOL).all():
         k = np.argmin(err <= SHOOT_TOL)
         raise StepFailure(
             f"eigenvalue {k + 1} is resolved only to relative {err[k]:.1e} "
             f"> {SHOOT_TOL:.0e} (the solutions grow by "
             f"{np.exp(log_growth[k]):.1e} across [0, 1])")
-    return SpectrumResult(mu=roots ** (2 * n), method="shooting", err=err,
-                          theta_norm=theta)
 
 
 def nystrom_eigenvalues(kern, w, K, grid=None):

@@ -1,6 +1,7 @@
 """Source hygiene: every name a greenball module imports is used, every
-private module-level helper is referenced somewhere in the package, and no
-module reads another object's private (``_name``) attributes.
+private module-level helper is referenced somewhere in the package, no
+module reads another object's private (``_name``) attributes, and every
+public name has a caller outside the tests.
 
 A name counts as used when the module refers to it anywhere in its code
 (attribute chains such as ``np.linalg`` start at a plain name) or lists it in
@@ -9,6 +10,7 @@ A name counts as used when the module refers to it anywhere in its code
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -138,3 +140,41 @@ def test_no_foreign_private_reads(path):
     reads = foreign_private_reads(path.read_text())
     assert not reads, ", ".join(f"{path.name}:{line} reads {name}"
                                 for line, name in reads)
+
+
+ROOT = SRC.parent.parent
+
+
+def uncalled_public_names(exported, sources, texts):
+    """Sorted names of `exported` that no module of `sources` (a name ->
+    Python source mapping, the re-exporting package __init__ left out)
+    references and no plain text of `texts` mentions as a word."""
+    used = set().union(*(referenced_names(ast.parse(text))
+                         for text in sources.values()))
+    return sorted(name for name in exported if name not in used
+                  and not any(re.search(rf"\b{re.escape(name)}\b", text)
+                              for text in texts))
+
+
+def test_uncalled_public_name_scanner():
+    exported = {"Model", "helper", "spare", "documented"}
+    sources = {"a.py": ("def helper():\n    pass\ndef spare():\n    pass\n"
+                        "class Model:\n    pass\n"),
+               "demo.py": "import pkg\nprint(pkg.helper(), pkg.Model)\n"}
+    readme = "Call `documented(x)`; spares are not spare_parts."
+    assert uncalled_public_names(exported, sources, [readme]) == ["spare"]
+
+
+def test_public_names_have_a_caller():
+    """Every name in the package's __all__ is used by the package itself, a
+    demo, the benchmark or the README; a name only the tests call is dead
+    public code."""
+    exported = _exported(ast.parse((SRC / "__init__.py").read_text()))
+    files = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    files += sorted((ROOT / "demos").glob("*.py"))
+    files += sorted((ROOT / "perfbench").glob("*.py"))
+    sources = {str(p): p.read_text() for p in files}
+    texts = [(ROOT / "README.md").read_text()]
+    uncalled = uncalled_public_names(exported, sources, texts)
+    assert not uncalled, ", ".join(f"{name} is in __all__ but has no caller"
+                                   for name in uncalled)

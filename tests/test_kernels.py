@@ -17,8 +17,7 @@ from greenball.errors import (NormalizationMismatch, SingularConditioning,
                               UnsupportedFamily)
 from greenball.kernels import (DEFAULT_GRID, Kernel, ProcessSpec, apply_weight,
                                base_kernel, build_process, center_kernel,
-                               condition_kernel, export_kernel_csv,
-                               integrate_kernel)
+                               condition_kernel, integrate_kernel)
 from greenball.model import Weight
 from greenball.quadrature import Grid, integrate_full
 from greenball.spectrum import eigenvalue_product, nystrom_eigenvalues
@@ -439,16 +438,3 @@ def test_constructed_kernels_are_psd(spec):
     k = build_process(spec, GRID)
     assert _gram_min_eig(k) > -1e-10
 
-
-# ---------------------------------------------------------------------------
-# export
-
-
-def test_export_csv_roundtrip(tmp_path):
-    k = base_kernel("wiener", grid=Grid.composite(32, 8))
-    path = tmp_path / "kernel.csv"
-    export_kernel_csv(k, path)
-    data = np.loadtxt(path, delimiter=",")
-    assert data.shape == (33, 32)
-    assert np.array_equal(data[0], k.grid.x)
-    assert np.array_equal(data[1:], k.values)

@@ -39,9 +39,7 @@ class TestNormalization:
     def test_affine_power_weight_is_normalized(self):
         # (0.5+1.5t)^{-4} has int psi^{1/2} = int (0.5+1.5t)^{-2} = 1
         w = Weight.from_text("(0.5+1.5*t)^(-4)")
-        theta, err = normalization_integral(w, 1, with_error=True)
-        assert theta == pytest.approx(1.0, abs=1e-13)
-        assert err < 1e-12
+        assert normalization_integral(w, 1) == pytest.approx(1.0, abs=1e-13)
 
     def test_constant_sixteen(self):
         w = Weight.from_text("16")
@@ -164,5 +162,3 @@ class TestOperatorSpec:
         np.testing.assert_allclose(op.p_values(1, t), 3.0)
         np.testing.assert_allclose(op.p_derivative(1, 1, t), 0.0)
         np.testing.assert_allclose(op.p_derivative(0, 1, 0.5), 1.0, atol=1e-8)
-        assert not op.is_constant_coefficient()
-        assert OperatorSpec(1, (0.0,)).is_constant_coefficient()

@@ -41,10 +41,9 @@ def test_smooth_integral(grid):
     assert val == pytest.approx((1 - np.cos(3)) / 3, rel=1e-14)
 
 
-def test_half_and_doubled(grid):
-    assert grid.half().n == 512
+def test_doubled(grid):
     assert grid.doubled().n == 2048
-    v = grid.half().integrate(np.exp(grid.half().x))
+    v = grid.doubled().integrate(np.exp(grid.doubled().x))
     assert v == pytest.approx(np.e - 1, rel=1e-13)
 
 

@@ -32,7 +32,8 @@ from greenball.kernels import ProcessSpec, base_kernel, build_process, \
 from greenball.model import (BoundaryCondition, BVProblem, OperatorSpec,
                              Weight)
 from greenball.smallball import (AsymptoticForm, ProbabilityEstimate,
-                                 WeylTailModel, comparison_convergence,
+                                 WeylTailModel, _SWITCH,
+                                 comparison_convergence,
                                  constants, epsilon_transforms,
                                  evaluate_asymptotic, K_of, K_tilde_of,
                                  log_evaluate_asymptotic,
@@ -54,6 +55,44 @@ def wiener_lams(K):
 
 def bridge_lams(K):
     return 1.0 / ((np.arange(1, K + 1) * np.pi) ** 2)
+
+
+class ExactTail:
+    """The Wiener (Cameron-Martin) or bridge (Anderson-Darling) law past K
+    eigenvalues, duck-typed as a tail model: the k-th s-derivative of
+    log L(s) minus the first K terms, with L = cosh(y)^{-1/2} or
+    (sinh(y)/y)^{-1/2}, y = sqrt(2 s).  log cosh and log sinh are written
+    through e^{-2y}, which keeps the branch continuous for Re s > 0."""
+
+    def __init__(self, kind, K):
+        self.kind = kind
+        self.head = wiener_lams(K) if kind == "wiener" else bridge_lams(K)
+        # E Q = sum_j lam_j = 1/2 (Wiener), 1/6 (bridge)
+        self.mean = (0.5 if kind == "wiener" else 1.0 / 6.0) - self.head.sum()
+
+    def log_laplace(self, s, k=0):
+        s = np.asarray(s)
+        if k == 1 and s.ndim == 0 and s == 0:
+            return -self.mean
+        y = np.sqrt(2.0 * s)
+        e = np.exp(-2.0 * y)
+        if self.kind == "wiener":
+            # log cosh y = y + log(1 + e) - log 2; its y-derivative is tanh y
+            f = [y + np.log1p(e) - math.log(2.0), (1.0 - e) / (1.0 + e)]
+            f.append(1.0 - f[1] ** 2)
+        else:
+            # log(sinh y/y) = y + log(1 - e) - log 2 - log y
+            coth = (1.0 + e) / (1.0 - e)
+            f = [y + np.log1p(-e) - math.log(2.0) - np.log(y),
+                 coth - 1.0 / y]
+            f.append(1.0 - coth ** 2 + 1.0 / y ** 2)
+        # s-derivatives of -(1/2) log(...) by dy/ds = 1/y
+        full = [-0.5 * f[0], -0.5 * f[1] / y,
+                -0.5 * (f[2] - f[1] / y) / y ** 2]
+        x = 2.0 * np.multiply.outer(s, self.head)
+        head = [0.5 * np.log1p(x).sum(-1), (self.head / (1.0 + x)).sum(-1),
+                -(2.0 * self.head ** 2 / (1.0 + x) ** 2).sum(-1)]
+        return full[k] + head[k]
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +354,9 @@ def test_deep_tail_logs_are_finite():
 
 
 def test_small_radius_memory_is_bounded():
-    # at r = 5e-3 the calibrated tail block grows to 16000 eigenvalues; the
-    # contour is chunked so that no (points x eigenvalues) outer product
-    # exceeds a fixed number of entries
+    # the contour is chunked so that no (points x eigenvalues) outer product
+    # exceeds a fixed number of entries; log p is the exact Wiener law's,
+    # -(1/2) log cosh sqrt(2 s) through the same inversion
     lam = wiener_lams(200)
     tail = WeylTailModel.calibrated(1, 1.0, 200, float(lam[-1]))
     tracemalloc.start()
@@ -326,37 +365,73 @@ def test_small_radius_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert est.log_p == pytest.approx(-5004.484322194895, rel=1e-12)
+    assert est.log_p == pytest.approx(-5004.484487923366, rel=1e-12)
     assert peak < 100e6
+
+
+def test_non_finite_transform_fails_the_self_check():
+    # a tail whose transform is NaN off the real axis leaves the tilt
+    # intact but poisons the contour: the trapezoid must stop at once and
+    # raise, not halve its step on a NaN sum
+
+    class BrokenTail:
+        def log_laplace(self, s, k=0):
+            return np.full(np.shape(s), np.nan if np.iscomplexobj(s) else 0.0)
+
+    with np.errstate(invalid="ignore"), pytest.raises(InversionUnstable):
+        smallball_probability_exact(wiener_lams(50), 0.2, tail=BrokenTail())
 
 
 # ---------------------------------------------------------------------------
 # Weyl tail model
 
 
-def test_tail_model_out_of_reach_raises():
-    # s = 1e15 needs an explicit block beyond 2^21 model eigenvalues
-    with pytest.raises(InversionUnstable):
-        WeylTailModel(1, 1.0, 0.0, 10).log_laplace(np.array([1e15]))
+def test_tail_model_far_out_matches_exact_law():
+    # s = 1e15 (and a contour point past it) costs the same constant work
+    # as any other s and lands on the bridge law
+    tail = WeylTailModel(1, 1.0, 0.0, 10)
+    exact = ExactTail("bridge", 10)
+    for s in (1e15, 1e15 + 3e14j):
+        want = complex(exact.log_laplace(s))
+        got = complex(tail.log_laplace(np.array([s]))[0])
+        assert abs(got - want) <= 1e-14 * abs(want), s
+
+
+@pytest.mark.parametrize("kind, K", product(("wiener", "bridge"), (5, 200)))
+def test_tail_model_matches_exact_continuations(kind, K):
+    """log L past K and its first two s-derivatives, against the exact
+    laws, along the real axis and at contour points out to |s| = 1e12."""
+    tail = WeylTailModel(1, 1.0, -0.5 if kind == "wiener" else 0.0, K)
+    exact = ExactTail(kind, K)
+    s = np.array([1.0, 30.0, 1e3, 1e6, 1e8, 1e10, 1e12, 5.0 + 3.0j,
+                  50.0 + 300.0j, 1e4 + 1e5j, 1e6 + 1e8j, 1e12 + 1e11j,
+                  2e8 + 7e11j])
+    for k in (0, 1, 2):
+        got = tail.log_laplace(s, k)
+        want = exact.log_laplace(s, k)
+        bound = 1e-14 * np.maximum(1.0, np.abs(want))
+        assert (np.abs(got - want) <= bound).all(), k
 
 
 def test_tail_model_split_invariant():
-    """The explicit-block / zeta-series split must not matter: a fresh
-    block and one grown by a call far out give the same transform, and the
-    mean matches the exact Hurwitz-zeta value sum_{j>50} (pi(j-1/2))^{-2}."""
+    """The power series and the Stirling root form agree where the model
+    switches between them, |2 s lam_Y| = _SWITCH, to 1e-13 relative in the
+    remainder and its first two s-derivatives; the mean is the Hurwitz
+    value sum_{j>50} (pi(j-1/2))^{-2}."""
     from scipy.special import zeta as hurwitz_zeta
-    fresh = WeylTailModel(1, 1.0, -0.5, 50)
-    grown = WeylTailModel(1, 1.0, -0.5, 50)
-    # s = 1e8 needs 2 s lam_j <= 0.3 past the block: 4000 -> 16000 terms
-    grown.log_laplace(1e8)
-    assert grown._lam.size == 16000
     exact_mean = hurwitz_zeta(2, 50.5) / np.pi ** 2
-    assert fresh.mean() == pytest.approx(exact_mean, rel=1e-12)
-    assert grown.mean() == pytest.approx(exact_mean, rel=1e-12)
-    for s in (0.5, 30.0, 2000.0):
-        a = float(fresh.log_laplace(s))
-        b = float(grown.log_laplace(s))
-        assert a == pytest.approx(b, rel=1e-10)
+    assert WeylTailModel(1, 1.0, -0.5, 50).mean() == \
+        pytest.approx(exact_mean, rel=1e-14)
+    for n, (K, delta) in product((1, 2, 3, 4),
+                                 ((0, 0.3), (50, -0.5), (2000, 0.25))):
+        tail = WeylTailModel(n, 1.0, delta, K)
+        u = _SWITCH * np.exp(1j * np.array([0.0, 0.4, 0.8, 1.2, 1.5]))
+        s = u / (2.0 * tail._lam_Y)
+        for k in (0, 1, 2):
+            series = tail._series(u, k)
+            roots = tail._stirling(s, k)
+            assert np.abs(series - roots).max() <= \
+                1e-13 * np.abs(roots).min(), (n, K, k)
 
 
 def test_tail_model_derivatives_consistent():
@@ -401,15 +476,18 @@ def test_tail_model_changes_deep_probabilities():
 
 def test_head_tail_seam_is_invisible():
     """Wiener with 200 computed eigenvalues and a calibrated tail, and with
-    500 and a calibrated tail, describe the same law: moving eigenvalues
-    201..500 from the tail block into the head must not change p."""
+    500 and a calibrated tail, describe the exact law: moving eigenvalues
+    201..500 from the tail model into the head must not change p, and both
+    match the exact law through the same inversion, down to r = 1e-3."""
     short, long = wiener_lams(200), wiener_lams(500)
     t200 = WeylTailModel.calibrated(1, 1.0, 200, float(short[-1]))
     t500 = WeylTailModel.calibrated(1, 1.0, 500, float(long[-1]))
-    for r in (0.3, 0.1, 0.05, 0.02):
-        a = smallball_probability_exact(short, r, tail=t200)
-        b = smallball_probability_exact(long, r, tail=t500)
-        assert a.p == pytest.approx(b.p, rel=1e-12), r
+    exact = ExactTail("wiener", 200)
+    for r in (0.3, 0.1, 0.05, 0.02, 0.01, 5e-3, 2e-3, 1e-3):
+        want = smallball_probability_exact(short, r, tail=exact).log_p
+        for lam, tail in ((short, t200), (long, t500)):
+            got = smallball_probability_exact(lam, r, tail=tail).log_p
+            assert abs(got - want) <= 1e-12 * abs(want), (r, lam.size)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,7 @@ from greenball.model import (BoundaryCondition, BVProblem, OperatorSpec,
 from greenball.quadrature import Grid
 from greenball.spectrum import (SpectrumResult, characteristic_function,
                                 eigenvalue_product, eigenvalues_shooting,
-                                fundamental_system, nystrom_eigenvalues,
-                                weyl_tail)
+                                fundamental_system, nystrom_eigenvalues)
 
 BC = BoundaryCondition
 UNIT = Weight.from_text("1")
@@ -234,19 +233,6 @@ class TestNystrom:
             nystrom_eigenvalues(
                 _ClosedFormKernel(wiener_kernel_values,
                                   Grid.composite(64, 8)), None, 10)
-
-
-class TestWeylTail:
-    def test_values(self):
-        assert weyl_tail(1, 1.0, 10) == pytest.approx((10 * np.pi) ** 2)
-        assert weyl_tail(2, 1.0, 5) == pytest.approx((5 * np.pi) ** 4)
-        assert weyl_tail(1, 4.0, 8) == pytest.approx((2 * np.pi) ** 2)
-
-    def test_tracks_analytic_spectrum(self):
-        ks = np.arange(50, 60)
-        exact = ((ks - 0.5) * np.pi) ** 2
-        ratio = weyl_tail(1, 1.0, ks) / exact
-        assert np.abs(ratio - 1).max() < 0.03
 
 
 class TestEigenvalueProduct:
