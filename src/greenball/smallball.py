@@ -27,6 +27,8 @@ eps/sqrt(c) instead.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -413,7 +415,9 @@ class WeylTailModel:
         self._lam_Y = (theta / (math.pi * self._Y)) ** (2 * n)
         p = np.arange(1, _SERIES + 1)  # G's coefficients of u^0, u^1, ...
         t = np.array([_scaled_zeta(2 * n * q, self._Y) for q in p])
-        self._coef = np.concatenate(([0.0], (-1.0) ** (p + 1) * t / p))
+        coef = np.concatenate(([0.0], (-1.0) ** (p + 1) * t / p))
+        self._coef = tuple(np.polynomial.polynomial.polyder(coef, k)
+                           for k in range(3))  # of G, G' and G'' in u
         self._roots = np.exp(1j * np.pi * (2 * np.arange(2 * n) + 1) / (2 * n))
 
     @classmethod
@@ -466,9 +470,8 @@ class WeylTailModel:
 
     def _series(self, u, k):
         """k-th s-derivative of G by its power series; du/ds = 2 lam_Y."""
-        poly = np.polynomial.polynomial
         return ((2.0 * self._lam_Y) ** k
-                * poly.polyval(u, poly.polyder(self._coef, k)))
+                * np.polynomial.polynomial.polyval(u, self._coef[k]))
 
     def _stirling(self, s, k):
         """k-th s-derivative of G by the root form: with z_k = Y - rho_k,
@@ -496,9 +499,10 @@ class WeylTailModel:
         return out.real if np.isrealobj(s) else out
 
 
-#: entries of the largest (points x eigenvalues) outer product; 4 MB of
-#: complex values stays below the 8 MB work arrays of shooting, so freeing a
-#: chunk does not raise the allocator's mmap threshold for later solves
+#: entries of the largest (points x eigenvalues) outer product, and of each
+#: worker's (samples x eigenvalues) Monte Carlo block; 4 MB of complex values
+#: stays below the 8 MB work arrays of shooting, so freeing a chunk does not
+#: raise the allocator's mmap threshold for later solves
 _OUTER_ENTRIES = 1 << 18
 
 
@@ -524,6 +528,16 @@ def _log_laplace_sums(s, lam, k):
     return np.concatenate(out).reshape(s.shape)
 
 
+def _positive_spectrum(lams):
+    """lams as a float array, checked to be 1-d, nonempty and positive."""
+    lam = np.asarray(lams, dtype=float)
+    if lam.ndim != 1 or lam.size == 0:
+        raise ValueError("need a nonempty 1-d eigenvalue array")
+    if (lam <= 0).any():
+        raise ValueError("eigenvalues must be positive")
+    return lam
+
+
 def smallball_probability_exact(lams, r, tail=None):
     """P(sum_j lam_j xi_j^2 <= r^2) by saddle-point Bromwich inversion.
 
@@ -534,11 +548,7 @@ def smallball_probability_exact(lams, r, tail=None):
     vertical contour, with the truncated ends restored by integration by
     parts; self-checks on step halving and end decay guard the result.
     """
-    lam = np.asarray(lams, dtype=float)
-    if lam.ndim != 1 or lam.size == 0:
-        raise ValueError("need a nonempty 1-d eigenvalue array")
-    if (lam <= 0).any():
-        raise ValueError("eigenvalues must be positive")
+    lam = _positive_spectrum(lams)
     if (np.diff(lam) > 0).any():
         raise ValueError("eigenvalues must be in descending order")
     if r <= 0:
@@ -630,6 +640,8 @@ def _solve_tilt(q, cgf):
                 raise TiltNotFound("tilt bracketing failed")
         for _ in range(200):
             mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:  # adjacent doubles: mid is final
+                break
             if fn(mid) > 0:
                 hi = mid
             else:
@@ -657,28 +669,43 @@ _MC_BATCH = 100_000
 def monte_carlo_probability(lams, eps, N, seed, tail=None):
     """Empirical P(sum lam_j xi_j^2 <= eps^2) from N Gaussian samples.
 
-    Sampling happens in the Karhunen-Loeve eigenbasis, where the squared
-    norm is exactly the weighted chi-square sum, so no path construction is
-    needed.  Batches draw from seeds spawned off `seed`; results are
-    reproducible for a fixed (seed, N) pair.  The optional tail model only
+    lams: positive eigenvalues, in any order.  Sampling happens in the
+    Karhunen-Loeve eigenbasis, where the squared norm is exactly the
+    weighted chi-square sum, so no path construction is needed.  Batches of
+    `_MC_BATCH` samples draw from seeds spawned off `seed` and run on a
+    thread pool, one worker per available core; each draws its rows in
+    blocks of at most `_OUTER_ENTRIES` normals into one reused buffer, which
+    bounds the memory.  Hit counts are integers and a block-wise draw reads
+    the same stream as a whole-batch draw, so a fixed (seed, N) pair gives
+    the same p on any number of cores.  The optional tail model only
     reports the mean of the dropped remainder as `truncation_bias` (the
     estimate itself uses the given eigenvalues).
     """
-    lam = np.asarray(lams, dtype=float)
+    lam = _positive_spectrum(lams)
+    if eps <= 0:
+        raise ValueError("radius must be positive")
     if N < 1:
         raise ValueError("need at least one sample")
     q = eps * eps
-    n_batches = -(-N // _MC_BATCH)
-    children = np.random.SeedSequence(seed).spawn(n_batches)
-    hits = 0
-    done = 0
-    for child in children:
-        rng = np.random.default_rng(child)
-        b = min(_MC_BATCH, N - done)
-        xi = rng.standard_normal((b, lam.size))
-        hits += int(np.count_nonzero((xi * xi) @ lam <= q))
-        done += b
-    p = hits / N
+    children = np.random.SeedSequence(seed).spawn(-(-N // _MC_BATCH))
+    rows = max(1, _OUTER_ENTRIES // lam.size)
+
+    def batch(i):  # hits among the samples of batch i
+        rng = np.random.default_rng(children[i])
+        b = min(_MC_BATCH, N - i * _MC_BATCH)
+        buf = np.empty((min(rows, b), lam.size))
+        hits = 0
+        for start in range(0, b, rows):
+            block = buf[:min(rows, b - start)]
+            rng.standard_normal(out=block)
+            np.square(block, out=block)
+            hits += int(np.count_nonzero(block @ lam <= q))
+        return hits
+
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    with ThreadPoolExecutor(min(cores, len(children))) as pool:
+        p = sum(pool.map(batch, range(len(children)))) / N
     err = math.sqrt(max(p * (1.0 - p), 1.0 / N) / N)
     bias = tail.mean() if tail is not None else 0.0
     return ProbabilityEstimate(p=p, err=err, method="montecarlo",

@@ -32,7 +32,8 @@ from greenball.kernels import ProcessSpec, base_kernel, build_process, \
 from greenball.model import (BoundaryCondition, BVProblem, OperatorSpec,
                              Weight)
 from greenball.smallball import (AsymptoticForm, ProbabilityEstimate,
-                                 WeylTailModel, _SWITCH,
+                                 WeylTailModel, _MC_BATCH, _SWITCH,
+                                 _log_laplace_sums, _solve_tilt,
                                  comparison_convergence,
                                  constants, epsilon_transforms,
                                  evaluate_asymptotic, K_of, K_tilde_of,
@@ -333,6 +334,52 @@ def test_exact_oracle_input_validation():
         smallball_probability_exact(np.array([1.0]), 0.0)
 
 
+def _solve_tilt_reference(q, cgf):
+    """`_solve_tilt` with each bisection running all 200 halvings."""
+
+    def bisect(fn):
+        lo, hi = 1e-300, 1.0
+        while not fn(hi) > 0:
+            hi *= 2.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if fn(mid) > 0:
+                hi = mid
+            else:
+                lo = mid
+        return 0.5 * (lo + hi)
+
+    if q < -float(cgf(0.0, 1)):
+        sstar = bisect(lambda s: q + float(cgf(s, 1)))
+        curv = float(cgf(sstar, 2))
+        sigma = 1.0 / math.sqrt(curv) if curv > 0 else np.inf
+        if sstar >= 2.0 * sigma:
+            return sstar
+    return bisect(lambda s: q + float(cgf(s, 1)) - 1.0 / s)
+
+
+@pytest.mark.parametrize("tail", [False, True], ids=["head", "tail"])
+@pytest.mark.parametrize("r", [0.05, 0.2, 0.5, 1.0])
+def test_tilt_bisection_stops_when_bracket_is_tight(r, tail):
+    # r = 0.05 returns the tilt, 0.2 and 0.5 bisect for the tilt and then
+    # for the pole-anchored saddle, 1.0 (above the mean) for the saddle only;
+    # once the bracket holds two adjacent doubles, further halvings cannot
+    # move the returned midpoint
+    lam = wiener_lams(200)
+    model = (WeylTailModel.calibrated(1, 1.0, 200, float(lam[-1]))
+             if tail else None)
+    calls = []
+
+    def cgf(s, k):
+        calls.append(k)
+        out = _log_laplace_sums(s, lam, k)
+        return out if model is None else out + model.log_laplace(s, k)
+
+    sstar = _solve_tilt(r * r, cgf)
+    assert calls.count(1) <= 130
+    assert sstar == _solve_tilt_reference(r * r, cgf)
+
+
 def test_tilt_failure_reported():
     with pytest.raises(TiltNotFound):
         smallball_probability_exact(np.array([1.0]), 1e-200)
@@ -609,6 +656,50 @@ def test_mc_truncation_bias_reported():
     est = monte_carlo_probability(lam, 0.3, 10 ** 4, seed=0, tail=tail)
     assert est.truncation_bias == pytest.approx(tail.mean())
     assert est.truncation_bias > 0
+
+
+@pytest.mark.parametrize("lams, eps, match", [
+    ([], 0.5, "nonempty 1-d"),
+    ([-1.0, 0.5], 0.5, "positive"),
+    ([[1.0, 0.5]], 0.5, "nonempty 1-d"),
+    ([1.0, 0.5], 0.0, "radius"),
+    ([1.0, 0.5], -1.0, "radius"),
+], ids=["empty", "negative", "2-d", "zero-eps", "negative-eps"])
+def test_mc_input_validation(lams, eps, match):
+    with pytest.raises(ValueError, match=match):
+        monte_carlo_probability(np.array(lams), eps, 1000, seed=0)
+
+
+def _mc_hits_serial(lam, q, N, seed):
+    """Hits of the one-thread loop that draws each batch whole."""
+    hits, done = 0, 0
+    for child in np.random.SeedSequence(seed).spawn(-(-N // _MC_BATCH)):
+        rng = np.random.default_rng(child)
+        b = min(_MC_BATCH, N - done)
+        xi = rng.standard_normal((b, lam.size))
+        hits += int(np.count_nonzero((xi * xi) @ lam <= q))
+        done += b
+    return hits
+
+
+@pytest.mark.parametrize("N", [1, 99_999, 100_001, 350_000, 10 ** 6])
+def test_mc_matches_serial_reference(N):
+    # threads and row blocks change neither the streams nor the integer sum
+    lam = wiener_lams(200)
+    est = monte_carlo_probability(lam, 0.6, N, seed=N)
+    assert est.p == _mc_hits_serial(lam, 0.36, N, seed=N) / N
+
+
+def test_mc_memory_is_bounded():
+    # one block of at most _OUTER_ENTRIES normals per worker; a whole batch
+    # drawn at once held two 160 MB arrays
+    tracemalloc.start()
+    try:
+        monte_carlo_probability(wiener_lams(200), 0.6, 10 ** 6, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 # ---------------------------------------------------------------------------
