@@ -43,11 +43,13 @@ class MissedRoot(GreenballError):
 
 
 class GridTooCoarse(GreenballError):
-    """Grid-doubling moved a requested eigenvalue beyond tolerance."""
+    """Grid-doubling moved a requested eigenvalue beyond tolerance, or the
+    doubled-grid solve missed an eigenvalue."""
 
 
 class NonConvergence(GreenballError):
-    """Product extrapolants disagree beyond the requested tolerance."""
+    """Product extrapolants disagree beyond the requested tolerance, or the
+    seeded doubled-grid Nystrom solve ran out of Krylov blocks."""
 
 
 class SingularConditioning(GreenballError):

@@ -40,6 +40,22 @@ DEFAULT_GRID = Grid.composite(1024, 8)
 
 #: condition-number ceiling for the conditioning Gram matrix
 CONDITION_LIMIT = 1e12
+#: rows averaged at a time by `_symmetrize`
+_SYM_ROWS = 256
+
+
+def _symmetrize(A):
+    """A <- (A + A^T)/2 in place and return A.
+
+    A band of rows and the matching columns are averaged at a time, so no
+    second n x n array is allocated; the entries equal 0.5 * (A + A.T).
+    """
+    for i in range(0, A.shape[0], _SYM_ROWS):
+        j = i + _SYM_ROWS
+        avg = 0.5 * (A[i:j, i:] + A[i:, i:j].T)
+        A[i:j, i:] = avg
+        A[i:, i:j] = avg.T
+    return A
 
 
 def _as_grid(grid):
@@ -282,8 +298,10 @@ def integrate_kernel(k, beta):
     def sample(g):
         v, o = k.evaluate_on(g)
         A = integrate_rows(g, v, o, lower=beta)
-        B = integrate_rows(g, A.T, None, lower=beta).T
-        return 0.5 * (B + B.T), None
+        del v, o
+        # the transpose of the double integral: the same after symmetrizing
+        B = integrate_rows(g, A.T, None, lower=beta)
+        return _symmetrize(B), None
 
     return Kernel(k.grid, f"int[{beta}]({k.label})", k.half_order + 1, sample)
 
@@ -301,8 +319,10 @@ def center_kernel(k):
         v, o = k.evaluate_on(g)
         r = integrate_full(g, v, o)
         total = g.integrate(r)
-        c = v - r[None, :] - r[:, None] + total
-        return 0.5 * (c + c.T), o
+        c = v - r[None, :]
+        c -= r[:, None]
+        c += total
+        return _symmetrize(c), o
 
     return Kernel(k.grid, f"center({k.label})", k.half_order, sample)
 
@@ -336,8 +356,9 @@ def condition_kernel(k, cross, gram):
             raise ValueError(
                 f"cross-covariance shape {C.shape} does not match "
                 f"{(g.n, S.shape[0])}")
-        out = v - C @ P @ C.T
-        return 0.5 * (out + out.T), o
+        out = C @ P @ C.T
+        np.subtract(v, out, out=out)
+        return _symmetrize(out), o
 
     return Kernel(k.grid, f"cond[{S.shape[0]}]({k.label})", k.half_order,
                   sample)

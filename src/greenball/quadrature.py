@@ -185,5 +185,5 @@ def integrate_rows(grid, values, odd=None, lower=0):
     J[1:] += np.cumsum(totals[:-1], axis=0)[:, None, :]
     J = J.reshape(np.shape(values))
     if lower:
-        J = J - totals.sum(axis=0)
+        J -= totals.sum(axis=0)
     return J

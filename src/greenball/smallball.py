@@ -416,8 +416,11 @@ class WeylTailModel:
         p = np.arange(1, _SERIES + 1)  # G's coefficients of u^0, u^1, ...
         t = np.array([_scaled_zeta(2 * n * q, self._Y) for q in p])
         coef = np.concatenate(([0.0], (-1.0) ** (p + 1) * t / p))
-        self._coef = tuple(np.polynomial.polynomial.polyder(coef, k)
-                           for k in range(3))  # of G, G' and G'' in u
+        # power-series coefficients in u of G and its first two
+        # s-derivatives (du/ds = 2 lam_Y)
+        self._coef = tuple((2.0 * self._lam_Y) ** k
+                           * np.polynomial.polynomial.polyder(coef, k)
+                           for k in range(3))
         self._roots = np.exp(1j * np.pi * (2 * np.arange(2 * n) + 1) / (2 * n))
 
     @classmethod
@@ -469,9 +472,17 @@ class WeylTailModel:
                 - 0.5 * rem.reshape(s.shape))
 
     def _series(self, u, k):
-        """k-th s-derivative of G by its power series; du/ds = 2 lam_Y."""
-        return ((2.0 * self._lam_Y) ** k
-                * np.polynomial.polynomial.polyval(u, self._coef[k]))
+        """k-th s-derivative of G by its power series in u.  The powers
+        u^0, u^1, ... come from one cumulative product, so a scalar u costs
+        a few numpy calls rather than one per term; the terms are summed
+        from the highest power down, the order Horner's rule adds them in."""
+        c = self._coef[k]
+        terms = np.empty(np.shape(u) + c.shape, np.result_type(u, float))
+        terms[..., 0] = 1.0
+        terms[..., 1:] = np.expand_dims(u, -1)
+        np.cumprod(terms, axis=-1, out=terms)
+        terms *= c
+        return terms[..., ::-1].sum(axis=-1)
 
     def _stirling(self, s, k):
         """k-th s-derivative of G by the root form: with z_k = Y - rho_k,

@@ -10,7 +10,10 @@ extrapolation over a mesh halving, and positive rescaling that moves no
 roots.  It locates the sign-change roots of the boundary determinant
 F(zeta); eigenvalues are mu_k = zeta_k^{2n}.  The Nystrom route discretizes
 the weighted kernel on a composite Gauss-Legendre grid with an exact
-correction for the |t-s| kink and solves the dense symmetric eigenproblem.
+correction for the |t-s| kink and solves the dense symmetric eigenproblem
+on that grid only: the check on the doubled grid is a block Krylov
+Rayleigh-Ritz solve seeded with the interpolated eigenvectors, and a
+Cholesky factorization certifies that it missed no eigenvalue.
 """
 
 from __future__ import annotations
@@ -19,13 +22,15 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from scipy.linalg import expm
+from numpy.polynomial import polynomial as npoly
+from scipy.linalg import blas, eigh, expm, lapack
 
 from .errors import (GridTooCoarse, MissedRoot, NonConvergence,
                      NormalizationMismatch, StepFailure)
-from .kernels import apply_weight
+from .kernels import _symmetrize, apply_weight
 from .model import normalization_integral
-from .quadrature import Grid, _kink_full_moments
+from .quadrature import (Grid, _kink_full_moments, _lagrange_coefficients,
+                         _reference_rule)
 
 # ---------------------------------------------------------------------------
 # Fixed-mesh Magnus-4 propagation of the companion system
@@ -339,6 +344,10 @@ def _check_resolved(err, log_growth):
             f"{np.exp(log_growth[k]):.1e} across [0, 1])")
 
 
+#: Krylov blocks the seeded doubled-grid solve may append
+_KRYLOV_BLOCKS = 8
+
+
 def nystrom_eigenvalues(kern, w, K, grid=None):
     """First K eigenvalues mu = 1/lambda of the weighted covariance operator.
 
@@ -346,12 +355,16 @@ def nystrom_eigenvalues(kern, w, K, grid=None):
     unweighted or already carries its weight.  The kernel is sampled on a
     composite Gauss-Legendre grid (`grid`: a Grid, a node count, or None
     for the kernel's own grid), the diagonal panels are corrected for the
-    |t-s| kink exactly, the sqrt(quadrature-weight) similarity gives a
-    symmetric matrix, and the dense eigenproblem is solved.  The same solve
-    on the doubled grid supplies the returned eigenvalues; `err` is their
-    relative gap to the solve on `grid`, and GridTooCoarse is raised when
-    it exceeds 1e-4.  theta_norm is the normalization integral of the
-    kernel's weight (1 when unweighted).
+    |t-s| kink exactly, and the sqrt(quadrature-weight) similarity gives a
+    symmetric matrix.  A dense solve on `grid` gives its top b = K + K//4
+    + 8 eigenpairs.  Their eigenfunctions, interpolated panel-wise to the
+    doubled grid, seed a block Krylov Rayleigh-Ritz solve there
+    (`_ritz_top`, NonConvergence if it does not settle), and its top K
+    Ritz values are returned; a Cholesky guard (`_guard`) proves that the
+    seeded space missed no eigenvalue of the doubled grid above them.
+    `err` is their relative gap to the solve on `grid`, and GridTooCoarse
+    is raised when it exceeds 1e-4 or the guard fails.  theta_norm is the
+    normalization integral of the kernel's weight (1 when unweighted).
     """
     g = kern.grid if grid is None else grid
     if isinstance(g, int):
@@ -361,23 +374,45 @@ def nystrom_eigenvalues(kern, w, K, grid=None):
     if w is not None:
         kern = apply_weight(kern, w)
 
-    lam = _nystrom_lambdas(kern, K, g)
-    lam_fine = _nystrom_lambdas(kern, K, g.doubled())
+    b = min(K + K // 4 + 8, g.n)
+    # S is symmetric, so its Fortran view S.T goes to LAPACK uncopied
+    lam, V = eigh(_nystrom_matrix(kern, g).T, subset_by_index=(g.n - b,
+                                                               g.n - 1),
+                  driver="evr", overwrite_a=True, check_finite=False)
+    lam = lam[::-1][:K]
+    _check_above_noise(lam)
+    fine = g.doubled()
+    S = _nystrom_matrix(kern, fine)
+    ritz, U = _ritz_top(S, _refine_seed(V, g, fine), K)
+    lam_fine = ritz[:K]
+    _check_above_noise(lam_fine)
     rel = np.abs(lam - lam_fine) / np.abs(lam_fine)
     if (rel > 1e-4).any():
         raise GridTooCoarse(
             f"grid-doubling moved an eigenvalue by {rel.max():.2e} relative "
             "(> 1e-4); increase the grid")
+    _guard(S, ritz, U, K)  # consumes S
     theta = (1.0 if kern.weight is None
              else normalization_integral(kern.weight, kern.half_order))
     return SpectrumResult(mu=1.0 / lam_fine, method="nystrom", err=rel,
                           theta_norm=theta)
 
 
-def _nystrom_lambdas(kern, K, g):
+def _check_above_noise(lam):
+    if (lam <= 0).any():
+        raise GridTooCoarse(
+            "requested eigenvalues reach the discretization noise floor "
+            "(nonpositive Nystrom eigenvalue); increase the grid")
+
+
+def _nystrom_matrix(kern, g):
+    """The symmetric Nystrom matrix of `kern` on `g`, built in place: no
+    n x n temporary besides the kernel samples."""
     values, odd = kern.evaluate_on(g)
     sw = np.sqrt(g.w)
-    S = values * np.outer(sw, sw)
+    # C order, so that S.T is the Fortran view LAPACK and BLAS work in
+    S = np.multiply(values, sw[:, None], order="C")
+    S *= sw
     if odd is not None:
         # exact |t-s| moments on the diagonal panels replace the plain rule
         P, q = g.panels, g.order
@@ -386,13 +421,110 @@ def _nystrom_lambdas(kern, K, g):
         corr = odd * (g.h ** 2 * _kink_full_moments(q))
         S.reshape(P, q, P, q)[p, :, p] += (swb[:, :, None] * corr
                                            / swb[:, None, :])
-    S = 0.5 * (S + S.T)
-    lam = np.linalg.eigvalsh(S)[::-1][:K]
-    if (lam <= 0).any():
+    # the kink correction is not symmetric
+    return _symmetrize(S)
+
+
+def _refine_seed(V, g, fine):
+    """Orthonormal basis on the doubled grid `fine` from eigenvectors V of
+    the Nystrom matrix on `g`: the eigenfunction samples V / sqrt(w) are
+    interpolated from each panel to its two halves by the panel's Lagrange
+    basis (exact to degree order - 1) and weighted by sqrt(w_fine)."""
+    q = g.order
+    xq, _ = _reference_rule(q)
+    halves = np.concatenate((0.5 * xq, 0.5 + 0.5 * xq))
+    T = np.stack([npoly.polyval(halves, c)
+                  for c in _lagrange_coefficients(q)], axis=1)
+    phi = (V / np.sqrt(g.w)[:, None]).reshape(g.panels, q, -1)
+    seed = (T @ phi).reshape(fine.n, -1) * np.sqrt(fine.w)[:, None]
+    return np.linalg.qr(seed)[0]
+
+
+def _ritz_top(S, Q, K, blocks=_KRYLOV_BLOCKS):
+    """Top b Ritz pairs (theta descending, U) of symmetric S in the block
+    Krylov space of the orthonormal n x b seed Q.
+
+    Blocks S Q_j, orthogonalized twice against the basis, are appended
+    until each of the top K Ritz pairs has an error bound
+    min(|r|, |r|^2/gap) <= 8 eps theta_1, r its residual and gap the
+    distance to the nearest Ritz value outside its cluster (neighbours
+    closer than their residuals are one cluster, as are multiple
+    eigenvalues), or until the basis spans the whole space, where
+    Rayleigh-Ritz is the dense solve.  NonConvergence after `blocks`
+    appended blocks.
+    """
+    n, b = Q.shape
+    tol = 8 * np.finfo(float).eps
+    # column-major, so the first m columns are contiguous and only the
+    # pages the basis has reached are touched
+    basis = np.empty((n, min(n, (blocks + 1) * b)), order="F")
+    images = np.empty_like(basis)
+    basis[:, :b] = Q
+    images[:, :b] = S @ Q
+    m, last = b, slice(0, b)
+    while True:
+        Qm, SQm = basis[:, :m], images[:, :m]
+        H = Qm.T @ SQm
+        # MRRR keeps the small Ritz values accurate relative to themselves
+        # (divide and conquer loses up to eps theta_1 absolute in them)
+        theta, Y = eigh(0.5 * (H + H.T), driver="evr", check_finite=False)
+        theta, Y = theta[::-1], Y[:, ::-1]
+        U = Qm @ Y[:, :b]
+        r = np.zeros(m)
+        r[:b] = np.linalg.norm(SQm @ Y[:, :b] - U * theta[:b], axis=0)
+        if m == n or (_ritz_bounds(theta, r)[:K] <= tol * theta[0]).all():
+            return theta[:b], U
+        if m == basis.shape[1]:
+            raise NonConvergence(
+                f"the seeded doubled-grid solve did not resolve the top {K} "
+                f"eigenvalues in {blocks} Krylov blocks")
+        W = images[:, last][:, :basis.shape[1] - m]
+        for _ in range(2):
+            W = W - Qm @ (Qm.T @ W)
+        last = slice(m, m + W.shape[1])
+        basis[:, last] = np.linalg.qr(W)[0]
+        images[:, last] = S @ basis[:, last]
+        m = last.stop
+
+
+def _ritz_bounds(theta, r):
+    """min(r, r^2/gap) per Ritz value (theta descending), gap measured
+    between clusters: neighbours closer than the larger of their residuals
+    are linked.  Nothing lies above the top cluster; below the bottom one
+    the gap is unknown and taken as 0."""
+    d = -np.diff(theta)
+    split = d > np.maximum(r[:-1], r[1:])
+    cluster = np.concatenate(([0], np.cumsum(split)))
+    between = d[split]
+    above = np.concatenate(([np.inf], between))
+    below = np.concatenate((between, [0.0]))
+    gap = np.minimum(above, below)[cluster]
+    ratio = np.divide(r, gap, out=np.ones_like(r), where=gap > r)
+    return r * ratio
+
+
+def _guard(S, theta, U, K):
+    """GridTooCoarse unless the Ritz pairs (theta descending, U) hold every
+    eigenvalue of S above sigma, the midpoint of theta_K and theta_b.
+
+    S is overwritten with sigma I - S + U_T Theta_T U_T^T, U_T the Ritz
+    vectors with theta > sigma, and Cholesky-factored in place: it is
+    positive definite exactly when no eigenvalue of S outside span(U_T)
+    exceeds sigma (to within the Ritz residuals).
+    """
+    sigma = 0.5 * (theta[K - 1] + theta[-1])
+    t = np.count_nonzero(theta > sigma)
+    S *= -1.0
+    S.flat[::S.shape[0] + 1] += sigma
+    # S is symmetric: its Fortran view S.T is updated and factored in place
+    blas.dgemm(1.0, U[:, :t] * theta[:t], U[:, :t], beta=1.0, c=S.T,
+               trans_b=True, overwrite_c=True)
+    _, info = lapack.dpotrf(S.T, lower=True, clean=False, overwrite_a=True)
+    if info != 0:
         raise GridTooCoarse(
-            "requested eigenvalues reach the discretization noise floor "
-            "(nonpositive Nystrom eigenvalue); increase the grid")
-    return lam
+            f"the seeded doubled-grid solve missed an eigenvalue above "
+            f"{sigma:.3e} (guard factorization failed at column {info}); "
+            "increase the grid")
 
 
 def eigenvalue_product(s1, s2, tol=None):

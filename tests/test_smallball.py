@@ -481,6 +481,23 @@ def test_tail_model_split_invariant():
                 1e-13 * np.abs(roots).min(), (n, K, k)
 
 
+def test_tail_series_matches_horner():
+    """The power-table series equals Horner's rule (polyval) to within
+    2e-16 of sum |c_p u^p| on the split-invariance grid, and a scalar
+    takes the same path as an array."""
+    for n, (K, delta) in product((1, 2, 3, 4),
+                                 ((0, 0.3), (50, -0.5), (2000, 0.25))):
+        tail = WeylTailModel(n, 1.0, delta, K)
+        u = _SWITCH * np.exp(1j * np.array([0.0, 0.4, 0.8, 1.2, 1.5]))
+        for k in (0, 1, 2):
+            c = tail._coef[k]
+            want = np.polynomial.polynomial.polyval(u, c)
+            size = np.abs(u[:, None]) ** np.arange(c.size) @ np.abs(c)
+            got = tail._series(u, k)
+            assert (np.abs(got - want) <= 2e-16 * size).all(), (n, K, k)
+            assert tail._series(u[2], k) == got[2]
+
+
 def test_tail_model_derivatives_consistent():
     # step sized so the second difference stays above roundoff in f ~ 0.1
     tail = WeylTailModel(1, 1.0, -0.5, 50)

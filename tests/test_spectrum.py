@@ -1,14 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from greenball.errors import (GridTooCoarse, MissedRoot, NonConvergence,
                              NormalizationMismatch, StepFailure)
-from greenball.kernels import ProcessSpec, build_process
+from greenball.kernels import (ProcessSpec, apply_weight, base_kernel,
+                               build_process)
 from greenball.model import (BoundaryCondition, BVProblem, OperatorSpec,
                              Weight)
-from greenball.quadrature import Grid
-from greenball.spectrum import (SpectrumResult, characteristic_function,
+from greenball.quadrature import Grid, _kink_full_moments
+from greenball.spectrum import (SpectrumResult, _guard, _nystrom_matrix,
+                                _ritz_top, characteristic_function,
                                 eigenvalue_product, eigenvalues_shooting,
                                 fundamental_system, nystrom_eigenvalues)
 
@@ -233,6 +237,121 @@ class TestNystrom:
             nystrom_eigenvalues(
                 _ClosedFormKernel(wiener_kernel_values,
                                   Grid.composite(64, 8)), None, 10)
+
+
+def _dense_top(kern, g, K):
+    """Top K eigenvalues of the Nystrom matrix by a dense eigvalsh, the
+    matrix assembled with plain temporaries (outer product, S + S.T)."""
+    values, odd = kern.evaluate_on(g)
+    sw = np.sqrt(g.w)
+    S = values * np.outer(sw, sw)
+    if odd is not None:
+        P, q = g.panels, g.order
+        p = np.arange(P)
+        swb = sw.reshape(P, q)
+        corr = odd * (g.h ** 2 * _kink_full_moments(q))
+        S.reshape(P, q, P, q)[p, :, p] += (swb[:, :, None] * corr
+                                           / swb[:, None, :])
+    return np.linalg.eigvalsh(0.5 * (S + S.T))[::-1][:K]
+
+
+PSI_HALF = "(0.5+1.5*t)^(-4)"
+
+
+class TestSeededNystrom:
+    """The doubled grid is solved by Rayleigh-Ritz from the interpolated
+    coarse eigenvectors; it must reproduce the dense solve of that grid."""
+
+    @pytest.mark.parametrize("name, make, weight, K, grid", [
+        ("wiener", lambda: base_kernel("wiener"), None, 10, 512),
+        ("bridge_psi", lambda: base_kernel("bridge"), PSI_HALF, 40, 512),
+        ("ou", lambda: base_kernel("ou"), None, 50, 512),
+        ("integrated_wiener",
+         lambda: build_process(ProcessSpec("wiener", m=1, betas=(0,))),
+         None, 80, 1600),
+        ("centred_integrated_bridge",
+         lambda: build_process(ProcessSpec("bridge", m=1, betas=(0,),
+                                           centerings=1)), None, 30, 512),
+        ("matern2", lambda: build_process(ProcessSpec("matern", n=2)),
+         None, 30, 512),
+        # lambda_0 is simple and the rest come in pairs: K = 12 keeps one
+        # eigenvalue of the pair (12, 13)
+        ("bogolyubov_split_pair",
+         lambda: build_process(ProcessSpec("bogolyubov", omega=1.0)),
+         None, 12, 512),
+        ("K1_grid8", lambda: base_kernel("wiener"), None, 1, 8),
+        ("grid_8K", lambda: base_kernel("bridge"), None, 64, 512),
+    ])
+    def test_matches_dense_doubled_grid(self, name, make, weight, K, grid):
+        kern = make()
+        w = None if weight is None else Weight.from_text(weight)
+        res = nystrom_eigenvalues(kern, w, K, grid=grid)
+        kw = kern if w is None else apply_weight(kern, w)
+        g = Grid.composite(grid, kw.grid.order)
+        fine = _dense_top(kw, g.doubled(), K)
+        coarse = _dense_top(kw, g, K)
+        eps = np.finfo(float).eps
+        lam = 1.0 / res.mu
+        assert np.abs(lam - fine).max() <= 64 * eps * fine[0], name
+        # err is a relative gap of eigenvalues known to 64 eps lambda_1
+        # absolute; beyond that rounding floor it must agree to 1e-6
+        want = np.abs(coarse - fine) / fine
+        floor = 2 * 64 * eps * fine[0] / fine
+        assert (np.abs(res.err - want) <= 1e-6 * want + floor).all(), name
+
+    def test_small_ritz_values_keep_relative_accuracy(self):
+        # the README eigs size: lambda_10 ~ lambda_1 / 40 must not take
+        # the eps lambda_1 absolute error of a divide-and-conquer solve
+        kern = base_kernel("ou")
+        lam = 1.0 / nystrom_eigenvalues(kern, None, 10, grid=1024).mu
+        fine = _dense_top(kern, Grid.composite(2048, 8), 10)
+        assert (np.abs(lam - fine) <= 32 * np.finfo(float).eps * fine).all()
+
+    def test_double_eigenvalues_stay_paired(self):
+        kern = build_process(ProcessSpec("bogolyubov", omega=1.0))
+        lam = 1.0 / nystrom_eigenvalues(kern, None, 13, grid=512).mu
+        np.testing.assert_allclose(lam[1:13:2], lam[2:13:2], rtol=1e-12)
+
+    def test_guard_catches_a_missing_leading_mode(self):
+        # a seed without the leading eigenvector, and no Krylov block to
+        # bring it back: the Ritz values are lambda_2.. and converge, so
+        # only the guard can tell
+        K, g = 5, Grid.composite(256, 8)
+        S = _nystrom_matrix(base_kernel("wiener"), g)
+        lam, V = np.linalg.eigh(S)
+        b = K + K // 4 + 8
+        theta, U = _ritz_top(S, V[:, -b - 1:-1], K, blocks=0)
+        np.testing.assert_allclose(theta[:K], lam[-2:-K - 2:-1],
+                                   rtol=1e-12)
+        with pytest.raises(GridTooCoarse, match="missed an eigenvalue"):
+            _guard(S.copy(), theta, U, K)
+        # with the leading mode present the same guard passes
+        theta, U = _ritz_top(S, V[:, -b:], K, blocks=0)
+        _guard(S.copy(), theta, U, K)
+
+    def test_block_limit_raises_nonconvergence(self):
+        # eigenvalues 1 .. 0.9 in a random basis: relative gaps of 3e-4
+        # leave a random seed far from converged after eight blocks
+        rng = np.random.default_rng(3)
+        n, K = 300, 5
+        Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        S = (Q * np.linspace(1.0, 0.9, n)) @ Q.T
+        seed = np.linalg.qr(rng.standard_normal((n, K + 8)))[0]
+        with pytest.raises(NonConvergence, match="8 Krylov blocks"):
+            _ritz_top(S, seed, K)
+
+    def test_assembly_peak_memory(self):
+        # one n x n matrix beside the kernel samples: at n = 2048 each is
+        # 32 MiB, and the S + S.T temporary of a plain symmetrization
+        # pushes the peak to about 96 MiB
+        kern = base_kernel("ou")
+        tracemalloc.start()
+        try:
+            nystrom_eigenvalues(kern, None, 10, grid=1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 80 * 2 ** 20, peak / 2 ** 20
 
 
 class TestEigenvalueProduct:
