@@ -29,7 +29,6 @@ from math import comb, factorial
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 from scipy.linalg import pinvh
 
 from .errors import SingularConditioning, UnsupportedFamily
@@ -185,8 +184,15 @@ def _matern_sampler(n):
                            / (factorial(k) * factorial(n - k - 1))
                            * 2.0 ** (n - k - 1))
 
-    def f(r):
-        return c * np.exp(-r) * npoly.polyval(r, coef)
+    def f(r):  # c e^{-r} poly(r), Horner in place: two arrays of r's size
+        out = np.full_like(r, coef[-1])
+        for a in coef[-2::-1]:
+            out *= r
+            out += a
+        e = np.negative(r)
+        np.exp(e, out=e)
+        e *= c
+        return np.multiply(e, out, out=e)
 
     slope = c * ((coef[1] if n > 1 else 0.0) - coef[0])
     return lambda g: _radial_split(g, f, slope)

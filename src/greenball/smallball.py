@@ -14,7 +14,7 @@ Three ways to get at P(||X||_psi <= eps):
   computed eigenvalues plus `WeylTailModel.log_laplace(s, k)` for the
   continuation; the tilt, the contour integrand and its end corrections all
   read them through that pair.  The continuation costs the same at every s:
-  a fixed block of 32 model eigenvalues, then a closed-form remainder;
+  a fixed block of model eigenvalues, then a closed-form remainder;
 * plain Monte Carlo over the same quadratic form.
 
 The asymptotic forms assume the weight is normalized for the process
@@ -362,7 +362,9 @@ class ProbabilityEstimate:
             raise ValueError("negative error")
 
 
-_BLOCK = 32  # model eigenvalues summed before the closed-form remainder
+#: model eigenvalues summed before the closed-form remainder; n >= 5 takes
+#: ceil(6.4/sin(pi/4n)) (41 at n = 5) to keep Y sin(pi/4n) >= 6.4 as below
+_BLOCK = 32
 #: |2 s lam_Y| up to which the remainder is a power series of _SERIES terms;
 #: nearer s = 0 the root form's second derivative loses about
 #: (2n-1)(4n-1)/(2n) |2 s lam_Y|^{1/n-2} ulps (45 at 0.5 for n = 4)
@@ -391,15 +393,16 @@ class WeylTailModel:
 
     `log_laplace(s, k)` is the k-th s-derivative of its share of the
     log-Laplace transform, -(1/2) sum_{j>K} log(1 + 2 s lam_j), in the same
-    work at every s; the model is immutable.  It sums `_BLOCK` model
-    eigenvalues; with Y = K + 1 + delta + _BLOCK and c = 2 s (theta/pi)^{2n}
-    the rest, G = sum_{i>=0} log(1 + c/(Y+i)^{2n}), is in closed form.
-    Where |u| = |2 s lam_Y| <= `_SWITCH` (s = 0, the mean, included) it is
-    the power series sum_p (-1)^{p+1} t_p u^p/p, t_p = S_p/lam_Y^p =
-    `_scaled_zeta`(2np, Y).  Elsewhere it is sum_k [log Gamma(Y) -
-    log Gamma(Y - rho_k)] over the 2n roots rho_k = c^{1/2n} e^{i pi (2k+1)/2n}
-    of x^{2n} = -c, which sum to zero, by Stirling's series.  For Re s > 0 no
-    rho_k lies on [Y, inf), so G is analytic along the Bromwich contour.
+    work at every s; the model is immutable.  It sums a block of `_BLOCK`
+    model eigenvalues (more for n >= 5); with Y = K + 1 + delta + block and
+    c = 2 s (theta/pi)^{2n} the rest, G = sum_{i>=0} log(1 + c/(Y+i)^{2n}),
+    is in closed form.  Where |u| = |2 s lam_Y| <= `_SWITCH` (s = 0, the
+    mean, included) it is the power series sum_p (-1)^{p+1} t_p u^p/p,
+    t_p = S_p/lam_Y^p = `_scaled_zeta`(2np, Y).  Elsewhere it is
+    sum_k [log Gamma(Y) - log Gamma(Y - rho_k)] over the 2n roots
+    rho_k = c^{1/2n} e^{i pi (2k+1)/2n} of x^{2n} = -c, which sum to zero,
+    by Stirling's series.  For Re s > 0 no rho_k lies on [Y, inf), so G is
+    analytic along the Bromwich contour.
     """
 
     def __init__(self, n, theta, delta, K):
@@ -409,9 +412,11 @@ class WeylTailModel:
         self.theta = theta
         self.delta = delta
         self.K = K
-        j = np.arange(K + 1, K + 1 + _BLOCK)
+        block = (_BLOCK if n <= 4
+                 else math.ceil(6.4 / math.sin(math.pi / (4 * n))))
+        j = np.arange(K + 1, K + 1 + block)
         self._block = (theta / (np.pi * (j + delta))) ** (2 * n)
-        self._Y = K + 1 + delta + _BLOCK
+        self._Y = K + 1 + delta + block
         self._lam_Y = (theta / (math.pi * self._Y)) ** (2 * n)
         p = np.arange(1, _SERIES + 1)  # G's coefficients of u^0, u^1, ...
         t = np.array([_scaled_zeta(2 * n * q, self._Y) for q in p])
@@ -512,7 +517,8 @@ class WeylTailModel:
 
 #: entries of the largest (points x eigenvalues) outer product, and of each
 #: worker's (samples x eigenvalues) Monte Carlo block; 4 MB of complex values
-#: stays below the 8 MB work arrays of shooting, so freeing a chunk does not
+#: (the k = 1, 2 sums) or a few 2 MB real arrays (the real-arithmetic logs)
+#: stay below the 8 MB work arrays of shooting, so freeing a chunk does not
 #: raise the allocator's mmap threshold for later solves
 _OUTER_ENTRIES = 1 << 18
 
@@ -522,13 +528,30 @@ def _log_laplace_sums(s, lam, k):
 
     s is a real or complex scalar or array; its points are taken in chunks
     so that no (points x eigenvalues) outer product exceeds
-    `_OUTER_ENTRIES` entries.
+    `_OUTER_ENTRIES` entries.  For k = 0 and complex s (Re s >= 0) the logs
+    are real arithmetic: with 2 s lam = a + ib, log(1 + a + ib) =
+    (1/2) log1p(a(2+a) + b^2) + i atan2(b, 1+a), free of cancellation for
+    a >= 0 and 2-3 times faster than numpy's complex log1p, which can lose
+    the real part of small Im-dominated terms; where b^2 overflows
+    (|2 s lam| past ~1e154) the real part is log hypot(1+a, b).
     """
     s = np.asarray(s)
     flat = s.reshape(-1)
     step = max(1, _OUTER_ENTRIES // lam.size)
     out = []
     for i in range(0, flat.size, step):
+        if k == 0 and np.iscomplexobj(flat):
+            a = np.multiply.outer(2.0 * flat[i:i + step].real, lam)
+            b = np.multiply.outer(2.0 * flat[i:i + step].imag, lam)
+            with np.errstate(over="ignore"):  # inf entries replaced below
+                m = np.log1p((2.0 + a) * a + b * b)
+            big = np.isinf(m)
+            m[big] = 2.0 * np.log(np.hypot(1.0 + a[big], b[big]))
+            a += 1.0
+            out.append(-0.25 * m.sum(axis=-1)
+                       - 0.5j * np.arctan2(b, a, out=a).sum(axis=-1))
+            del a, b, m, big  # before the next chunk's arrays exist
+            continue
         x = 2.0 * np.multiply.outer(flat[i:i + step], lam)
         if k == 0:
             out.append(-0.5 * np.sum(np.log1p(x), axis=-1))
@@ -558,6 +581,9 @@ def smallball_probability_exact(lams, r, tail=None):
     the saddle of the integrand and integrated by trapezoid along the
     vertical contour, with the truncated ends restored by integration by
     parts; self-checks on step halving and end decay guard the result.
+    Nested node sets let a step halving evaluate only the new odd nodes and
+    a contour doubling only the new stretch.  `err` bounds the quadrature
+    error only, not that of the truncated spectrum or of the tail model.
     """
     lam = _positive_spectrum(lams)
     if (np.diff(lam) > 0).any():
@@ -578,11 +604,12 @@ def smallball_probability_exact(lams, r, tail=None):
         s = sstar + 1j * u
         return s * q + cgf(s, 0) - np.log(s)
 
-    g0 = float(np.real(log_integrand(0.0)))
+    g0 = float(np.real(log_integrand(0.0)))  # Phi(0) is real
     sigma = 1.0 / math.sqrt(float(cgf(sstar, 2)) + 1.0 / sstar ** 2)
 
-    def end_data(T):
-        """Tail restoration and end-derivative data at the truncation point.
+    def end_data(T, G):
+        """Tail restoration and end-derivative data at the truncation point
+        T, where G = e^{Phi(T) - g0}.
 
         tail_int: int_T^inf e^Phi du ~ -G(T)/Phi'(T) (1 + Phi''/Phi'^2);
         d1/d3: first/third u-derivatives of Re e^Phi at T, which feed the
@@ -590,7 +617,6 @@ def smallball_probability_exact(lams, r, tail=None):
         contributes nothing because the integrand is even there).
         """
         sT = sstar + 1j * T
-        G = np.exp(log_integrand(T) - g0)
         p1v = 1j * (q + cgf(sT, 1) - 1.0 / sT)
         p2v = -(cgf(sT, 2) + 1.0 / sT ** 2)
         tail_int = (-G / p1v * (1.0 + p2v / p1v ** 2)).real
@@ -599,34 +625,41 @@ def smallball_probability_exact(lams, r, tail=None):
         d3 = ((p1v ** 3 + 3.0 * p1v * p2v) * G).real
         return tail_int, tail_err, d1, d3
 
-    def quadrature(h, T):
-        u = np.arange(0.0, T + 0.5 * h, h)
-        vals = np.real(np.exp(log_integrand(u) - g0))
-        S = h * (vals.sum() - 0.5 * vals[0] - 0.5 * vals[-1])
-        tail_int, tail_err, d1, d3 = end_data(u[-1])
-        S += -h * h / 12.0 * d1 + h ** 4 / 720.0 * d3
-        return S + tail_int, tail_err, vals[-1]
+    def extend(vals, n, h):  # vals on to u = n h, and the end data there
+        G = np.exp(log_integrand(np.arange(vals.size, n + 1) * h) - g0)
+        return np.concatenate((vals, G.real)), end_data(n * h, G[-1])
 
-    h = sigma / 8.0
-    T = 40.0 * sigma
+    def quadrature(vals, h, end):  # trapezoid over u = 0, h, ..., T
+        tail_int, _, d1, d3 = end
+        S = h * (vals.sum() - 0.5 * vals[0] - 0.5 * vals[-1])
+        S += -h * h / 12.0 * d1 + h ** 4 / 720.0 * d3
+        return S + tail_int
+
+    h = sigma / 8.0  # T = 40 sigma below; node 0 is e^{Phi(0) - g0} = 1
+    vals, end = extend(np.ones(1), 320, h)
+    cand = quadrature(vals, h, end)
     total = None
     rel_err = None
     for _ in range(60):
-        cand, end_err, last = quadrature(h, T)
         if not np.isfinite(cand):
             break  # no step or contour length makes a non-finite sum finite
         # end of contour must be resolved: integrand below 1e-16 of peak
         # or the integration-by-parts correction self-certified
-        if abs(last) > 1e-16 and end_err > 1e-14 * max(abs(cand), 1e-300):
-            T *= 2.0
+        if abs(vals[-1]) > 1e-16 and end[1] > 1e-14 * max(abs(cand), 1e-300):
+            vals, end = extend(vals, 2 * (vals.size - 1), h)  # T *= 2
+            cand = quadrature(vals, h, end)
             continue
-        cand2, end_err2, _ = quadrature(0.5 * h, T)
+        fine = np.empty(2 * vals.size - 1)  # h /= 2; T and its end data stay
+        fine[0::2] = vals
+        fine[1::2] = np.exp(log_integrand(
+            np.arange(1, fine.size, 2) * (0.5 * h)) - g0).real
+        cand2 = quadrature(fine, 0.5 * h, end)
         diff = abs(cand2 - cand)
         if diff < 1e-12 * abs(cand2) + 1e-300:
             total = cand2
-            rel_err = (diff + end_err2) / abs(cand2)
+            rel_err = (diff + end[1]) / abs(cand2)
             break
-        h *= 0.5
+        h, vals, cand = 0.5 * h, fine, cand2
     if total is None or total <= 0.0 or not np.isfinite(total):
         raise InversionUnstable(
             "Bromwich trapezoid failed its self-checks (refinement did not "

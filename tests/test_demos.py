@@ -1,0 +1,31 @@
+"""Smoke test: the demos run to completion against the source tree.
+
+Each demo runs in its own interpreter with `src` on the path and numerical
+warnings turned into errors, and must exit 0.  `probability_routes.py` is
+left out: its Monte Carlo route dominates it (about 17 s on two cores),
+and `test_smallball.py` already covers Monte Carlo against the saddle point.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("demo", ["asymptotic_forms.py",
+                                  "comparison_routes.py",
+                                  "spectra_catalog.py"])
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning",
+         str(ROOT / "demos" / demo)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip()

@@ -20,6 +20,7 @@ Hand-derived reference values used below:
 
 import math
 import tracemalloc
+import warnings
 from itertools import product
 
 import numpy as np
@@ -429,6 +430,65 @@ def test_non_finite_transform_fails_the_self_check():
         smallball_probability_exact(wiener_lams(50), 0.2, tail=BrokenTail())
 
 
+def test_contour_nodes_are_evaluated_once():
+    # a tail that adds nothing records each complex abscissa at which a
+    # derivative of log L is taken; r = 0.05 takes one step halving, r = 0.5
+    # contour doublings and a step halving, and no (derivative, abscissa)
+    # pair repeats: halving evaluates the odd nodes only, doubling the new
+    # stretch only, and the end data at an unchanged T carry over
+
+    class RecordingTail:
+        def __init__(self):
+            self.calls = []
+
+        def log_laplace(self, s, k=0):
+            if np.iscomplexobj(s):
+                self.calls.append((k, np.ravel(s).copy()))
+            return np.zeros(np.shape(s))
+
+    for r, want in ((0.05, {"halving"}), (0.5, {"halving", "doubling"})):
+        tail = RecordingTail()
+        smallball_probability_exact(wiener_lams(200), r, tail=tail)
+        seen = [(k, x) for k, s in tail.calls for x in s.tolist()]
+        assert len(seen) == len(set(seen)), r
+        # node batches after the first: a doubling lies past every node
+        # evaluated so far, a halving in between them
+        batches = [s.imag for k, s in tail.calls if k == 0 and s.size > 1]
+        kinds = {"doubling" if u.min() > top else "halving"
+                 for u, top in zip(batches[1:], np.maximum.accumulate(
+                     [u.max() for u in batches]))}
+        assert kinds == want, r
+
+
+def test_complex_log_terms_match_high_precision():
+    # the k = 0 terms at complex s, in real arithmetic, against a 40-digit
+    # reference: Im-dominated |2 s lam| ~ 1e-12 (where numpy's complex
+    # log1p can lose the whole real part), moderate values, and |2 s lam| up
+    # to 1e300 (where a(2+a) + b^2 overflows), alone and in one row with a
+    # small term, all without a warning
+    mpmath = pytest.importorskip("mpmath")
+
+    def reference(s, lam):
+        with mpmath.workdps(40):
+            return -mpmath.fsum(mpmath.log(1 + 2 * mpmath.mpc(s) * x)
+                                for x in lam) / 2
+
+    s = np.array([5e-20 + 5e-13j, 1e-25 + 1e-12j, 3e-13 + 4e-13j, 1e-13 + 0j,
+                  0.3 + 0.7j, 2.0 + 1e4j, 1e3 + 1e-3j, 1e150 + 1e152j,
+                  1e153 + 1e153j, 1.0 + 5e299j, 5e299 + 1e2j,
+                  3e299 + 4e299j])
+    rows = [(s, np.array([1.0])), (np.array([1e150 + 1e152j]),
+                                   np.array([1.0, 1e-160]))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [_log_laplace_sums(x, lam, 0) for x, lam in rows]
+    for (x, lam), g in zip(rows, got):
+        for si, gi in zip(x, g):
+            want = reference(si, lam)
+            for part, ref in ((gi.real, want.real), (gi.imag, want.imag)):
+                assert abs(part - float(ref)) <= 4e-16 * abs(ref), si
+
+
 # ---------------------------------------------------------------------------
 # Weyl tail model
 
@@ -469,7 +529,7 @@ def test_tail_model_split_invariant():
     exact_mean = hurwitz_zeta(2, 50.5) / np.pi ** 2
     assert WeylTailModel(1, 1.0, -0.5, 50).mean() == \
         pytest.approx(exact_mean, rel=1e-14)
-    for n, (K, delta) in product((1, 2, 3, 4),
+    for n, (K, delta) in product(range(1, 7),
                                  ((0, 0.3), (50, -0.5), (2000, 0.25))):
         tail = WeylTailModel(n, 1.0, delta, K)
         u = _SWITCH * np.exp(1j * np.array([0.0, 0.4, 0.8, 1.2, 1.5]))

@@ -1,13 +1,15 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from scipy.optimize import brentq
 
 from greenball.errors import (GridTooCoarse, MissedRoot, NonConvergence,
                              NormalizationMismatch, StepFailure)
-from greenball.kernels import (ProcessSpec, apply_weight, base_kernel,
-                               build_process)
+from greenball.kernels import (ProcessSpec, _radial_split, apply_weight,
+                               base_kernel, build_process)
 from greenball.model import (BoundaryCondition, BVProblem, OperatorSpec,
                              Weight)
 from greenball.quadrature import Grid, _kink_full_moments
@@ -352,6 +354,28 @@ class TestSeededNystrom:
         finally:
             tracemalloc.stop()
         assert peak < 80 * 2 ** 20, peak / 2 ** 20
+
+    def test_matern_sampler_peak_memory(self):
+        # the Matern profile c e^{-r} poly(r) is evaluated in place: two
+        # 32 MiB arrays beside |t-s| on the doubled grid (n = 2048), where
+        # c * exp(-r) * polyval(r, coef) keeps about five alive (~160 MiB);
+        # the eigenvalues are those of that expression
+        kern = base_kernel("matern", {"n": 2})
+        tracemalloc.start()
+        try:
+            got = nystrom_eigenvalues(kern, None, 40, grid=1024).mu
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 110 * 2 ** 20, peak / 2 ** 20
+
+        def profile(r):  # n = 2: (1/2) e^{-r} (2 + 2r)
+            return 0.5 * np.exp(-r) * npoly.polyval(r, [2.0, 2.0])
+
+        ref = dataclasses.replace(
+            kern, sampler=lambda g: _radial_split(g, profile, 0.0))
+        want = nystrom_eigenvalues(ref, None, 40, grid=1024).mu
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
 class TestEigenvalueProduct:
