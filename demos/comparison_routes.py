@@ -40,7 +40,8 @@ for k in (1, 5, 20, 40, 80):
     print(f"  {k:>3} {partial[k - 1]:>18.10f}")
 
 eps_grid = (0.20, 0.12, 0.08, 0.05)
-table = comparison_convergence(wiener, w1, w2, eps_grid, K=K)
+table = comparison_convergence(wiener, w1, w2, eps_grid, K=K,
+                               spectra=(s1, s2))
 print("\n  eps        P1(eps)        P2(eps)      ratio")
 for e, p1, p2, r in zip(table.eps, table.p1, table.p2, table.ratio):
     print(f"  {e:.2f} {p1:14.6e} {p2:14.6e} {r:10.5f}")

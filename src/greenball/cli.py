@@ -40,8 +40,9 @@ from .smallball import (WeylTailModel, comparison_convergence,
                         evaluate_asymptotic, log_evaluate_asymptotic,
                         monte_carlo_probability, process_asymptotic,
                         smallball_probability_exact)
-from .spectrum import eigenvalues_shooting, nystrom_eigenvalues
-from .theta import closed_form_ratio, ratio_limit
+from .spectrum import (eigenvalue_product, eigenvalues_shooting,
+                       nystrom_eigenvalues)
+from .theta import ThetaInput, closed_form_ratio, ratio_limit, theta_det
 
 BC = BoundaryCondition
 
@@ -259,7 +260,6 @@ def cmd_eigs(cfg):
 
 
 def cmd_theta(cfg):
-    from .theta import ThetaInput, theta_det
     problem = _catalog_problem(cfg, shooting=False)
     if problem is None:
         raise CLIError("theta needs a catalog family (wiener, bridge, ou, "
@@ -302,7 +302,6 @@ def cmd_compare(cfg):
 
     s1 = eigenvalues_shooting(problem.with_weight(w1), cfg.K)
     s2 = eigenvalues_shooting(problem.with_weight(w2), cfg.K)
-    from .spectrum import eigenvalue_product
     prod, perr = eigenvalue_product(s1, s2)
 
     rel = abs(prod - limit.product) / limit.product
@@ -314,7 +313,8 @@ def cmd_compare(cfg):
         ("agreement_rel_diff", rel, cfg.tol, status),
     ]
     if cfg.table:
-        table = comparison_convergence(problem, w1, w2, cfg.eps, K=cfg.K)
+        table = comparison_convergence(problem, w1, w2, cfg.eps, K=cfg.K,
+                                       spectra=(s1, s2))
         for e, p1v, p2v, r in zip(table.eps, table.p1, table.p2, table.ratio):
             rows.append((f"prob_ratio_eps={e:g}", r, None, None))
         rows.append(("prob_ratio_limit", table.limit, None, None))

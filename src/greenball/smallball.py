@@ -583,7 +583,9 @@ def smallball_probability_exact(lams, r, tail=None):
     parts; self-checks on step halving and end decay guard the result.
     Nested node sets let a step halving evaluate only the new odd nodes and
     a contour doubling only the new stretch.  `err` bounds the quadrature
-    error only, not that of the truncated spectrum or of the tail model.
+    error only (the gap between the last two sums and the end terms, but
+    no less than the rounding of the finer sum), not that of the truncated
+    spectrum or of the tail model.
     """
     lam = _positive_spectrum(lams)
     if (np.diff(lam) > 0).any():
@@ -657,7 +659,10 @@ def smallball_probability_exact(lams, r, tail=None):
         diff = abs(cand2 - cand)
         if diff < 1e-12 * abs(cand2) + 1e-300:
             total = cand2
-            rel_err = (diff + end[1]) / abs(cand2)
+            # two sums that agree bit for bit still carry the rounding of
+            # the finer one: eps times its absolute mass
+            rel_err = max(diff + end[1], np.finfo(float).eps * 0.5 * h
+                          * np.abs(fine).sum()) / abs(cand2)
             break
         h, vals, cand = 0.5 * h, fine, cand2
     if total is None or total <= 0.0 or not np.isfinite(total):
@@ -774,20 +779,27 @@ class ComparisonTable:
     K: int
 
 
-def comparison_convergence(problem, psi1, psi2, eps_values, K=200):
+def comparison_convergence(problem, psi1, psi2, eps_values, K=200,
+                           spectra=None):
     """Table of (eps, p1, p2, p1/p2) plus the determinant-ratio limit.
 
-    Spectra come from the shooting solver with K eigenvalues each and are
-    continued by calibrated Weyl-tail models; probabilities from the
-    saddle-point oracle.
+    Spectra come from the shooting solver with K eigenvalues each, or from
+    `spectra`, a pair of K-eigenvalue SpectrumResults for psi1 and psi2
+    that a caller has already computed (each weight is then shot once);
+    they are continued by calibrated Weyl-tail models, and probabilities
+    come from the saddle-point oracle.
     """
+    if spectra is None:
+        spectra = [eigenvalues_shooting(problem.with_weight(w), K)
+                   for w in (psi1, psi2)]
+    elif any(len(s) != K for s in spectra):
+        raise ValueError(f"spectra must hold K = {K} eigenvalues each")
     limit = ratio_limit(problem, psi1, psi2)
     eps_values = np.asarray(sorted(eps_values, reverse=True), dtype=float)
     lams = []
     tails = []
-    for w in (psi1, psi2):
+    for w, spec in zip((psi1, psi2), spectra):
         theta = normalization_integral(w, problem.op.n)
-        spec = eigenvalues_shooting(problem.with_weight(w), K)
         lam = 1.0 / np.asarray(spec.mu)
         lams.append(lam)
         tails.append(WeylTailModel.calibrated(problem.op.n, theta, K,

@@ -7,7 +7,10 @@ spectral parameters zeta across a fixed mesh of cells, whose size depends
 only on the scan window: one 4th-order Magnus step per cell (psi and the
 operator coefficients sampled once at two Gauss nodes), Richardson
 extrapolation over a mesh halving, and positive rescaling that moves no
-roots.  It locates the sign-change roots of the boundary determinant
+roots.  The cells are kept in component layout, the matrix axes first
+((d, d, cells, batch) arrays), so that the exponentials and the products
+are a few passes over contiguous rows rather than a matmul per matrix.
+The route locates the sign-change roots of the boundary determinant
 F(zeta); eigenvalues are mu_k = zeta_k^{2n}.  The Nystrom route discretizes
 the weighted kernel on a composite Gauss-Legendre grid with an exact
 correction for the |t-s| kink and solves the dense symmetric eigenproblem
@@ -84,26 +87,46 @@ def _mesh(problem, zmax):
     return N, out
 
 
-def _expm_cells(om):
-    """exp of a stack of traceless exponents, shape (..., d, d).
+def _expm_cells(X):
+    """exp of traceless exponents in component layout, shape (d, d, ...):
+    X[i, j] holds entry (i, j) of every matrix.  X may be overwritten.
 
     For d = 2, Omega^2 = s^2 I with s^2 = -det Omega, so exp(Omega) is
-    cosh(s) I + sinh(s)/s Omega (cos/sin when s^2 < 0); larger systems use
-    scipy's expm.
+    cosh(s) I + sinh(s)/s Omega (cos/sin when s^2 < 0), formed entrywise on
+    the component arrays; larger systems move the matrix axes last for
+    scipy's expm and back.
     """
-    if om.shape[-1] > 2:
-        return expm(om)
-    s2 = om[..., 0, 0] ** 2 + om[..., 0, 1] * om[..., 1, 0]
+    if X.shape[0] > 2:
+        # expm walks its stack matrix by matrix: hand it contiguous ones
+        E = expm(np.ascontiguousarray(np.moveaxis(X, (0, 1), (-2, -1))))
+        return np.ascontiguousarray(np.moveaxis(E, (-2, -1), (0, 1)))
+    s2 = X[0, 0] ** 2 + X[0, 1] * X[1, 0]
     r = np.sqrt(np.abs(s2))
     cs, sn = np.cos(r), np.sin(r)
     grow = s2 > 0.0
     if grow.any():
         cs[grow], sn[grow] = np.cosh(r[grow]), np.sinh(r[grow])
     sn = np.divide(sn, r, out=np.ones_like(r), where=r > 0.0)
-    out = sn[..., None, None] * om
-    out[..., 0, 0] += cs
-    out[..., 1, 1] += cs
-    return out
+    X *= sn
+    X[0, 0] += cs
+    X[1, 1] += cs
+    return X
+
+
+def _mul(A, B, out=None):
+    """Matrix product over the two leading axes of component-layout arrays
+    (A[i, j] an array over cells and batch), into `out` if given (it must
+    not overlap A or B).  Entry (i, j) is sum_k A[i, k] B[k, j], summed in
+    order over whole contiguous rows by one einsum, instead of a matmul
+    per matrix."""
+    return np.einsum("ik...,kj...->ij...", A, B, out=out)
+
+
+def _bit_reversed(c):
+    """The permutation p -> p with its log2(c) bits reversed, c = 2^L."""
+    bits = c.bit_length() - 1
+    p = np.arange(c)
+    return sum(((p >> b) & 1) << (bits - 1 - b) for b in range(bits))
 
 
 def _propagate(problem, zetas, mesh):
@@ -111,10 +134,15 @@ def _propagate(problem, zetas, mesh):
 
     Both meshes of `mesh` advance the batch a chunk of cells at a time in
     the scaled variables (v, v'/sigma, ..., v^{(2n-1)}/sigma^{2n-1}),
-    sigma = max(zeta, 1), rescaled per zeta after every chunk.  Returns
-    (Y, Y_fine, log_growth): the Richardson extrapolant
-    Y_fine + (Y_fine - Y_coarse)/15 and Y_fine, in the original variables
-    and divided by exp(log_growth), the growth of the scaled variables.
+    sigma = max(zeta, 1), rescaled per zeta after every chunk.  The cells
+    are kept in component layout, matrix axes first: a chunk's exponents
+    form one (d, d, cells, batch) array, so the exponentials, the pairwise
+    product down the chunk, the update of the (d, d, batch) solution and
+    its rescaling are passes over contiguous cells x batch rows (`_mul`).
+    Returns (Y, Y_fine, log_growth): the Richardson extrapolant
+    Y_fine + (Y_fine - Y_coarse)/15 and Y_fine, shape (batch, d, d), in the
+    original variables and divided by exp(log_growth), the growth of the
+    scaled variables.
     """
     N, meshes = mesh
     d = meshes[0][0].shape[-1]
@@ -122,23 +150,46 @@ def _propagate(problem, zetas, mesh):
     sigma = np.maximum(z, 1.0)
     ij = np.arange(d)
     # diag(sigma^-i) Omega diag(sigma^i) scales entry (i, j) by sigma^(j-i)
-    scale = sigma[:, None, None] ** (ij[None, :] - ij[:, None])
-    z2n = (z ** d)[:, None, None, None]
-    Y = [np.broadcast_to(np.eye(d), (z.size, d, d)).copy() for _ in meshes]
+    scale = sigma ** (ij[None, :, None] - ij[:, None, None])
+    z2n = z ** d
+    # Per mesh: the exponents in component layout and two work buffers.
+    # Within each chunk the cells go in bit-reversed order: the first half
+    # holds the even cells and the second the odd ones, again in
+    # bit-reversed order, so each step of the pairwise product multiplies
+    # two contiguous halves, cell 2m+1 times cell 2m.  The steps write
+    # alternately into the buffers, never into the one they read.
+    layouts = []
+    for k, pair in enumerate(meshes):
+        c = (k + 1) * _CELLS_PER_CHUNK
+        order = np.arange(pair[0].shape[0]).reshape(-1, c)
+        order = order[:, _bit_reversed(c)].ravel()
+        om0, om1 = (np.moveaxis(om[order], 0, -1).copy() for om in pair)
+        work = (np.empty((d, d, c, z.size)), np.empty((d, d, c // 2, z.size)))
+        layouts.append((c, om0, om1, work))
+    Y = [np.broadcast_to(np.eye(d)[:, :, None], (d, d, z.size)).copy()
+         for _ in meshes]
     logs = [np.zeros(z.size) for _ in meshes]
-    for start in range(0, N, _CELLS_PER_CHUNK):
-        for k, (om0, om1) in enumerate(meshes):
-            sl = slice((k + 1) * start, (k + 1) * (start + _CELLS_PER_CHUNK))
-            P = _expm_cells((om0[sl] + z2n * om1[sl]) * scale[:, None])
-            while P.shape[1] > 1:
-                P = P[:, 1::2] @ P[:, 0::2]
-            Y[k] = P[:, 0] @ Y[k]
-            s = np.abs(Y[k]).max(axis=(1, 2))
-            Y[k] /= s[:, None, None]
+    for chunk in range(N // _CELLS_PER_CHUNK):
+        for k, (c, om0, om1, work) in enumerate(layouts):
+            sl = slice(chunk * c, (chunk + 1) * c)
+            X = np.multiply(om1[:, :, sl, None], z2n, out=work[0])
+            X += om0[:, :, sl, None]
+            X *= scale[:, :, None]
+            P = _expm_cells(X)
+            step = 1
+            while P.shape[2] > 1:
+                half = P.shape[2] // 2
+                P = _mul(P[:, :, half:], P[:, :, :half],
+                         out=work[step][:, :, :half])
+                step ^= 1
+            Y[k] = _mul(P[:, :, 0], Y[k])
+            s = np.abs(Y[k]).max(axis=(0, 1))
+            Y[k] /= s
             logs[k] += np.log(s)
-    Y_coarse = Y[0] * np.exp(logs[0] - logs[1])[:, None, None]
+    Y_coarse = Y[0] * np.exp(logs[0] - logs[1])
     Y_rich = Y[1] + (Y[1] - Y_coarse) / 15.0
-    return Y_rich / scale, Y[1] / scale, logs[1]
+    return (np.moveaxis(Y_rich / scale, -1, 0),
+            np.moveaxis(Y[1] / scale, -1, 0), logs[1])
 
 
 def fundamental_system(problem, zeta):

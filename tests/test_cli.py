@@ -154,6 +154,28 @@ def test_compare_convergence_table(capsys):
     assert float(limit[0]["value"]) == pytest.approx(2.0, abs=1e-8)
 
 
+def test_compare_shoots_each_weight_once(capsys, monkeypatch):
+    # the table reuses the spectra the product route computed: two shooting
+    # solves, not four, and the same bytes as without the counter
+    args = ["compare", "--process", "wiener", "--weight", RATIO2,
+            "--weight2", "1", "-K", "40", "--tol", "0.05", "--table",
+            "--eps", "0.15", "0.1"]
+    rc, plain, _ = run_cli(args, capsys)
+    calls = []
+    shoot = greenball.cli.eigenvalues_shooting
+
+    def counted(problem, K):
+        calls.append(K)
+        return shoot(problem, K)
+
+    for module in (greenball.cli, greenball.smallball):
+        monkeypatch.setattr(module, "eigenvalues_shooting", counted)
+    rc2, out, _ = run_cli(args, capsys)
+    assert rc == rc2 == 0
+    assert calls == [40, 40]
+    assert out == plain
+
+
 # ---------------------------------------------------------------------------
 # asympt
 
@@ -243,6 +265,17 @@ def test_prob_nystrom_route_for_derived_process(capsys):
     assert doc["spectrum_route"] == "nystrom"
     p = doc["rows"][0][1]
     assert 0 < p < 1
+
+
+def test_prob_err_keeps_a_rounding_floor(capsys):
+    # at eps = 0.05 the two finest trapezoid sums agree bit for bit; err
+    # must still carry their rounding, not read 1e-56 relative
+    rc, out, _ = run_cli(["prob", "--process", "wiener", "-K", "500",
+                          "--eps", "0.05"], capsys)
+    assert rc == 0
+    row = rows_of(out)[0]
+    rel = float(row["err"]) / float(row["p"])
+    assert np.finfo(float).eps <= rel <= 1e-8
 
 
 def test_mc_deterministic_bytes(tmp_path):

@@ -1,7 +1,8 @@
-"""Source hygiene: every name a greenball module imports is used, every
-private module-level helper is referenced somewhere in the package, no
-module reads another object's private (``_name``) attributes, and every
-public name has a caller outside the tests.
+"""Source hygiene: every name a greenball module imports is used, and imported
+at the top of the module rather than inside a function; every private
+module-level helper is referenced somewhere in the package, no module reads
+another object's private (``_name``) attributes, and every public name has a
+caller outside the tests.
 
 A name counts as used when the module refers to it anywhere in its code
 (attribute chains such as ``np.linalg`` start at a plain name) or lists it in
@@ -56,6 +57,40 @@ def test_no_unused_imports(path):
     unused = unused_imports(path.read_text())
     assert not unused, ", ".join(f"{path.name}:{line} imports {name}"
                                  for line, name in unused)
+
+
+def local_imports(source):
+    """(line, module) of every import statement inside a function body,
+    nested functions included: a module's dependencies belong at its top."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Import):
+                    found.update((sub.lineno, a.name) for a in sub.names)
+                elif isinstance(sub, ast.ImportFrom):
+                    found.add((sub.lineno, "." * sub.level
+                               + (sub.module or "")))
+    return sorted(found)
+
+
+def test_local_import_scanner():
+    source = ("import math\nfrom .a import b\n"
+              "def f():\n    from .spectrum import g\n"
+              "    def inner():\n        import json\n"
+              "    return g\n"
+              "class C:\n    def m(self):\n        from . import x\n"
+              "        return x\n")
+    assert local_imports(source) == [(4, ".spectrum"), (6, "json"),
+                                     (10, ".")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_function_local_imports(path):
+    found = local_imports(path.read_text())
+    assert not found, ", ".join(f"{path.name}:{line} imports {module} "
+                                "inside a function" for line, module in found)
 
 
 def private_definitions(tree):

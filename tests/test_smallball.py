@@ -25,6 +25,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from greenball.errors import (DegenerateTheta, InversionUnstable,
                               NotNormalized, TiltNotFound, UnsupportedFamily)
@@ -458,6 +459,43 @@ def test_contour_nodes_are_evaluated_once():
                  for u, top in zip(batches[1:], np.maximum.accumulate(
                      [u.max() for u in batches]))}
         assert kinds == want, r
+
+
+def _cantilever_lams(K):
+    # integrated Wiener: mu = x^4 with cos x + sech x = 0, x in ((k-1)pi, k pi)
+    f = lambda x: math.cos(x) + 1.0 / math.cosh(x)
+    x = np.array([brentq(f, (k - 1) * math.pi, k * math.pi, xtol=1e-14)
+                  for k in range(1, K + 1)])
+    return 1.0 / x ** 4
+
+
+def test_err_is_honest_on_benchmark_saddle_inputs():
+    # the benchmark's saddle-point set: Cramer-von Mises radii on the bridge
+    # (K = 500, calibrated tail), the Wiener and cantilever eps grids with
+    # fitted tails, and a radius bisection to p = 1e-2 on bare Wiener
+    # K = 200.  err stays within 1e-8 of p, and never falls below the
+    # rounding of the trapezoid sum, even where two sums agree bit for bit
+    bridge = bridge_lams(500)
+    wiener = wiener_lams(500)
+    cant = _cantilever_lams(200)
+    calls = [(bridge, WeylTailModel.calibrated(1, 1.0, 500, bridge[-1]),
+              [math.sqrt(x) for x in (0.02, 0.03, 0.05, 0.0833, 0.11888,
+                                      0.2, 0.3473, 0.46136, 0.74346)]),
+             (wiener, WeylTailModel.fitted(1, wiener),
+              np.geomspace(0.2, 0.03, 8)),
+             (cant, WeylTailModel.fitted(2, cant),
+              np.geomspace(0.05, 0.005, 6))]
+    ests = [smallball_probability_exact(lam, r, tail=tail)
+            for lam, tail, radii in calls for r in radii]
+    lam = wiener_lams(200)
+    lo, hi = 1e-6 * math.sqrt(lam.sum()), 4.0 * math.sqrt(lam.sum())
+    for _ in range(41):
+        mid = 0.5 * (lo + hi)
+        ests.append(smallball_probability_exact(lam, mid))
+        lo, hi = (mid, hi) if ests[-1].p < 1e-2 else (lo, mid)
+    rel = np.array([e.err / e.p for e in ests])
+    assert (rel <= 1e-8).all(), rel.max()
+    assert (rel >= np.finfo(float).eps).all(), rel.min()
 
 
 def test_complex_log_terms_match_high_precision():

@@ -4,17 +4,21 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
+from scipy.linalg import expm
 from scipy.optimize import brentq
 
+from greenball import spectrum
 from greenball.errors import (GridTooCoarse, MissedRoot, NonConvergence,
                              NormalizationMismatch, StepFailure)
 from greenball.kernels import (ProcessSpec, _radial_split, apply_weight,
                                base_kernel, build_process)
 from greenball.model import (BoundaryCondition, BVProblem, OperatorSpec,
-                             Weight)
+                             Weight, normalization_integral)
 from greenball.quadrature import Grid, _kink_full_moments
-from greenball.spectrum import (SpectrumResult, _guard, _nystrom_matrix,
-                                _ritz_top, characteristic_function,
+from greenball.spectrum import (_CELLS_PER_CHUNK, SpectrumResult,
+                                _characteristic_batch, _guard, _mesh,
+                                _nystrom_matrix, _ritz_top,
+                                characteristic_function,
                                 eigenvalue_product, eigenvalues_shooting,
                                 fundamental_system, nystrom_eigenvalues)
 
@@ -112,6 +116,108 @@ class TestCharacteristicFunction:
 
     def test_zero_is_not_a_root(self):
         assert abs(characteristic_function(wiener(), 0.0)) > 0.5
+
+
+def _expm_stacked(om):
+    """exp of a (..., d, d) stack of traceless exponents: the closed form
+    for d = 2, scipy's expm otherwise."""
+    if om.shape[-1] > 2:
+        return expm(om)
+    s2 = om[..., 0, 0] ** 2 + om[..., 0, 1] * om[..., 1, 0]
+    r = np.sqrt(np.abs(s2))
+    cs, sn = np.cos(r), np.sin(r)
+    grow = s2 > 0.0
+    if grow.any():
+        cs[grow], sn[grow] = np.cosh(r[grow]), np.sinh(r[grow])
+    sn = np.divide(sn, r, out=np.ones_like(r), where=r > 0.0)
+    out = sn[..., None, None] * om
+    out[..., 0, 0] += cs
+    out[..., 1, 1] += cs
+    return out
+
+
+def _propagate_stacked(problem, zetas, mesh):
+    """Reference propagator on (batch, cells, d, d) stacks, one matmul per
+    matrix: the same Magnus steps, chunking, rescaling and Richardson
+    extrapolation as `spectrum._propagate`."""
+    N, meshes = mesh
+    d = meshes[0][0].shape[-1]
+    z = np.asarray(zetas, dtype=float)
+    sigma = np.maximum(z, 1.0)
+    ij = np.arange(d)
+    scale = sigma[:, None, None] ** (ij[None, :] - ij[:, None])
+    z2n = (z ** d)[:, None, None, None]
+    Y = [np.broadcast_to(np.eye(d), (z.size, d, d)).copy() for _ in meshes]
+    logs = [np.zeros(z.size) for _ in meshes]
+    for start in range(0, N, _CELLS_PER_CHUNK):
+        for k, (om0, om1) in enumerate(meshes):
+            sl = slice((k + 1) * start, (k + 1) * (start + _CELLS_PER_CHUNK))
+            P = _expm_stacked((om0[sl] + z2n * om1[sl]) * scale[:, None])
+            while P.shape[1] > 1:
+                P = P[:, 1::2] @ P[:, 0::2]
+            Y[k] = P[:, 0] @ Y[k]
+            s = np.abs(Y[k]).max(axis=(1, 2))
+            Y[k] /= s[:, None, None]
+            logs[k] += np.log(s)
+    Y_coarse = Y[0] * np.exp(logs[0] - logs[1])[:, None, None]
+    Y_rich = Y[1] + (Y[1] - Y_coarse) / 15.0
+    return Y_rich / scale, Y[1] / scale, logs[1]
+
+
+def _layout_cases():
+    """(problem, zetas, zmax) for the two layout checks: psi_0.5-weighted
+    Wiener on its K = 200 scan window (every fourth scan point and zmax),
+    and the cantilever around the zeta where its solutions grow by 1e8."""
+    w = wiener(Weight.from_text("(0.5+1.5*t)^(-4)"))
+    theta = normalization_integral(w.weight, 1)
+    zmax = 202 * np.pi / theta
+    scan = np.arange(np.pi / (4 * theta), zmax, np.pi / theta)
+    cantilever = make_problem(2, [BC(0, 1, 0), BC(1, 1, 0), BC(2, 0, 1),
+                                  BC(3, 0, 1)])
+    return {"d2_weighted_wiener_K200": (w, np.append(scan, zmax), zmax),
+            "d4_cantilever_growth_1e8": (cantilever,
+                                         np.array([19.0, 19.6, 20.2]),
+                                         12 * np.pi)}
+
+
+class TestComponentLayout:
+    @pytest.mark.parametrize("case", ["d2_weighted_wiener_K200",
+                                      "d4_cantilever_growth_1e8"])
+    def test_matches_stacked_matmul_loop(self, case, monkeypatch):
+        problem, zetas, zmax = _layout_cases()[case]
+        mesh = _mesh(problem, zmax)
+        runs = {}
+        for name, fn in (("stacked", _propagate_stacked),
+                         ("component", spectrum._propagate)):
+            def recorded(*args, fn=fn, name=name):
+                runs[name] = fn(*args)
+                return runs[name]
+            monkeypatch.setattr(spectrum, "_propagate", recorded)
+            runs[name + "_F"] = _characteristic_batch(problem, zetas, mesh)
+        (Y, Yf, logs), (Y2, Yf2, logs2) = runs["stacked"], runs["component"]
+        assert np.shape(Y2) == np.shape(Y) and np.shape(Yf2) == np.shape(Yf)
+        d = Y.shape[-1]
+        ij = np.arange(d)
+        # compare in the scaled variables the propagator works in, each
+        # zeta against its largest entry
+        scale = np.maximum(zetas, 1.0)[:, None, None] ** (ij[None, :]
+                                                         - ij[:, None])
+        for ref, new in ((Y, Y2), (Yf, Yf2)):
+            ref, new = ref * scale, new * scale
+            gap = np.abs(new - ref).max(axis=(1, 2))
+            assert (gap <= 1e-13 * np.abs(ref).max(axis=(1, 2))).all()
+        np.testing.assert_allclose(logs2, logs, rtol=1e-13, atol=1e-13)
+        # F magnifies the rounding of Y: the growth G of the solutions
+        # cancels in the equilibrated determinant, and a row divided by its
+        # largest entry carries a small entry's relative error (d = 2: 2.4e-13
+        # of max|F| between the layouts, each 1.7e-12 off a long-double
+        # product), so F is compared at 1e-13 max(G, 10) max|F|; the signs,
+        # and so every scan bracket, agree
+        F, F2 = runs["stacked_F"][0], runs["component_F"][0]
+        growth = np.exp(logs).max()
+        assert np.abs(F2 - F).max() <= 1e-13 * max(growth, 10.0) * np.abs(
+            F).max()
+        assert ((F2 < 0) == (F < 0)).all()
 
 
 class TestShooting:
