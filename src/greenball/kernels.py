@@ -29,7 +29,7 @@ from math import comb, factorial
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import pinvh
+from scipy.linalg import blas, eigh, pinvh
 
 from .errors import SingularConditioning, UnsupportedFamily
 from .expr import compile_callable, parse_expression
@@ -110,8 +110,10 @@ class Kernel:
         values, odd = self.sampler(grid)
         if not getattr(self, "_symmetric", False):
             v = np.asarray(values, dtype=float)
-            scale = float(np.abs(v).max()) or 1.0
-            if float(np.abs(v - v.T).max()) > 1e-14 * scale:
+            bound = 1e-14 * (max(float(v.max()), -float(v.min())) or 1.0)
+            # a band of rows against the matching columns, as _symmetrize
+            if any(np.abs(v[i:i + _SYM_ROWS, i:] - v[i:, i:i + _SYM_ROWS].T)
+                   .max() > bound for i in range(0, len(v), _SYM_ROWS)):
                 raise ValueError("kernel matrix is not symmetric to 1e-14")
             object.__setattr__(self, "_symmetric", True)
         if grid is self.grid:
@@ -346,8 +348,11 @@ def condition_kernel(k, cross, gram):
     S = 0.5 * (S + S.T)
     if S.shape[0] != S.shape[1]:
         raise ValueError("gram matrix must be square")
-    cond = np.linalg.cond(S)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+    # S is symmetric: its condition number is a ratio of |eigenvalues|
+    ev = (np.abs(eigh(S, eigvals_only=True)) if np.isfinite(S).all()
+          else np.zeros(1))
+    cond = ev.max() / ev.min() if ev.min() > 0 else np.inf
+    if cond > CONDITION_LIMIT:
         raise SingularConditioning(
             f"conditioning Gram matrix has condition number {cond:.3e} "
             f"(limit {CONDITION_LIMIT:g})")
@@ -362,7 +367,8 @@ def condition_kernel(k, cross, gram):
             raise ValueError(
                 f"cross-covariance shape {C.shape} does not match "
                 f"{(g.n, S.shape[0])}")
-        out = C @ P @ C.T
+        # (C (C P)^T)^T = C P C^T, one dgemm whose transpose is C-ordered
+        out = blas.dgemm(1.0, C, np.einsum("ik,kl->il", C, P), trans_b=True).T
         np.subtract(v, out, out=out)
         return _symmetrize(out), o
 

@@ -16,6 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
+from scipy.linalg import blas
 
 
 @dataclass(eq=False, frozen=True)
@@ -149,7 +150,7 @@ def integrate_full(grid, values, odd=None):
     Returns the vector r with r[j] ~ integral over u in [0,1] of K(u, x_j),
     with the same kink handling as `integrate_rows` when `odd` is given.
     """
-    full = grid.w @ values
+    full = blas.dgemv(1.0, np.asarray(values, dtype=float).T, grid.w)
     if odd is not None:
         full = full + _kink_totals(grid, odd).ravel()
     return full

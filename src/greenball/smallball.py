@@ -402,7 +402,8 @@ class WeylTailModel:
     sum_k [log Gamma(Y) - log Gamma(Y - rho_k)] over the 2n roots
     rho_k = c^{1/2n} e^{i pi (2k+1)/2n} of x^{2n} = -c, which sum to zero,
     by Stirling's series.  For Re s > 0 no rho_k lies on [Y, inf), so G is
-    analytic along the Bromwich contour.
+    analytic along the Bromwich contour.  The two forms are verified to agree
+    to 1e-13 relative at the seam only for n <= 6 (n = 7 reaches 1.0e-13).
     """
 
     def __init__(self, n, theta, delta, K):

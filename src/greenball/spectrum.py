@@ -16,7 +16,9 @@ the weighted kernel on a composite Gauss-Legendre grid with an exact
 correction for the |t-s| kink and solves the dense symmetric eigenproblem
 on that grid only: the check on the doubled grid is a block Krylov
 Rayleigh-Ritz solve seeded with the interpolated eigenvectors, and a
-Cholesky factorization certifies that it missed no eigenvalue.
+Cholesky factorization certifies that it missed no eigenvalue.  Its dense
+linear algebra runs in scipy's BLAS/LAPACK only: numpy's wheel bundles a
+second OpenBLAS, whose thread pool would fight scipy's for the cores.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from math import comb
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.linalg import blas, eigh, expm, lapack
+from scipy.linalg import blas, eigh, expm, lapack, qr
 
 from .errors import (GridTooCoarse, MissedRoot, NonConvergence,
                      NormalizationMismatch, StepFailure)
@@ -487,8 +489,9 @@ def _refine_seed(V, g, fine):
     T = np.stack([npoly.polyval(halves, c)
                   for c in _lagrange_coefficients(q)], axis=1)
     phi = (V / np.sqrt(g.w)[:, None]).reshape(g.panels, q, -1)
-    seed = (T @ phi).reshape(fine.n, -1) * np.sqrt(fine.w)[:, None]
-    return np.linalg.qr(seed)[0]
+    seed = np.einsum("ij,pjk->pik", T, phi).reshape(fine.n, -1)
+    seed *= np.sqrt(fine.w)[:, None]
+    return qr(seed, mode="economic", overwrite_a=True, check_finite=False)[0]
 
 
 def _ritz_top(S, Q, K, blocks=_KRYLOV_BLOCKS):
@@ -506,36 +509,40 @@ def _ritz_top(S, Q, K, blocks=_KRYLOV_BLOCKS):
     """
     n, b = Q.shape
     tol = 8 * np.finfo(float).eps
-    # column-major, so the first m columns are contiguous and only the
-    # pages the basis has reached are touched
+    # S is symmetric, so its Fortran view S.T goes to BLAS uncopied; the
+    # basis is column-major, so its first m columns are contiguous and only
+    # the pages it has reached are touched
     basis = np.empty((n, min(n, (blocks + 1) * b)), order="F")
     images = np.empty_like(basis)
     basis[:, :b] = Q
-    images[:, :b] = S @ Q
+    blas.dgemm(1.0, S.T, basis[:, :b], c=images[:, :b], overwrite_c=True)
     m, last = b, slice(0, b)
     while True:
         Qm, SQm = basis[:, :m], images[:, :m]
-        H = Qm.T @ SQm
+        H = blas.dgemm(1.0, Qm, SQm, trans_a=True)
         # MRRR keeps the small Ritz values accurate relative to themselves
         # (divide and conquer loses up to eps theta_1 absolute in them)
         theta, Y = eigh(0.5 * (H + H.T), driver="evr", check_finite=False)
-        theta, Y = theta[::-1], Y[:, ::-1]
-        U = Qm @ Y[:, :b]
+        theta, Y = theta[::-1], np.asfortranarray(Y[:, ::-1][:, :b])
+        U = blas.dgemm(1.0, Qm, Y)
+        R = blas.dgemm(1.0, SQm, Y, -1.0, U * theta[:b], overwrite_c=True)
         r = np.zeros(m)
-        r[:b] = np.linalg.norm(SQm @ Y[:, :b] - U * theta[:b], axis=0)
+        r[:b] = np.sqrt(np.einsum("ij,ij->j", R, R))
         if m == n or (_ritz_bounds(theta, r)[:K] <= tol * theta[0]).all():
             return theta[:b], U
         if m == basis.shape[1]:
             raise NonConvergence(
                 f"the seeded doubled-grid solve did not resolve the top {K} "
                 f"eigenvalues in {blocks} Krylov blocks")
-        W = images[:, last][:, :basis.shape[1] - m]
+        new = slice(m, min(m + b, basis.shape[1]))
+        W = basis[:, new]
+        W[:] = images[:, last][:, :W.shape[1]]
         for _ in range(2):
-            W = W - Qm @ (Qm.T @ W)
-        last = slice(m, m + W.shape[1])
-        basis[:, last] = np.linalg.qr(W)[0]
-        images[:, last] = S @ basis[:, last]
-        m = last.stop
+            blas.dgemm(-1.0, Qm, blas.dgemm(1.0, Qm, W, trans_a=True),
+                       beta=1.0, c=W, overwrite_c=True)
+        W[:] = qr(W, mode="economic", overwrite_a=True, check_finite=False)[0]
+        blas.dgemm(1.0, S.T, W, c=images[:, new], overwrite_c=True)
+        m, last = new.stop, new
 
 
 def _ritz_bounds(theta, r):
@@ -561,15 +568,17 @@ def _guard(S, theta, U, K):
     S is overwritten with sigma I - S + U_T Theta_T U_T^T, U_T the Ritz
     vectors with theta > sigma, and Cholesky-factored in place: it is
     positive definite exactly when no eigenvalue of S outside span(U_T)
-    exceeds sigma (to within the Ritz residuals).
+    exceeds sigma (to within the Ritz residuals).  Only the triangle the
+    factorization reads, the lower one of S.T, gets the rank-t update.
     """
     sigma = 0.5 * (theta[K - 1] + theta[-1])
     t = np.count_nonzero(theta > sigma)
     S *= -1.0
     S.flat[::S.shape[0] + 1] += sigma
-    # S is symmetric: its Fortran view S.T is updated and factored in place
-    blas.dgemm(1.0, U[:, :t] * theta[:t], U[:, :t], beta=1.0, c=S.T,
-               trans_b=True, overwrite_c=True)
+    # S is symmetric: its Fortran view S.T is updated and factored in place,
+    # by one dsyrk of U_T Theta_T^(1/2) (theta_T > sigma > 0)
+    blas.dsyrk(1.0, U[:, :t] * np.sqrt(theta[:t]), beta=1.0, c=S.T,
+               lower=True, overwrite_c=True)
     _, info = lapack.dpotrf(S.T, lower=True, clean=False, overwrite_a=True)
     if info != 0:
         raise GridTooCoarse(

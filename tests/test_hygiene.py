@@ -1,8 +1,9 @@
 """Source hygiene: every name a greenball module imports is used, and imported
 at the top of the module rather than inside a function; every private
 module-level helper is referenced somewhere in the package, no module reads
-another object's private (``_name``) attributes, and every public name has a
-caller outside the tests.
+another object's private (``_name``) attributes, every public name has a
+caller outside the tests, and the Nystrom path keeps its dense linear algebra
+out of numpy's BLAS (no ``@``, no ``np.linalg``).
 
 A name counts as used when the module refers to it anywhere in its code
 (attribute chains such as ``np.linalg`` start at a plain name) or lists it in
@@ -213,3 +214,52 @@ def test_public_names_have_a_caller():
     uncalled = uncalled_public_names(exported, sources, texts)
     assert not uncalled, ", ".join(f"{name} is in __all__ but has no caller"
                                    for name in uncalled)
+
+
+#: functions on the Nystrom path, whose dense linear algebra must run in
+#: scipy's BLAS/LAPACK: numpy's wheel bundles a second OpenBLAS, and its
+#: thread pool spins against scipy's for the cores
+NYSTROM_PATH = {
+    "spectrum.py": ("nystrom_eigenvalues", "_refine_seed", "_ritz_top",
+                    "_guard"),
+    "quadrature.py": ("integrate_full",),
+    "kernels.py": ("condition_kernel",),
+}
+
+
+def numpy_blas_uses(source, functions):
+    """(line, function, what) of every `@` (or `@=`) and every `np.linalg`
+    attribute in the named module-level functions, nested code included."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name in functions:
+            for sub in ast.walk(node):
+                if isinstance(getattr(sub, "op", None), ast.MatMult):
+                    found.append((sub.lineno, node.name, "@"))
+                elif (isinstance(sub, ast.Attribute) and sub.attr == "linalg"
+                      and isinstance(sub.value, ast.Name)
+                      and sub.value.id in ("np", "numpy")):
+                    found.append((sub.lineno, node.name, "np.linalg"))
+    return sorted(found)
+
+
+def test_numpy_blas_scanner():
+    source = ("import numpy as np\n"
+              "def f(a, b):\n    c = a @ b\n    c @= b\n"
+              "    def g():\n        return np.linalg.qr(a)[0]\n"
+              "    return g, np.einsum('ij->j', c)\n"
+              "def other(a):\n    return a @ np.linalg.inv(a)\n")
+    assert numpy_blas_uses(source, {"f"}) == [(3, "f", "@"), (4, "f", "@"),
+                                              (6, "f", "np.linalg")]
+
+
+@pytest.mark.parametrize("module", sorted(NYSTROM_PATH))
+def test_nystrom_path_uses_one_blas(module):
+    source = (SRC / module).read_text()
+    functions = NYSTROM_PATH[module]
+    defined = {node.name for node in ast.parse(source).body
+               if isinstance(node, ast.FunctionDef)}
+    assert set(functions) <= defined, f"{module} lacks {functions}"
+    found = numpy_blas_uses(source, functions)
+    assert not found, ", ".join(f"{module}:{line} {name} uses {what}"
+                                for line, name, what in found)

@@ -15,9 +15,10 @@ import pytest
 
 from greenball.errors import (NormalizationMismatch, SingularConditioning,
                               UnsupportedFamily)
-from greenball.kernels import (DEFAULT_GRID, Kernel, ProcessSpec, apply_weight,
-                               base_kernel, build_process, center_kernel,
-                               condition_kernel, integrate_kernel)
+from greenball.kernels import (_SYM_ROWS, DEFAULT_GRID, Kernel, ProcessSpec,
+                               apply_weight, base_kernel, build_process,
+                               center_kernel, condition_kernel,
+                               integrate_kernel)
 from greenball.model import Weight
 from greenball.quadrature import Grid, integrate_full
 from greenball.spectrum import eigenvalue_product, nystrom_eigenvalues
@@ -166,6 +167,18 @@ def test_kernel_symmetry_guard():
         k.evaluate_on(GRID)
     with pytest.raises(ValueError):
         k.values
+    # the check runs in bands of rows: an asymmetry only in the last,
+    # partial band is caught too, and a symmetric matrix passes
+    x = np.linspace(0.0, 1.0, 2 * _SYM_ROWS + 3)
+    good = np.minimum.outer(x, x)
+    Kernel(grid=GRID, label="good", half_order=1,
+           sampler=lambda g: (good, None)).evaluate_on(GRID)
+    tail = good.copy()
+    tail[-2, -1] += 1e-12
+    k = Kernel(grid=GRID, label="bad_tail", half_order=1,
+               sampler=lambda g: (tail, None))
+    with pytest.raises(ValueError):
+        k.evaluate_on(GRID)
 
 
 def test_build_process_samples_lazily(monkeypatch):

@@ -389,6 +389,10 @@ class TestSeededNystrom:
          None, 12, 512),
         ("K1_grid8", lambda: base_kernel("wiener"), None, 1, 8),
         ("grid_8K", lambda: base_kernel("bridge"), None, 64, 512),
+        # n = 3: its smallest eigenvalues sit at the 64 eps lambda_1 floor
+        ("wiener_m2",
+         lambda: build_process(ProcessSpec("wiener", m=2, betas=(0, 1))),
+         None, 30, 512),
     ])
     def test_matches_dense_doubled_grid(self, name, make, weight, K, grid):
         kern = make()
@@ -406,6 +410,14 @@ class TestSeededNystrom:
         want = np.abs(coarse - fine) / fine
         floor = 2 * 64 * eps * fine[0] / fine
         assert (np.abs(res.err - want) <= 1e-6 * want + floor).all(), name
+
+    def test_repeated_calls_are_bitwise_equal(self):
+        # the CLI output digests hash the printed eigenvalues
+        def solve():
+            kern = build_process(ProcessSpec("bridge", m=1, betas=(0,)))
+            return nystrom_eigenvalues(kern, Weight.from_text(PSI_HALF), 30,
+                                       grid=512).mu
+        assert solve().tobytes() == solve().tobytes()
 
     def test_small_ritz_values_keep_relative_accuracy(self):
         # the README eigs size: lambda_10 ~ lambda_1 / 40 must not take
