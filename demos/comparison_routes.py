@@ -14,13 +14,11 @@ Here all three are printed, the last one along a shrinking eps grid.
 
 import numpy as np
 
-from greenball import (BoundaryCondition, BVProblem, OperatorSpec, Weight,
+from greenball import (ProcessSpec, Weight, catalog_problem,
                        comparison_convergence, eigenvalue_product,
                        eigenvalues_shooting, ratio_limit)
 
-BC = BoundaryCondition
-wiener = BVProblem(OperatorSpec(1, (0.0,)), (BC(0, 1, 0), BC(1, 0, 1)),
-                   Weight.from_text("1"), normalized_system=True)
+wiener = catalog_problem(ProcessSpec("wiener"))
 w1 = Weight.from_text("(0.5+1.5*t)^(-4)")
 w2 = Weight.from_text("1")
 

@@ -9,31 +9,22 @@ print it next to the numbers.
 
 import numpy as np
 
-from greenball import (BoundaryCondition, BVProblem, OperatorSpec, Weight,
-                       base_kernel, eigenvalues_shooting, nystrom_eigenvalues)
+from greenball import (ProcessSpec, Weight, base_kernel, catalog_problem,
+                       eigenvalues_shooting, nystrom_eigenvalues)
 
-BC = BoundaryCondition
-UNIT = Weight.from_text("1")
 K = 6
 
-catalog = {
-    # family -> (operator, boundary conditions, weight, closed form or None)
-    "wiener": (OperatorSpec(1, (0.0,)), (BC(0, 1, 0), BC(1, 0, 1)), UNIT,
-               lambda k: ((k - 0.5) * np.pi) ** 2),
-    "bridge": (OperatorSpec(1, (0.0,)), (BC(0, 1, 0), BC(0, 0, 1)), UNIT,
-               lambda k: (k * np.pi) ** 2),
+closed_forms = {
+    # family -> closed form of mu_k, or None
+    "wiener": lambda k: ((k - 0.5) * np.pi) ** 2,
+    "bridge": lambda k: (k * np.pi) ** 2,
     # e^{-|t-s|} inverts to (-D^2 + 1)/2 with Robin conditions
-    "ou": (OperatorSpec(1, (1.0,)),
-           (BC(1, 1, 0, alpha_lower=(-1.0,)), BC(1, 0, 1, gamma_lower=(1.0,))),
-           Weight.from_text("2"), None),
-    "slepian": (OperatorSpec(1, (0.0,)),
-                (BC(1, 1, 1), BC(1, -1, 0, alpha_lower=(1.0,),
-                                 gamma_lower=(1.0,))),
-                Weight.from_text("2"), None),
+    "ou": None,
+    "slepian": None,
 }
 
-for fam, (op, bcs, w, closed) in catalog.items():
-    problem = BVProblem(op, bcs, w, normalized_system=True)
+for fam, closed in closed_forms.items():
+    problem = catalog_problem(ProcessSpec(fam))
     mu_shoot = eigenvalues_shooting(problem, K).mu
     mu_nys = nystrom_eigenvalues(base_kernel(fam), None, K, grid=512).mu
     print(f"\n{fam}")
@@ -47,8 +38,7 @@ for fam, (op, bcs, w, closed) in catalog.items():
 
 # a weight changes every eigenvalue but the two routes still agree
 w = Weight.from_text("(0.5+1.5*t)^(-4)")
-problem = BVProblem(OperatorSpec(1, (0.0,)), (BC(0, 1, 0), BC(1, 0, 1)), w,
-                    normalized_system=True)
+problem = catalog_problem(ProcessSpec("wiener"), w)
 mu_shoot = eigenvalues_shooting(problem, K).mu
 mu_nys = nystrom_eigenvalues(base_kernel("wiener"), w, K, grid=512).mu
 print("\nwiener with psi(t) = (0.5+1.5t)^-4")

@@ -10,8 +10,8 @@ the Green function of a self-adjoint two-point boundary value problem on
                 comparison between two weights;
 * ``spectrum``  eigenvalues by characteristic-determinant shooting and by
                 Nystrom discretization of the covariance;
-* ``kernels``   covariance kernels of the catalog families and the
-                integrate / center / condition / weight transforms;
+* ``kernels``   covariance kernels and boundary-value problems of the catalog
+                families; integrate / center / condition / weight transforms;
 * ``smallball`` closed small-deviation asymptotics, saddle-point inversion
                 of the exact distribution, spectral tail models, and Monte
                 Carlo estimates;
@@ -25,8 +25,8 @@ from .errors import (DegenerateTheta, EvaluationDomainError,
                      SingularConditioning, StepFailure, TiltNotFound,
                      UnsupportedFamily)
 from .kernels import (Kernel, ProcessSpec, apply_weight, base_kernel,
-                      build_process, center_kernel, condition_kernel,
-                      integrate_kernel)
+                      build_process, catalog_problem, center_kernel,
+                      condition_kernel, integrate_kernel)
 from .model import (BoundaryCondition, BVProblem, OperatorSpec, Weight,
                     normalization_integral, normalize_weight,
                     require_equal_normalization)
@@ -51,10 +51,10 @@ __all__ = [
     "ProbabilityEstimate", "ProcessSpec", "SingularConditioning",
     "SpectrumResult", "StepFailure", "ThetaInput", "TiltNotFound",
     "UnsupportedFamily", "Weight", "WeylTailModel", "apply_weight",
-    "base_kernel", "build_process", "center_kernel", "closed_form_ratio",
-    "comparison_convergence", "condition_kernel", "eigenvalue_product",
-    "eigenvalues_shooting", "evaluate_asymptotic", "integrate_kernel",
-    "log_evaluate_asymptotic", "monte_carlo_probability",
+    "base_kernel", "build_process", "catalog_problem", "center_kernel",
+    "closed_form_ratio", "comparison_convergence", "condition_kernel",
+    "eigenvalue_product", "eigenvalues_shooting", "evaluate_asymptotic",
+    "integrate_kernel", "log_evaluate_asymptotic", "monte_carlo_probability",
     "normalization_integral", "normalize_weight", "nystrom_eigenvalues",
     "process_asymptotic", "ratio_limit", "require_equal_normalization",
     "separated_ratio", "smallball_probability_exact", "theta_det",

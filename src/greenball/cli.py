@@ -33,9 +33,10 @@ from scipy.linalg import eigh
 from . import __version__
 from .errors import (ExpressionSyntaxError, GreenballError,
                      NormalizationMismatch, NotNormalized, UnsupportedFamily)
-from .kernels import (ProcessSpec, _canonical_family, apply_weight,
-                      base_kernel, build_process)
-from .model import BoundaryCondition, BVProblem, OperatorSpec, Weight
+from .kernels import (ProcessSpec, _canonical_family, _family_list,
+                      apply_weight, base_kernel, build_process,
+                      catalog_problem)
+from .model import Weight, classify_boundary_conditions
 from .quadrature import Grid
 from .smallball import (WeylTailModel, comparison_convergence,
                         evaluate_asymptotic, log_evaluate_asymptotic,
@@ -44,8 +45,6 @@ from .smallball import (WeylTailModel, comparison_convergence,
 from .spectrum import (eigenvalue_product, eigenvalues_shooting,
                        nystrom_eigenvalues)
 from .theta import ThetaInput, closed_form_ratio, ratio_limit, theta_det
-
-BC = BoundaryCondition
 
 
 class CLIError(ValueError):
@@ -86,52 +85,15 @@ class RunConfig:
         if any(e <= 0 for e in eps):
             raise CLIError("eps values must be positive")
         self.eps = tuple(sorted(eps, reverse=True))
-
-
-# ---------------------------------------------------------------------------
-# catalog boundary-value problems (classical identifications; the kernel
-# route and these must agree, which `eigs` and `validate` check directly)
-
-
-#: family -> (p_0 of the operator -v'' + p_0 v, boundary conditions, weight
-#: factor, shootable):
-#:   wiener      -v'' = mu psi v,        v(0) = v'(1) = 0
-#:   bridge      -v'' = mu psi v,        v(0) = v(1) = 0
-#:   ou          -v''+v = mu (2 psi) v,  v'(0)=v(0), v'(1)=-v(1)
-#:   slepian     -v'' = mu (2 psi) v,    v'(0)+v'(1)=0, v(0)+v(1)-v'(0)=0
-#:   bogolyubov  -v''+omega^2 v = mu psi v, periodic
-#: The periodic problem is not shootable: its eigenvalues come in
-#: multiplicity-two pairs, where the characteristic determinant touches zero
-#: without a sign change, so the shooting scan cannot bracket them.
-_FAMILIES = {
-    "wiener": (lambda cfg: 0.0, (BC(0, 1, 0), BC(1, 0, 1)), 1, True),
-    "bridge": (lambda cfg: 0.0, (BC(0, 1, 0), BC(0, 0, 1)), 1, True),
-    "ou": (lambda cfg: 1.0, (BC(1, 1, 0, alpha_lower=(-1.0,)),
-                             BC(1, 0, 1, gamma_lower=(1.0,))), 2, True),
-    "slepian": (lambda cfg: 0.0,
-                (BC(1, 1, 1), BC(1, -1, 0, alpha_lower=(1.0,),
-                                 gamma_lower=(1.0,))), 2, True),
-    "bogolyubov": (lambda cfg: cfg.omega * cfg.omega,
-                   (BC(0, 1, -1), BC(1, 1, -1)), 1, False),
-}
-
-
-def _catalog_problem(cfg, shooting=True):
-    """BVProblem whose eigenvalues are the reciprocals of the covariance
-    eigenvalues of a plain (untransformed) catalog family, or None when no
-    boundary-value formulation ships with the package.  shooting=True also
-    returns None where the shooting solver cannot be used: periodic
-    problems and custom covariances."""
-    spec = _process_spec(cfg)
-    entry = _FAMILIES.get(_canonical_family(cfg.family))
-    if entry is None or spec.m or spec.centerings or spec.center_final:
-        return None
-    p0, bcs, factor, shootable = entry
-    if shooting and (not shootable or cfg.covariance is not None):
-        return None
-    text = cfg.weight if factor == 1 else f"{factor}*({cfg.weight})"
-    return BVProblem(OperatorSpec(1, (p0(cfg),)), bcs, Weight.from_text(text),
-                     normalized_system=True)
+        if self.covariance is not None:
+            spec = _process_spec(self)
+            if _canonical_family(spec.family) != "bogolyubov" or spec.m \
+                    or spec.centerings or spec.center_final:
+                raise CLIError("--covariance only applies to the plain "
+                               "Bogolyubov family")
+            if self.command in ("theta", "asympt"):
+                raise CLIError(f"{self.command} has no formula for a custom "
+                               "--covariance")
 
 
 # ---------------------------------------------------------------------------
@@ -139,36 +101,30 @@ def _catalog_problem(cfg, shooting=True):
 
 
 def _process_spec(cfg):
-    fam = _canonical_family(cfg.family)
-    kwargs = dict(family=cfg.family, m=cfg.m, betas=cfg.betas,
-                  centerings=cfg.centerings, center_final=cfg.center_final)
-    if fam == "ciw":
-        if cfg.level is None:
-            raise CLIError("conditional integrated Wiener needs --level")
-        kwargs["level"] = cfg.level
-    if fam == "matern":
-        if cfg.n is None:
-            raise CLIError("the Matern family needs -n")
-        kwargs["n"] = cfg.n
-    if fam == "bogolyubov":
-        if cfg.omega is None:
-            raise CLIError("the Bogolyubov family needs --omega")
-        kwargs["omega"] = cfg.omega
-    return ProcessSpec(**kwargs)
+    return ProcessSpec(cfg.family, m=cfg.m, betas=cfg.betas,
+                       centerings=cfg.centerings,
+                       center_final=cfg.center_final, level=cfg.level,
+                       n=cfg.n, omega=cfg.omega)
+
+
+def _catalog_problem(cfg, shooting=True):
+    """The configured `catalog_problem`, or None for a custom covariance and,
+    with shooting=True, for a periodic problem, which cannot be shot."""
+    if cfg.covariance is not None:
+        return None
+    problem = catalog_problem(_process_spec(cfg), _weight_or_none(cfg.weight))
+    if shooting and problem is not None \
+            and classify_boundary_conditions(problem).tag == "periodic":
+        return None
+    return problem
 
 
 def _build_kernel(cfg, weighted=True):
-    spec = _process_spec(cfg)
-    fam = _canonical_family(cfg.family)
     if cfg.covariance is not None:
-        if fam != "bogolyubov" or spec.m or spec.centerings \
-                or spec.center_final:
-            raise CLIError("--covariance only applies to the plain "
-                           "Bogolyubov family")
         kern = base_kernel("bogolyubov", {"omega": cfg.omega,
                                           "covariance": cfg.covariance})
     else:
-        kern = build_process(spec)
+        kern = build_process(_process_spec(cfg))
     if weighted and cfg.weight != "1":
         kern = apply_weight(kern, Weight.from_text(cfg.weight))
     return kern
@@ -184,19 +140,14 @@ def _eigenvalue_lambdas(cfg):
     """(lam descending, tail model, route) for the configured process."""
     problem = _catalog_problem(cfg)
     if problem is not None:
-        res = eigenvalues_shooting(problem, cfg.K)
-        lam = 1.0 / np.asarray(res.mu)
-        half = 1
-        route = "shooting"
+        res, half = eigenvalues_shooting(problem, cfg.K), 1
     else:
         kern = _build_kernel(cfg)
         res = nystrom_eigenvalues(kern, None, cfg.K,
                                   grid=_nystrom_grid(cfg, cfg.K))
-        lam = 1.0 / np.asarray(res.mu)
         half = kern.half_order
-        route = "nystrom"
-    tail = WeylTailModel.fitted(half, lam)
-    return lam, tail, route
+    lam = 1.0 / np.asarray(res.mu)
+    return lam, WeylTailModel.fitted(half, lam), res.method
 
 
 def _weight_or_none(text):
@@ -243,7 +194,7 @@ def cmd_eigs(cfg):
     if problem is None:
         raise CLIError(
             "eigs needs a catalog family with a boundary-value formulation "
-            "(wiener, bridge, ou, slepian) and no transforms")
+            f"({_family_list(shooting=True)}) and no transforms")
     shoot = eigenvalues_shooting(problem, cfg.K)
     kern = _build_kernel(cfg, weighted=False)
     w = _weight_or_none(cfg.weight)
@@ -263,8 +214,8 @@ def cmd_eigs(cfg):
 def cmd_theta(cfg):
     problem = _catalog_problem(cfg, shooting=False)
     if problem is None:
-        raise CLIError("theta needs a catalog family (wiener, bridge, ou, "
-                       "slepian, bogolyubov) and no transforms")
+        raise CLIError("theta needs a catalog family "
+                       f"({_family_list(problem=True)}) and no transforms")
     w1 = Weight.from_text(cfg.weight)
     rows = []
     t1m = abs(theta_det(ThetaInput.from_problem(problem, w1), -1))
@@ -295,8 +246,8 @@ def cmd_compare(cfg):
         raise CLIError("compare needs two weights (--weight and --weight2)")
     problem = _catalog_problem(cfg)
     if problem is None:
-        raise CLIError("compare needs a catalog family (wiener, bridge, ou, "
-                       "slepian) and no transforms")
+        raise CLIError("compare needs a catalog family "
+                       f"({_family_list(shooting=True)}) and no transforms")
     w1 = Weight.from_text(cfg.weight)
     w2 = Weight.from_text(cfg.weight2)
     limit = ratio_limit(problem, w1, w2)
@@ -476,8 +427,7 @@ def build_parser():
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--process", default="wiener",
-                        help="process family (wiener, bridge, ou, slepian, "
-                             "matern, bogolyubov, ciw)")
+                        help=f"process family ({_family_list()})")
     common.add_argument("-m", type=int, default=0,
                         help="number of integrations")
     common.add_argument("--betas", default="",
@@ -545,12 +495,8 @@ def config_from_args(args):
         if args.eps_stop is None or args.eps_count is None:
             raise CLIError("eps grid needs --eps-start, --eps-stop and "
                            "--eps-count together")
-        if args.eps_log:
-            eps = tuple(np.geomspace(args.eps_start, args.eps_stop,
-                                     args.eps_count))
-        else:
-            eps = tuple(np.linspace(args.eps_start, args.eps_stop,
-                                    args.eps_count))
+        space = np.geomspace if args.eps_log else np.linspace
+        eps = tuple(space(args.eps_start, args.eps_stop, args.eps_count))
     else:
         eps = (0.1,)
     return RunConfig(
@@ -576,10 +522,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = config_from_args(args)
-    except (CLIError, ExpressionSyntaxError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         return _DISPATCH[cfg.command](cfg)
     except (NormalizationMismatch, NotNormalized) as exc:
         print(f"error: {exc}", file=sys.stderr)

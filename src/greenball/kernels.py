@@ -3,7 +3,9 @@
 Base covariances for the catalog processes, and the transforms -- iterated
 integration, centering, conditioning, weighting -- that realize derived
 processes as dense kernel matrices for the Nystrom eigenvalue route and for
-Monte Carlo sampling of the squared weighted norm.
+Monte Carlo sampling of the squared weighted norm.  One registry holds each
+family's aliases and the boundary-value problem of its Green function, which
+`catalog_problem` hands to the shooting and determinant routes.
 
 A `Kernel` is lazy: it wraps a sampler mapping a composite Gauss-Legendre
 grid to the kernel matrix on that grid together with the smooth coefficient
@@ -32,7 +34,9 @@ import numpy as np
 from scipy.linalg import blas, eigh, pinvh
 
 from .errors import SingularConditioning, UnsupportedFamily
-from .expr import compile_callable, parse_expression
+from .expr import compile_callable, constant, parse_expression, scale
+from .model import (BoundaryCondition as BC, BVProblem, OperatorSpec, Weight,
+                    classify_boundary_conditions)
 from .quadrature import Grid, integrate_full, integrate_rows
 
 DEFAULT_GRID = Grid.composite(1024, 8)
@@ -226,20 +230,54 @@ def _bogolyubov_sampler(omega, covariance):
         g, lambda r: np.asarray(fn(r), dtype=float), slope)
 
 
+#: canonical family -> (aliases, boundary-value problem or None).  A problem
+#: is (p_0 as a function of the spec, boundary conditions, weight factor) for
+#: -v'' + p_0 v = mu (factor psi) v, the classical identifications that
+#: `eigs` and `validate` check against the kernels:
+#:   wiener      -v'' = mu psi v,        v(0) = v'(1) = 0
+#:   bridge      -v'' = mu psi v,        v(0) = v(1) = 0
+#:   ou          -v''+v = mu (2 psi) v,  v'(0)=v(0), v'(1)=-v(1)
+#:   slepian     -v'' = mu (2 psi) v,    v'(0)+v'(1)=0, v(0)+v(1)-v'(0)=0
+#:   bogolyubov  -v''+omega^2 v = mu psi v, periodic
+#: The periodic problem cannot be shot: at its double eigenvalues the
+#: characteristic determinant touches zero without a sign change.
+_FAMILIES = {
+    "wiener": (("brownian", "brownianmotion"),
+               (lambda spec: 0.0, (BC(0, 1, 0), BC(1, 0, 1)), 1)),
+    "bridge": (("brownianbridge",),
+               (lambda spec: 0.0, (BC(0, 1, 0), BC(0, 0, 1)), 1)),
+    "ou": (("ornsteinuhlenbeck",),
+           (lambda spec: 1.0, (BC(1, 1, 0, alpha_lower=(-1.0,)),
+                               BC(1, 0, 1, gamma_lower=(1.0,))), 2)),
+    "slepian": ((), (lambda spec: 0.0,
+                     (BC(1, 1, 1), BC(1, -1, 0, alpha_lower=(1.0,),
+                                      gamma_lower=(1.0,))), 2)),
+    "matern": ((), None),
+    "bogolyubov": ((), (lambda spec: spec.omega * spec.omega,
+                        (BC(0, 1, -1), BC(1, 1, -1)), 1)),
+    "ciw": (("conditionalintegratedwiener",), None),
+}
+_ALIASES = {alias: fam for fam, (aliases, _) in _FAMILIES.items()
+            for alias in (fam, *aliases)}
+
+
 def _canonical_family(name):
     key = "".join(ch for ch in str(name).lower() if ch.isalnum())
-    table = {
-        "wiener": "wiener", "brownian": "wiener", "brownianmotion": "wiener",
-        "bridge": "bridge", "brownianbridge": "bridge",
-        "ou": "ou", "ornsteinuhlenbeck": "ou",
-        "slepian": "slepian",
-        "matern": "matern",
-        "bogolyubov": "bogolyubov",
-        "ciw": "ciw", "conditionalintegratedwiener": "ciw",
-    }
-    if key not in table:
+    if key not in _ALIASES:
         raise UnsupportedFamily(f"unknown process family {name!r}")
-    return table[key]
+    return _ALIASES[key]
+
+
+def _family_list(problem=False, shooting=False):
+    """Family names in registry order, comma-separated: all of them, those
+    with a boundary-value problem (problem=True), or those whose problem is
+    not periodic and so can be shot (shooting=True)."""
+    def keep(bvp):
+        if bvp is None:
+            return not (problem or shooting)
+        return not shooting or \
+            classify_boundary_conditions(bvp[1]).tag != "periodic"
+    return ", ".join(fam for fam, (_, bvp) in _FAMILIES.items() if keep(bvp))
 
 
 def base_kernel(family, params=None, grid=None):
@@ -503,3 +541,18 @@ def build_process(spec, grid=None):
     if spec.center_final:
         k = center_kernel(k)
     return k
+
+
+def catalog_problem(spec, psi=None):
+    """BVProblem whose eigenvalues are the reciprocals of the covariance
+    eigenvalues of `spec` in the psi-weighted norm (psi a Weight, None for
+    psi = 1), or None for Matern, ciw and every transform chain.  psi is
+    scaled by the family's weight factor (2 for OU and Slepian), exactly."""
+    bvp = _FAMILIES[_canonical_family(spec.family)][1]
+    if bvp is None or spec.m or spec.centerings or spec.center_final:
+        return None
+    p0, bcs, factor = bvp
+    tree = constant(1.0) if psi is None else psi.expr
+    return BVProblem(OperatorSpec(1, (p0(spec),)), bcs,
+                     Weight.from_tree(scale(tree, factor)),
+                     normalized_system=True)

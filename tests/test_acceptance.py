@@ -43,7 +43,7 @@ import numpy as np
 import pytest
 
 from greenball.kernels import (ProcessSpec, base_kernel, build_process,
-                               center_kernel)
+                               catalog_problem, center_kernel)
 from greenball.model import (BoundaryCondition, BVProblem, OperatorSpec,
                              Weight, classify_boundary_conditions)
 from greenball.quadrature import Grid
@@ -67,13 +67,8 @@ def report(num, ok, detail):
     assert ok, f"criterion {num}: {detail}"
 
 
-def make_problem(bcs, weight=UNIT):
-    return BVProblem(OperatorSpec(1, (0.0,)), tuple(bcs), weight,
-                     normalized_system=True)
-
-
-WIENER = make_problem([BC(0, 1, 0), BC(1, 0, 1)])
-BRIDGE = make_problem([BC(0, 1, 0), BC(0, 0, 1)])
+WIENER = catalog_problem(ProcessSpec("wiener"))
+BRIDGE = catalog_problem(ProcessSpec("bridge"))
 
 
 def wiener_lams(K):

@@ -106,6 +106,16 @@ def test_theta_periodic_closed_form(capsys):
         vals["ratio_direct"], rel=1e-10)
 
 
+def test_theta_rejects_custom_covariance(capsys):
+    # the determinants come from the catalog boundary-value problem, which a
+    # custom covariance does not have
+    rc, out, err = run_cli(["theta", "--process", "bogolyubov", "--omega",
+                            "1", "--covariance", "exp(-abs(t))", "--weight2",
+                            RATIO2], capsys)
+    assert rc == 2 and out == ""
+    assert "--covariance" in err
+
+
 # ---------------------------------------------------------------------------
 # compare
 
@@ -221,6 +231,15 @@ def test_asympt_degenerate_pattern_exits_3(capsys):
                           "--eps", "0.1"], capsys)
     assert rc == 3
     assert err
+
+
+@pytest.mark.parametrize("process", [["bogolyubov", "--omega", "1"],
+                                     ["wiener"]])
+def test_asympt_rejects_custom_covariance(capsys, process):
+    rc, out, err = run_cli(["asympt", "--process", *process, "--covariance",
+                            "exp(-abs(t))"], capsys)
+    assert rc == 2 and out == ""
+    assert "--covariance" in err
 
 
 def test_asympt_not_normalized_exits_4(capsys):

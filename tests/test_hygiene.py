@@ -3,7 +3,8 @@ at the top of the module rather than inside a function; every private
 module-level helper is referenced somewhere in the package, no module reads
 another object's private (``_name``) attributes, every public name has a
 caller outside the tests, and the Nystrom path keeps its dense linear algebra
-out of numpy's BLAS (no ``@``, no ``np.linalg``).
+out of numpy's BLAS (no ``@``, no ``np.linalg``), and the command line holds
+no boundary-condition data: it reads the family registry in ``kernels``.
 
 A name counts as used when the module refers to it anywhere in its code
 (attribute chains such as ``np.linalg`` start at a plain name) or lists it in
@@ -263,3 +264,20 @@ def test_nystrom_path_uses_one_blas(module):
     found = numpy_blas_uses(source, functions)
     assert not found, ", ".join(f"{module}:{line} {name} uses {what}"
                                 for line, name, what in found)
+
+
+def imported_names(source):
+    """Every name a module binds by `import` or `from ... import`."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+    return names
+
+
+def test_cli_builds_no_boundary_value_problems():
+    """The family -> boundary-value problem map lives in the library
+    (`catalog_problem`); the command line only asks for it."""
+    found = imported_names((SRC / "cli.py").read_text()) & {
+        "BoundaryCondition", "BVProblem", "OperatorSpec"}
+    assert not found, f"cli.py imports {sorted(found)}"

@@ -17,11 +17,13 @@ from greenball.errors import (NormalizationMismatch, SingularConditioning,
                               UnsupportedFamily)
 from greenball.kernels import (_SYM_ROWS, DEFAULT_GRID, Kernel, ProcessSpec,
                                apply_weight, base_kernel, build_process,
-                               center_kernel, condition_kernel,
-                               integrate_kernel)
-from greenball.model import Weight
+                               catalog_problem, center_kernel,
+                               condition_kernel, integrate_kernel)
+from greenball.model import Weight, classify_boundary_conditions
 from greenball.quadrature import Grid, integrate_full
-from greenball.spectrum import eigenvalue_product, nystrom_eigenvalues
+from greenball.spectrum import (eigenvalue_product, eigenvalues_shooting,
+                                nystrom_eigenvalues)
+from greenball.theta import ROUTE_PERIODIC, closed_form_ratio, ratio_limit
 
 GRID = Grid.composite(256, 8)
 
@@ -451,3 +453,55 @@ def test_constructed_kernels_are_psd(spec):
     k = build_process(spec, GRID)
     assert _gram_min_eig(k) > -1e-10
 
+
+
+# ---------------------------------------------------------------------------
+# family registry: catalog boundary-value problems
+
+README_WEIGHT = Weight.from_text("(0.5+1.5*t)^(-4)")
+
+
+@pytest.mark.parametrize("family", ["wiener", "bridge", "ou", "slepian"])
+def test_catalog_problem_matches_kernel_spectrum(family):
+    # the Green-function identification: shooting the boundary-value
+    # problem and Nystrom on the weighted covariance give the same spectrum
+    spec = ProcessSpec(family)
+    shoot = eigenvalues_shooting(catalog_problem(spec, README_WEIGHT), 5)
+    nys = nystrom_eigenvalues(build_process(spec), README_WEIGHT, 5,
+                              grid=1024)
+    np.testing.assert_allclose(shoot.mu, nys.mu, rtol=1e-6)
+
+
+def test_catalog_problem_bogolyubov_is_periodic():
+    problem = catalog_problem(ProcessSpec("bogolyubov", omega=1.5))
+    assert problem.op.p == (1.5 * 1.5,)
+    assert classify_boundary_conditions(problem).tag == "periodic"
+    unit = Weight.from_text("1")
+    closed = closed_form_ratio(problem, unit, README_WEIGHT)
+    assert closed.route == ROUTE_PERIODIC
+    assert closed.ratio == pytest.approx(
+        ratio_limit(problem, unit, README_WEIGHT).ratio, rel=1e-10)
+
+
+@pytest.mark.parametrize("spec", [
+    ProcessSpec("matern", n=1),
+    ProcessSpec("ciw", level=1),
+    ProcessSpec("wiener", m=1, betas=(0,)),
+    ProcessSpec("bridge", centerings=1),
+    ProcessSpec("ou", center_final=True),
+])
+def test_catalog_problem_none_without_a_formulation(spec):
+    assert catalog_problem(spec) is None
+
+
+@pytest.mark.parametrize("alias, family", [
+    ("Brownian-Motion", "wiener"), ("brownian_bridge", "bridge"),
+    ("ornstein-uhlenbeck", "ou"), ("Conditional Integrated Wiener", "ciw"),
+])
+def test_family_aliases_resolve(alias, family):
+    spec, ref = ProcessSpec(alias, level=0), ProcessSpec(family, level=0)
+    assert build_process(spec, GRID).label == build_process(ref, GRID).label
+    got, want = catalog_problem(spec), catalog_problem(ref)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.bcs == want.bcs and got.op == want.op

@@ -30,9 +30,8 @@ from scipy.optimize import brentq
 from greenball.errors import (DegenerateTheta, InversionUnstable,
                               NotNormalized, TiltNotFound, UnsupportedFamily)
 from greenball.kernels import ProcessSpec, base_kernel, build_process, \
-    center_kernel
-from greenball.model import (BoundaryCondition, BVProblem, OperatorSpec,
-                             Weight)
+    catalog_problem, center_kernel
+from greenball.model import Weight
 from greenball.smallball import (AsymptoticForm, ProbabilityEstimate,
                                  WeylTailModel, _MC_BATCH, _SWITCH,
                                  _log_laplace_sums, _solve_tilt,
@@ -46,7 +45,6 @@ from greenball.smallball import (AsymptoticForm, ProbabilityEstimate,
 from greenball.spectrum import nystrom_eigenvalues
 from greenball.theta import separated_ratio
 
-BC = BoundaryCondition
 UNIT = Weight.from_text("1")
 # normalized for n = 1: int (0.5+1.5t)^{-2} dt = 1, endpoints 16 and 1/16
 RATIO2 = Weight.from_text("(0.5+1.5*t)^(-4)")
@@ -822,8 +820,7 @@ def test_mc_memory_is_bounded():
 
 
 def test_comparison_convergence_table():
-    prob = BVProblem(OperatorSpec(1, (0.0,)), (BC(0, 1, 0), BC(1, 0, 1)),
-                     UNIT, normalized_system=True)
+    prob = catalog_problem(ProcessSpec("wiener"))
     table = comparison_convergence(prob, RATIO2, UNIT, [0.15, 0.1], K=40)
     assert table.limit == pytest.approx(2.0, abs=1e-10)
     assert table.eps[0] > table.eps[1]

@@ -11,7 +11,7 @@ from greenball import spectrum
 from greenball.errors import (GridTooCoarse, MissedRoot, NonConvergence,
                              NormalizationMismatch, StepFailure)
 from greenball.kernels import (ProcessSpec, _radial_split, apply_weight,
-                               base_kernel, build_process)
+                               base_kernel, build_process, catalog_problem)
 from greenball.model import (BoundaryCondition, BVProblem, OperatorSpec,
                              Weight, normalization_integral)
 from greenball.quadrature import Grid, _kink_full_moments
@@ -31,12 +31,12 @@ def make_problem(n, bcs, weight=UNIT, p=None):
     return BVProblem(op, tuple(bcs), weight, normalized_system=True)
 
 
-def wiener(weight=UNIT):
-    return make_problem(1, [BC(0, 1, 0), BC(1, 0, 1)], weight)
+def wiener(weight=None):
+    return catalog_problem(ProcessSpec("wiener"), weight)
 
 
-def bridge(weight=UNIT):
-    return make_problem(1, [BC(0, 1, 0), BC(0, 0, 1)], weight)
+def bridge(weight=None):
+    return catalog_problem(ProcessSpec("bridge"), weight)
 
 
 class _ClosedFormKernel:
@@ -269,11 +269,8 @@ class TestShooting:
         # -v'' = mu (2) v, v'(0) + v'(1) = 0, v(0) + v(1) - v'(0) = 0: at
         # mu_2 = pi^2/2 and mu_4 = 9 pi^2/2 the whole row v'(0) + v'(1) of
         # the boundary matrix vanishes, so F must stay continuous there
-        prob = make_problem(1, [BC(1, 1, 1),
-                                BC(1, -1, 0, alpha_lower=(1.0,),
-                                   gamma_lower=(1.0,))],
-                            Weight.from_text("2"))
-        mu = eigenvalues_shooting(prob, 4).mu
+        mu = eigenvalues_shooting(catalog_problem(ProcessSpec("slepian")),
+                                  4).mu
         assert mu[1] == pytest.approx(np.pi ** 2 / 2, rel=1e-14)
         assert mu[3] == pytest.approx(9 * np.pi ** 2 / 2, rel=1e-14)
 
@@ -320,14 +317,12 @@ class TestNystrom:
 
     def test_ou_kernel_matches_shooting_on_half_operator(self):
         # e^{-|t-s|} is the Green function of (-y'' + y)/2 with boundary
-        # conditions y'(0) = y(0), y'(1) = -y(1)
+        # conditions y'(0) = y(0), y'(1) = -y(1): the catalog problem
+        # carries the factor 2 in its weight
         res = nystrom_eigenvalues(_ClosedFormKernel(ou_kernel_values),
                                   None, 10)
-        prob = make_problem(
-            1, [BC(1, 1, 0, alpha_lower=(-1.0,)),
-                BC(1, 0, 1, gamma_lower=(1.0,))], p=(1.0,))
-        shoot = eigenvalues_shooting(prob, 10)
-        np.testing.assert_allclose(res.mu, shoot.mu / 2, rtol=1e-6)
+        shoot = eigenvalues_shooting(catalog_problem(ProcessSpec("ou")), 10)
+        np.testing.assert_allclose(res.mu, shoot.mu, rtol=1e-6)
 
     def test_integrated_wiener_matches_cantilever_roots(self):
         # integrated Wiener is the cantilever beam, mu = x^4 with

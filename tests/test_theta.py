@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from greenball.errors import DegenerateTheta, NormalizationMismatch
+from greenball.kernels import ProcessSpec, catalog_problem
 from greenball.model import (BoundaryCondition, BVProblem, OperatorSpec,
                              Weight)
 from greenball.theta import (ComparisonResult, ThetaInput, closed_form_ratio,
@@ -17,8 +18,8 @@ def problem(n, bcs, weight_text="1"):
                      Weight.from_text(weight_text), normalized_system=True)
 
 
-def wiener_problem(weight_text="1"):
-    return problem(1, [BC(0, 1, 0), BC(1, 0, 1)], weight_text)
+def wiener_problem():
+    return catalog_problem(ProcessSpec("wiener"))
 
 
 class TestOmega:
