@@ -9,7 +9,9 @@ agree in the limit:
   * the extrapolated product of eigenvalue ratios               (spectral),
   * the small-ball probability ratio P_1(eps)/P_2(eps)          (as eps->0).
 
-Here all three are printed, the last one along a shrinking eps grid.
+Here all three are printed, the last one along a shrinking eps grid.  Each
+weight's boundary-value problem comes from `catalog_problem`, is shot once,
+and its spectrum feeds both the product and the probability table.
 """
 
 import numpy as np
@@ -18,7 +20,8 @@ from greenball import (ProcessSpec, Weight, catalog_problem,
                        comparison_convergence, eigenvalue_product,
                        eigenvalues_shooting, ratio_limit)
 
-wiener = catalog_problem(ProcessSpec("wiener"))
+spec = ProcessSpec("wiener")
+wiener = catalog_problem(spec)
 w1 = Weight.from_text("(0.5+1.5*t)^(-4)")
 w2 = Weight.from_text("1")
 
@@ -27,8 +30,8 @@ print(f"determinant route: ratio = {limit.ratio:.12f}  "
       f"(product {limit.product:.12f})")
 
 K = 80
-s1 = eigenvalues_shooting(wiener.with_weight(w1), K)
-s2 = eigenvalues_shooting(wiener.with_weight(w2), K)
+s1 = eigenvalues_shooting(catalog_problem(spec, w1), K)
+s2 = eigenvalues_shooting(catalog_problem(spec, w2), K)
 prod, err = eigenvalue_product(s1, s2)
 print(f"eigenvalue route:  product = {prod:.6f} +- {err:.1e}  (K = {K})")
 
@@ -38,10 +41,9 @@ for k in (1, 5, 20, 40, 80):
     print(f"  {k:>3} {partial[k - 1]:>18.10f}")
 
 eps_grid = (0.20, 0.12, 0.08, 0.05)
-table = comparison_convergence(wiener, w1, w2, eps_grid, K=K,
-                               spectra=(s1, s2))
+table = comparison_convergence(s1, s2, wiener.n, eps_grid)
 print("\n  eps        P1(eps)        P2(eps)      ratio")
 for e, p1, p2, r in zip(table.eps, table.p1, table.p2, table.ratio):
     print(f"  {e:.2f} {p1:14.6e} {p2:14.6e} {r:10.5f}")
 print(f"\nprobability ratios approach the determinant limit "
-      f"{table.limit:.6f} as eps -> 0")
+      f"{limit.ratio:.6f} as eps -> 0")

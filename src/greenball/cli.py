@@ -252,8 +252,9 @@ def cmd_compare(cfg):
     w2 = Weight.from_text(cfg.weight2)
     limit = ratio_limit(problem, w1, w2)
 
-    s1 = eigenvalues_shooting(problem.with_weight(w1), cfg.K)
-    s2 = eigenvalues_shooting(problem.with_weight(w2), cfg.K)
+    spec = _process_spec(cfg)
+    s1, s2 = (eigenvalues_shooting(catalog_problem(spec, w), cfg.K)
+              for w in (w1, w2))
     prod, perr = eigenvalue_product(s1, s2)
 
     rel = abs(prod - limit.product) / limit.product
@@ -265,11 +266,10 @@ def cmd_compare(cfg):
         ("agreement_rel_diff", rel, cfg.tol, status),
     ]
     if cfg.table:
-        table = comparison_convergence(problem, w1, w2, cfg.eps, K=cfg.K,
-                                       spectra=(s1, s2))
-        for e, p1v, p2v, r in zip(table.eps, table.p1, table.p2, table.ratio):
+        table = comparison_convergence(s1, s2, problem.n, cfg.eps)
+        for e, r in zip(table.eps, table.ratio):
             rows.append((f"prob_ratio_eps={e:g}", r, None, None))
-        rows.append(("prob_ratio_limit", table.limit, None, None))
+        rows.append(("prob_ratio_limit", limit.ratio, None, None))
     _emit(cfg, ("quantity", "value", "err", "status"), rows,
           {"method": "theta-determinant+eigenvalue-product",
            "process": cfg.family, "weights": [cfg.weight, cfg.weight2],

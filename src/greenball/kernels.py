@@ -225,7 +225,16 @@ def _bogolyubov_sampler(omega, covariance):
             "Bogolyubov covariance must be 'default', an expression in t "
             "(the signed lag), or a callable")
     h = 1e-6
-    slope = (float(fn(h)) - float(fn(-h))) / (2.0 * h)
+    f0, fp, fm = (float(fn(u)) for u in (0.0, h, -h))
+    # a form even in the lag (written with abs) loses the kink coefficient,
+    # its odd part; its one-sided slopes at 0 disagree
+    right, left = (fp - f0) / h, (f0 - fm) / h
+    if abs(right - left) > 1e-3 * max(abs(f0), abs(right), abs(left)):
+        raise ValueError(
+            f"Bogolyubov covariance {covariance!r} has one-sided slopes "
+            f"{right:.6g} and {left:.6g} at lag 0; write it in the signed "
+            "lag t, for example exp(-t) rather than exp(-abs(t))")
+    slope = (fp - fm) / (2.0 * h)
     return lambda g: _radial_split(
         g, lambda r: np.asarray(fn(r), dtype=float), slope)
 

@@ -173,9 +173,6 @@ class BVProblem:
     def n(self):
         return self.op.n
 
-    def with_weight(self, w):
-        return BVProblem(self.op, self.bcs, w, normalized_system=True)
-
 
 @dataclass(frozen=True)
 class BCClass:

@@ -17,6 +17,9 @@ Three ways to get at P(||X||_psi <= eps):
   a fixed block of model eigenvalues, then a closed-form remainder;
 * plain Monte Carlo over the same quadratic form.
 
+`comparison_convergence` tabulates P_1(eps)/P_2(eps) from two weights'
+spectra: this layer consumes spectra and never computes them.
+
 The asymptotic forms assume the weight is normalized for the process
 order (int psi^{1/(2n)} = 1); `process_asymptotic` enforces this and
 raises NotNormalized otherwise.  Under the scaling psi -> c psi the norm
@@ -38,8 +41,7 @@ from .errors import (DegenerateTheta, InversionUnstable, NotNormalized,
                      TiltNotFound, UnsupportedFamily)
 from .kernels import _canonical_family, build_process
 from .model import normalization_integral
-from .spectrum import eigenvalues_shooting
-from .theta import ratio_limit, vandermonde
+from .theta import vandermonde
 
 # ---------------------------------------------------------------------------
 # notation block: z_n, eps-transforms, D_n, index sums
@@ -764,51 +766,36 @@ def monte_carlo_probability(lams, eps, N, seed, tail=None):
 
 
 # ---------------------------------------------------------------------------
-# probability-ratio convergence toward the determinant limit
+# probability ratio of two weights, from their spectra
 
 
 @dataclass(frozen=True)
 class ComparisonTable:
-    """Exact-oracle probabilities on an eps grid for two weights, with the
-    empirical ratio and the theoretical determinant limit."""
+    """Exact-oracle probabilities on an eps grid for two weights, with their
+    empirical ratio."""
 
     eps: np.ndarray
     p1: np.ndarray
     p2: np.ndarray
     ratio: np.ndarray
-    limit: float
-    K: int
 
 
-def comparison_convergence(problem, psi1, psi2, eps_values, K=200,
-                           spectra=None):
-    """Table of (eps, p1, p2, p1/p2) plus the determinant-ratio limit.
+def comparison_convergence(s1, s2, n, eps_values):
+    """Table of (eps, p1, p2, p1/p2), eps descending, from two spectra.
 
-    Spectra come from the shooting solver with K eigenvalues each, or from
-    `spectra`, a pair of K-eigenvalue SpectrumResults for psi1 and psi2
-    that a caller has already computed (each weight is then shot once);
-    they are continued by calibrated Weyl-tail models, and probabilities
-    come from the saddle-point oracle.
+    s1 and s2 are the SpectrumResults of one half-order-n problem under the
+    two weights.  Each is continued by a Weyl-tail model calibrated on its
+    last eigenvalue, with theta the normalization integral of the weight
+    that was solved (its `theta_norm`), and probabilities come from the
+    saddle-point oracle.
     """
-    if spectra is None:
-        spectra = [eigenvalues_shooting(problem.with_weight(w), K)
-                   for w in (psi1, psi2)]
-    elif any(len(s) != K for s in spectra):
-        raise ValueError(f"spectra must hold K = {K} eigenvalues each")
-    limit = ratio_limit(problem, psi1, psi2)
     eps_values = np.asarray(sorted(eps_values, reverse=True), dtype=float)
-    lams = []
-    tails = []
-    for w, spec in zip((psi1, psi2), spectra):
-        theta = normalization_integral(w, problem.op.n)
-        lam = 1.0 / np.asarray(spec.mu)
-        lams.append(lam)
-        tails.append(WeylTailModel.calibrated(problem.op.n, theta, K,
-                                              float(lam[-1])))
-    p1 = np.empty(eps_values.size)
-    p2 = np.empty(eps_values.size)
-    for i, e in enumerate(eps_values):
-        p1[i] = smallball_probability_exact(lams[0], e, tail=tails[0]).p
-        p2[i] = smallball_probability_exact(lams[1], e, tail=tails[1]).p
-    return ComparisonTable(eps=eps_values, p1=p1, p2=p2, ratio=p1 / p2,
-                           limit=float(limit.ratio), K=K)
+    p = np.empty((2, eps_values.size))
+    for row, res in zip(p, (s1, s2)):
+        lam = 1.0 / np.asarray(res.mu)
+        tail = WeylTailModel.calibrated(n, res.theta_norm, lam.size,
+                                        float(lam[-1]))
+        row[:] = [smallball_probability_exact(lam, e, tail=tail).p
+                  for e in eps_values]
+    return ComparisonTable(eps=eps_values, p1=p[0], p2=p[1],
+                           ratio=p[0] / p[1])

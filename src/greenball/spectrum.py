@@ -256,13 +256,14 @@ def characteristic_function(problem, zeta):
 
 
 def _characteristic_batch(problem, zetas, mesh):
-    """(F, F_fine - F, log_growth) on a fixed mesh: the extrapolated and
-    fine-mesh determinants and the growth of the scaled solutions."""
+    """(F, [F_fine - F, log_growth]) on a fixed mesh: the extrapolated
+    determinant, and its gap to the fine-mesh one stacked with the growth
+    of the scaled solutions."""
     Y, Y_fine, log_growth = _propagate(problem, zetas, mesh)
     w0 = np.exp(-log_growth)
     F = np.linalg.det(_boundary_matrix(problem, Y, w0))
     F_fine = np.linalg.det(_boundary_matrix(problem, Y_fine, w0))
-    return F, F_fine - F, log_growth
+    return F, np.stack((F_fine - F, log_growth))
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +291,13 @@ class SpectrumResult:
         return len(self.mu)
 
 
-def _refine_roots(f, a, b, fa, fb, rtol_root=ROOT_RTOL, maxit=80):
+def _refine_roots(f, a, b, fa, fb, aux, rtol_root=ROOT_RTOL, maxit=80):
     """Safeguarded secant/bisection of f, batched over all brackets whose
-    ends differ in sign bit.  Returns the roots, interpolated linearly
-    across the final brackets, and the bracket widths."""
+    ends differ in sign bit.  f(x) returns the values and an array of
+    per-point data stacked along its last axis; each bracket keeps the data
+    of its last evaluation in `aux` (which holds each bracket's data to
+    start).  Returns the roots, interpolated linearly across the final
+    brackets, the bracket widths and `aux`."""
     x0, f0, x1, f1 = a, fa, b, fb
     for _ in range(maxit):
         active = (b - a) > rtol_root * np.abs(b)
@@ -308,13 +312,13 @@ def _refine_roots(f, a, b, fa, fb, rtol_root=ROOT_RTOL, maxit=80):
         tol = 0.5 * rtol_root * np.abs(b)
         xp = np.clip(np.where(take, xs, 0.5 * (a + b)), a + tol, b - tol)
         fp = np.zeros_like(xp)
-        fp[active] = f(xp[active])
+        fp[active], aux[..., active] = f(xp[active])
         left = active & ((fp < 0) == (fa < 0))
         right = active & ~left
         a, fa = np.where(left, xp, a), np.where(left, fp, fa)
         b, fb = np.where(right, xp, b), np.where(right, fp, fb)
         x0, f0, x1, f1 = x1, f1, xp, fp
-    return a - fa * (b - a) / (fb - fa), b - a
+    return a - fa * (b - a) / (fb - fa), b - a, aux
 
 
 def eigenvalues_shooting(problem, K):
@@ -346,7 +350,7 @@ def eigenvalues_shooting(problem, K):
         # extra points near the origin in case of a low first root
         grid = np.concatenate(([1e-4, 1e-3, 1e-2, 0.1 * spacing], grid))
         mesh = _mesh(problem, z_hi)
-        F, _, scan_growth = _characteristic_batch(problem, grid, mesh)
+        F, scan = _characteristic_batch(problem, grid, mesh)
         # a bracket wherever the sign bit flips, so an exact zero at a node
         # closes one bracket
         lo = np.flatnonzero((F[:-1] < 0) != (F[1:] < 0))
@@ -357,13 +361,13 @@ def eigenvalues_shooting(problem, K):
                          f"but {K} were requested")
     # fail before refining when rounding alone, amplified by the smaller
     # growth at the ends of one of the first K brackets, breaks the tolerance
-    first = lo[:K]
+    first, scan_growth = lo[:K], scan[1]
     floor = (2 * n * np.finfo(float).eps / grid[first + 1] * np.exp(
         np.minimum(scan_growth[first], scan_growth[first + 1])))
     _check_resolved(floor, scan_growth[first])
-    roots, widths = _refine_roots(
-        lambda z: _characteristic_batch(problem, z, mesh)[0],
-        grid[lo], grid[lo + 1], F[lo], F[lo + 1])
+    roots, widths, aux = _refine_roots(
+        lambda z: _characteristic_batch(problem, z, mesh),
+        grid[lo], grid[lo + 1], F[lo], F[lo + 1], scan[:, lo])
 
     # count sanity check against the growth model over the first scan window
     in_first = roots <= zmax
@@ -373,12 +377,13 @@ def eigenvalues_shooting(problem, K):
             f"root count {in_first.sum()} on [0, {zmax:.3g}] is inconsistent "
             f"with the expected {predicted:.1f} +- {n + 1}")
 
-    roots, widths, lo = roots[:K], widths[:K], lo[:K]
+    roots, widths, lo, (dF, log_growth) = (roots[:K], widths[:K], lo[:K],
+                                           aux[:, :K])
     # error bar in zeta: the fine-mesh root's shift from the extrapolated
     # one (F difference over the scan slope of F), the bracket width, and
     # rounding, which the growth G of the scaled solutions amplifies to
-    # about eps * G (the equilibrated determinant's slope falls like 1/G)
-    _, dF, log_growth = _characteristic_batch(problem, roots, mesh)
+    # about eps * G (the equilibrated determinant's slope falls like 1/G);
+    # dF and G come from each bracket's last evaluation, within its width
     gap = np.abs(dF) * np.diff(grid)[lo] / np.abs(np.diff(F)[lo])
     rounding = np.finfo(float).eps * np.exp(log_growth)
     err = 2 * n * (gap + widths + rounding) / roots

@@ -107,8 +107,10 @@ def test_criterion_2_product_identity():
     t0 = time.perf_counter()
     limit = ratio_limit(WIENER, RATIO2, UNIT)
     det_gap = abs(limit.product - 4.0)
-    s1 = eigenvalues_shooting(WIENER.with_weight(RATIO2), 200)
-    s2 = eigenvalues_shooting(WIENER.with_weight(UNIT), 200)
+    s1 = eigenvalues_shooting(catalog_problem(ProcessSpec("wiener"), RATIO2),
+                              200)
+    s2 = eigenvalues_shooting(catalog_problem(ProcessSpec("wiener"), UNIT),
+                              200)
     prod, perr = eigenvalue_product(s1, s2)
     prod_gap = abs(prod - 4.0)
     dt = time.perf_counter() - t0
@@ -181,12 +183,15 @@ def test_criterion_3_closed_form_sweep():
 def test_criterion_4_probability_ratio_convergence():
     t0 = time.perf_counter()
     eps = (0.15, 0.10, 0.07, 0.05)
-    table = comparison_convergence(WIENER, RATIO2, UNIT, eps, K=200)
+    limit = ratio_limit(WIENER, RATIO2, UNIT)
+    spectra = [eigenvalues_shooting(catalog_problem(ProcessSpec("wiener"), w),
+                                    200) for w in (RATIO2, UNIT)]
+    table = comparison_convergence(*spectra, 1, eps)
     gaps = [abs(r - 2.0) for r in table.ratio]
     monotone = all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:]))
     final = gaps[-1]
     dt = time.perf_counter() - t0
-    ok = (table.limit == pytest.approx(2.0, abs=1e-10) and monotone
+    ok = (limit.ratio == pytest.approx(2.0, abs=1e-10) and monotone
           and final <= 0.04 and dt < 120.0)
     ratios = ", ".join(f"{r:.4f}" for r in table.ratio)
     report(4, ok, f"ratios [{ratios}] at eps {eps}, final gap "

@@ -20,6 +20,11 @@ import pytest
 
 import greenball
 from greenball.cli import main
+from greenball.kernels import ProcessSpec, catalog_problem
+from greenball.model import Weight
+from greenball.smallball import (WeylTailModel, comparison_convergence,
+                                 smallball_probability_exact)
+from greenball.spectrum import eigenvalues_shooting
 
 RATIO2 = "(0.5+1.5*t)^(-4)"
 
@@ -178,12 +183,36 @@ def test_compare_shoots_each_weight_once(capsys, monkeypatch):
         calls.append(K)
         return shoot(problem, K)
 
-    for module in (greenball.cli, greenball.smallball):
-        monkeypatch.setattr(module, "eigenvalues_shooting", counted)
+    monkeypatch.setattr(greenball.cli, "eigenvalues_shooting", counted)
     rc2, out, _ = run_cli(args, capsys)
     assert rc == rc2 == 0
     assert calls == [40, 40]
     assert out == plain
+
+
+@pytest.mark.parametrize("family", ["ou", "slepian"])
+def test_compare_table_reads_catalog_spectra(capsys, family):
+    # the table's probabilities come from the catalog problem of each weight,
+    # whose weight carries the family's factor (2 psi for OU and Slepian)
+    rc, out, _ = run_cli(["compare", "--process", family, "--weight", RATIO2,
+                          "--weight2", "1", "-K", "40", "--tol", "0.05",
+                          "--table", "--eps", "0.3", "0.2", "0.1"], capsys)
+    assert rc == 0
+    printed = [float(r["value"]) for r in rows_of(out)
+               if r["quantity"].startswith("prob_ratio_eps")]
+    spectra = [eigenvalues_shooting(
+        catalog_problem(ProcessSpec(family), Weight.from_text(text)), 40)
+        for text in (RATIO2, "1")]
+    table = comparison_convergence(*spectra, 1, (0.3, 0.2, 0.1))
+    assert printed == table.ratio.tolist()
+    # each tail takes the theta of the weight that was shot (2 psi): at
+    # eps = 0.3 a tail fitted to the same spectrum agrees to 2e-4, a tail
+    # on theta = 1 is 6 % off
+    for res, p in zip(spectra, (table.p1[0], table.p2[0])):
+        lam = 1.0 / res.mu
+        fitted = smallball_probability_exact(
+            lam, 0.3, tail=WeylTailModel.fitted(1, lam)).p
+        assert p == pytest.approx(fitted, rel=1e-3)
 
 
 # ---------------------------------------------------------------------------

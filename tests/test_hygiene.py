@@ -4,7 +4,8 @@ module-level helper is referenced somewhere in the package, no module reads
 another object's private (``_name``) attributes, every public name has a
 caller outside the tests, and the Nystrom path keeps its dense linear algebra
 out of numpy's BLAS (no ``@``, no ``np.linalg``), and the command line holds
-no boundary-condition data: it reads the family registry in ``kernels``.
+no boundary-condition data: it reads the family registry in ``kernels``,
+and ``smallball`` imports nothing from ``spectrum``.
 
 A name counts as used when the module refers to it anywhere in its code
 (attribute chains such as ``np.linalg`` start at a plain name) or lists it in
@@ -281,3 +282,27 @@ def test_cli_builds_no_boundary_value_problems():
     found = imported_names((SRC / "cli.py").read_text()) & {
         "BoundaryCondition", "BVProblem", "OperatorSpec"}
     assert not found, f"cli.py imports {sorted(found)}"
+
+
+def imports_from(source, module):
+    """Lines of a module's imports that read the sibling module `module`:
+    `from .module import ...`, `from . import module`, `import ...module`."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [(node.module or "").split(".")[-1],
+                     *(alias.name for alias in node.names)]
+        elif isinstance(node, ast.Import):
+            names = [alias.name.split(".")[-1] for alias in node.names]
+        else:
+            continue
+        if module in names:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_smallball_computes_no_spectra():
+    """The probability layer consumes spectra (`SpectrumResult`s and
+    eigenvalue arrays) and never computes them."""
+    found = imports_from((SRC / "smallball.py").read_text(), "spectrum")
+    assert not found, f"smallball.py imports spectrum at lines {found}"

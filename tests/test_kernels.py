@@ -13,6 +13,7 @@ Closed-form oracles used below (t <= s throughout; symmetrize for t > s):
 import numpy as np
 import pytest
 
+from greenball.cli import main
 from greenball.errors import (NormalizationMismatch, SingularConditioning,
                               UnsupportedFamily)
 from greenball.kernels import (_SYM_ROWS, DEFAULT_GRID, Kernel, ProcessSpec,
@@ -147,6 +148,18 @@ def test_bogolyubov_default_and_custom():
     assert np.allclose(kc.odd, ko.odd, rtol=0, atol=1e-9)
     with pytest.raises(UnsupportedFamily):
         base_kernel("bogolyubov", {"omega": 1.0, "covariance": None}, GRID)
+
+
+def test_bogolyubov_covariance_must_be_signed_lag():
+    # an expression even in the lag has no kink coefficient to give: refused
+    with pytest.raises(ValueError, match="signed lag"):
+        base_kernel("bogolyubov", {"omega": 1.0,
+                                   "covariance": "exp(-abs(t))"}, GRID)
+    # signed-lag forms and smooth even ones are accepted
+    for cov in ("exp(-t)", "default", "exp(-t^2)"):
+        base_kernel("bogolyubov", {"omega": 1.0, "covariance": cov}, GRID)
+    assert main(["prob", "--process", "bogolyubov", "--omega", "1",
+                 "--covariance", "exp(-abs(t))", "-K", "20"]) == 2
 
 
 def test_family_rejects():

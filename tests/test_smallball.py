@@ -42,8 +42,8 @@ from greenball.smallball import (AsymptoticForm, ProbabilityEstimate,
                                  monte_carlo_probability,
                                  process_asymptotic,
                                  smallball_probability_exact)
-from greenball.spectrum import nystrom_eigenvalues
-from greenball.theta import separated_ratio
+from greenball.spectrum import eigenvalues_shooting, nystrom_eigenvalues
+from greenball.theta import ratio_limit, separated_ratio
 
 UNIT = Weight.from_text("1")
 # normalized for n = 1: int (0.5+1.5t)^{-2} dt = 1, endpoints 16 and 1/16
@@ -820,9 +820,11 @@ def test_mc_memory_is_bounded():
 
 
 def test_comparison_convergence_table():
-    prob = catalog_problem(ProcessSpec("wiener"))
-    table = comparison_convergence(prob, RATIO2, UNIT, [0.15, 0.1], K=40)
-    assert table.limit == pytest.approx(2.0, abs=1e-10)
+    spectra = [eigenvalues_shooting(catalog_problem(ProcessSpec("wiener"), w),
+                                    40) for w in (RATIO2, UNIT)]
+    table = comparison_convergence(*spectra, 1, [0.15, 0.1])
+    limit = ratio_limit(catalog_problem(ProcessSpec("wiener")), RATIO2, UNIT)
+    assert limit.ratio == pytest.approx(2.0, abs=1e-10)
     assert table.eps[0] > table.eps[1]
     assert np.all(table.p1 > 0) and np.all(table.p2 > 0)
     assert np.allclose(table.ratio, table.p1 / table.p2)
