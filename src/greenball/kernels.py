@@ -20,7 +20,9 @@ Transforms compose by closure: integrating or centering a kernel produces a
 new sampler that re-runs the whole chain from the base formula on whatever
 grid is requested.  The constructors validate their arguments eagerly.
 Weighting is terminal -- every other transform refuses a weighted kernel,
-which enforces the "weight applied last" rule at the API level.
+which enforces the "weight applied last" rule at the API level.  Every
+sample is bitwise symmetric -- by construction, or by one in-place
+`_symmetrize` after integrating or conditioning -- and a fresh array.
 """
 
 from __future__ import annotations
@@ -37,27 +39,34 @@ from .errors import SingularConditioning, UnsupportedFamily
 from .expr import compile_callable, constant, parse_expression, scale
 from .model import (BoundaryCondition as BC, BVProblem, OperatorSpec, Weight,
                     classify_boundary_conditions)
-from .quadrature import Grid, integrate_full, integrate_rows
+from .quadrature import (Grid, _partial_weights, integrate_full,
+                         integrate_rows)
 
 DEFAULT_GRID = Grid.composite(1024, 8)
 
 #: condition-number ceiling for the conditioning Gram matrix
 CONDITION_LIMIT = 1e12
-#: rows averaged at a time by `_symmetrize`
-_SYM_ROWS = 256
+#: side of the square tiles `_symmetrize` averages in place
+_TILE = 64
+
+
+def _tile_pairs(n):
+    """Slices (a, b) of the tiles A[a, b] on and above the diagonal."""
+    cuts = [slice(i, i + _TILE) for i in range(0, n, _TILE)]
+    return [(a, b) for k, a in enumerate(cuts) for b in cuts[k:]]
 
 
 def _symmetrize(A):
     """A <- (A + A^T)/2 in place and return A.
 
-    A band of rows and the matching columns are averaged at a time, so no
-    second n x n array is allocated; the entries equal 0.5 * (A + A.T).
+    A tile and its mirror are averaged at a time, so no second n x n array
+    is allocated; the entries equal 0.5 * (A + A.T).
     """
-    for i in range(0, A.shape[0], _SYM_ROWS):
-        j = i + _SYM_ROWS
-        avg = 0.5 * (A[i:j, i:] + A[i:, i:j].T)
-        A[i:j, i:] = avg
-        A[i:, i:j] = avg.T
+    for a, b in _tile_pairs(len(A)):
+        avg = A[a, b] + A[b, a].T
+        avg *= 0.5
+        A[a, b] = avg
+        A[b, a] = avg.T
     return A
 
 
@@ -84,8 +93,9 @@ class Kernel:
     ``weight`` is the Weight applied by `apply_weight`, None before.
 
     `evaluate_on` is the only sampling path; ``values`` and ``odd`` are the
-    sample on ``grid``, computed on first access and cached.  The first
-    sample of each kernel is checked for symmetry.
+    sample on ``grid``, computed on first access and cached (read only);
+    the caller may overwrite a sample on any other grid.  The first sample
+    of each kernel is checked to be finite and symmetric.
     """
 
     grid: Grid
@@ -114,10 +124,13 @@ class Kernel:
         values, odd = self.sampler(grid)
         if not getattr(self, "_symmetric", False):
             v = np.asarray(values, dtype=float)
+            # max and min propagate NaN: a finite bound means a finite v
             bound = 1e-14 * (max(float(v.max()), -float(v.min())) or 1.0)
-            # a band of rows against the matching columns, as _symmetrize
-            if any(np.abs(v[i:i + _SYM_ROWS, i:] - v[i:, i:i + _SYM_ROWS].T)
-                   .max() > bound for i in range(0, len(v), _SYM_ROWS)):
+            if not np.isfinite(bound) or not np.isfinite(
+                    0.0 if odd is None else odd).all():
+                raise ValueError(f"kernel {self.label} has non-finite samples")
+            if any(np.abs(v[a, b] - v[b, a].T).max() > bound
+                   for a, b in _tile_pairs(len(v))):
                 raise ValueError("kernel matrix is not symmetric to 1e-14")
             object.__setattr__(self, "_symmetric", True)
         if grid is self.grid:
@@ -354,9 +367,19 @@ def integrate_kernel(k, beta):
         v, o = k.evaluate_on(g)
         A = integrate_rows(g, v, o, lower=beta)
         del v, o
-        # the transpose of the double integral: the same after symmetrizing
-        B = integrate_rows(g, A.T, None, lower=beta)
-        return _symmetrize(B), None
+        # the second integral runs along A's contiguous rows, X (n P x q):
+        # panel partials X hQ^T plus the totals X hw of all earlier panels
+        P, q = g.panels, g.order
+        X = A.reshape(-1, q)
+        ahead = np.zeros((g.n, P + 1))
+        np.cumsum(blas.dgemv(1.0, X.T, g.w[:q], trans=1).reshape(g.n, P),
+                  axis=1, out=ahead[:, 1:])
+        ahead -= beta * ahead[:, -1:]
+        hQ = g.h * _partial_weights(q)
+        B = blas.dgemm(1.0, hQ, X.T).T.reshape(g.n, P, q)
+        del A, X
+        B += ahead[:, :-1, None]
+        return _symmetrize(B.reshape(g.n, g.n)), None
 
     return Kernel(k.grid, f"int[{beta}]({k.label})", k.half_order + 1, sample)
 
@@ -373,11 +396,10 @@ def center_kernel(k):
     def sample(g):
         v, o = k.evaluate_on(g)
         r = integrate_full(g, v, o)
-        total = g.integrate(r)
-        c = v - r[None, :]
-        c -= r[:, None]
-        c += total
-        return _symmetrize(c), o
+        # (r_i - c/2) + (r_j - c/2) is bitwise symmetric, so v minus it is
+        s = r - 0.5 * g.integrate(r)
+        out = np.add.outer(s, s)
+        return np.subtract(v, out, out=out), o
 
     return Kernel(k.grid, f"center({k.label})", k.half_order, sample)
 
@@ -440,7 +462,8 @@ def apply_weight(k, w):
         if o is not None:
             hb = half.reshape(g.panels, g.order)
             o = o * (hb[:, :, None] * hb[:, None, :])
-        return v * np.outer(half, half), o
+        out = np.multiply.outer(half, half)
+        return np.multiply(out, v, out=out), o
 
     return Kernel(k.grid, f"weight[{w.text}]({k.label})", k.half_order,
                   sample, weight=w)

@@ -171,20 +171,20 @@ def integrate_rows(grid, values, odd=None, lower=0):
     q, P = grid.order, grid.panels
     _, wq = _reference_rule(q)
     blocks = np.asarray(values).reshape(P, q, -1)
-    # within-panel partial integrals, and each panel's total
+    # each panel's total (in row p + 1), then its partial integrals
+    ahead = np.zeros((P + 1, blocks.shape[2]))
+    np.matmul(grid.h * wq, blocks, out=ahead[1:])
     J = (grid.h * _partial_weights(q)) @ blocks
-    totals = (grid.h * wq) @ blocks
     if odd is not None:
         # the kink of column s lies in the panel holding s: exact moments
         # correct that panel's total and its partial integrals (MDp axes:
         # row upper-limit node, kink node, basis node)
         p = np.arange(P)
-        totals.reshape(P, P, q)[p, p] += _kink_totals(grid, odd)
+        ahead[1:].reshape(P, P, q)[p, p] += _kink_totals(grid, odd)
         J.reshape(P, q, P, q)[p, :, p] += np.einsum(
             "pmj,ijm->pij", odd, _kink_partial_moments(q)) * grid.h ** 2
-    # every row also collects the totals of all earlier panels
-    J[1:] += np.cumsum(totals[:-1], axis=0)[:, None, :]
-    J = J.reshape(np.shape(values))
-    if lower:
-        J -= totals.sum(axis=0)
-    return J
+    # every row also collects the earlier panels' totals (less all from 1)
+    np.cumsum(ahead, axis=0, out=ahead)
+    ahead -= lower * ahead[-1]
+    J += ahead[:-1, None, :]
+    return J.reshape(np.shape(values))

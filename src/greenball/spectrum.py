@@ -32,7 +32,7 @@ from scipy.linalg import blas, eigh, expm, lapack, qr
 
 from .errors import (GridTooCoarse, MissedRoot, NonConvergence,
                      NormalizationMismatch, StepFailure)
-from .kernels import _symmetrize, apply_weight
+from .kernels import _TILE, apply_weight
 from .model import normalization_integral
 from .quadrature import (Grid, _kink_full_moments, _lagrange_coefficients,
                          _reference_rule)
@@ -457,30 +457,37 @@ def nystrom_eigenvalues(kern, w, K, grid=None):
 
 
 def _check_above_noise(lam):
-    if (lam <= 0).any():
+    if not (lam > 0).all():  # NaN fails too
         raise GridTooCoarse(
             "requested eigenvalues reach the discretization noise floor "
             "(nonpositive Nystrom eigenvalue); increase the grid")
 
 
 def _nystrom_matrix(kern, g):
-    """The symmetric Nystrom matrix of `kern` on `g`, built in place: no
-    n x n temporary besides the kernel samples."""
+    """The symmetric Nystrom matrix of `kern` on `g`.
+
+    S = G(x_i, x_j) (sqrt(w_i) sqrt(w_j)) is as symmetric as the sample;
+    the kink correction breaks that only in the diagonal panel blocks, and
+    only those are averaged.  A fresh sample (off the kernel's own grid)
+    becomes S in place; the cached one is only read.
+    """
     values, odd = kern.evaluate_on(g)
     sw = np.sqrt(g.w)
     # C order, so that S.T is the Fortran view LAPACK and BLAS work in
-    S = np.multiply(values, sw[:, None], order="C")
-    S *= sw
+    S = np.empty((g.n, g.n)) if g is kern.grid else values
+    for a in range(0, g.n, _TILE):  # by bands of rows, in cache
+        r = slice(a, a + _TILE)
+        np.multiply(values[r], np.multiply.outer(sw[r], sw), out=S[r])
     if odd is not None:
         # exact |t-s| moments on the diagonal panels replace the plain rule
         P, q = g.panels, g.order
         p = np.arange(P)
         swb = sw.reshape(P, q)
         corr = odd * (g.h ** 2 * _kink_full_moments(q))
-        S.reshape(P, q, P, q)[p, :, p] += (swb[:, :, None] * corr
-                                           / swb[:, None, :])
-    # the kink correction is not symmetric
-    return _symmetrize(S)
+        D = S.reshape(P, q, P, q)[p, :, p]
+        D += swb[:, :, None] * corr / swb[:, None, :]
+        S.reshape(P, q, P, q)[p, :, p] = 0.5 * (D + D.transpose(0, 2, 1))
+    return S
 
 
 def _refine_seed(V, g, fine):

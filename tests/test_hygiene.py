@@ -220,12 +220,15 @@ def test_public_names_have_a_caller():
 
 #: functions on the Nystrom path, whose dense linear algebra must run in
 #: scipy's BLAS/LAPACK: numpy's wheel bundles a second OpenBLAS, and its
-#: thread pool spins against scipy's for the cores
+#: thread pool spins against scipy's for the cores.  Kernel assembly is on
+#: it; integrate_rows keeps numpy's stacked `@`, which per-panel scipy
+#: dgemm calls did not make faster
 NYSTROM_PATH = {
-    "spectrum.py": ("nystrom_eigenvalues", "_refine_seed", "_ritz_top",
-                    "_guard"),
+    "spectrum.py": ("nystrom_eigenvalues", "_nystrom_matrix",
+                    "_refine_seed", "_ritz_top", "_guard"),
     "quadrature.py": ("integrate_full",),
-    "kernels.py": ("condition_kernel",),
+    "kernels.py": ("integrate_kernel", "center_kernel", "condition_kernel",
+                   "apply_weight"),
 }
 
 

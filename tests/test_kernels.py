@@ -16,10 +16,11 @@ import pytest
 from greenball.cli import main
 from greenball.errors import (NormalizationMismatch, SingularConditioning,
                               UnsupportedFamily)
-from greenball.kernels import (_SYM_ROWS, DEFAULT_GRID, Kernel, ProcessSpec,
-                               apply_weight, base_kernel, build_process,
-                               catalog_problem, center_kernel,
-                               condition_kernel, integrate_kernel)
+from greenball.kernels import (_FAMILIES, _TILE, DEFAULT_GRID, Kernel,
+                               ProcessSpec, _symmetrize, apply_weight,
+                               base_kernel, build_process, catalog_problem,
+                               center_kernel, condition_kernel,
+                               integrate_kernel)
 from greenball.model import Weight, classify_boundary_conditions
 from greenball.quadrature import Grid, integrate_full
 from greenball.spectrum import (eigenvalue_product, eigenvalues_shooting,
@@ -182,18 +183,84 @@ def test_kernel_symmetry_guard():
         k.evaluate_on(GRID)
     with pytest.raises(ValueError):
         k.values
-    # the check runs in bands of rows: an asymmetry only in the last,
-    # partial band is caught too, and a symmetric matrix passes
-    x = np.linspace(0.0, 1.0, 2 * _SYM_ROWS + 3)
+    # the check walks tiles against their mirrors: an asymmetry only in the
+    # last, partial tile -- on the diagonal or off it -- is caught too, and
+    # a symmetric matrix passes
+    x = np.linspace(0.0, 1.0, 2 * _TILE + 3)
     good = np.minimum.outer(x, x)
     Kernel(grid=GRID, label="good", half_order=1,
            sampler=lambda g: (good, None)).evaluate_on(GRID)
-    tail = good.copy()
-    tail[-2, -1] += 1e-12
-    k = Kernel(grid=GRID, label="bad_tail", half_order=1,
-               sampler=lambda g: (tail, None))
-    with pytest.raises(ValueError):
-        k.evaluate_on(GRID)
+    for entry in ((-2, -1), (0, -1)):
+        tail = good.copy()
+        tail[entry] += 1e-12
+        k = Kernel(grid=GRID, label="bad_tail", half_order=1,
+                   sampler=lambda g: (tail, None))
+        with pytest.raises(ValueError, match="not symmetric"):
+            k.evaluate_on(GRID)
+
+
+@pytest.mark.parametrize("n", [1, 7, _TILE + 3, 1031])
+def test_symmetrize_is_the_plain_average(n):
+    A = np.random.default_rng(n).standard_normal((n, n))
+    want = 0.5 * (A + A.T)
+    assert _symmetrize(A) is A
+    assert np.array_equal(A, want)
+
+
+def test_kernel_rejects_non_finite_samples():
+    good = np.eye(GRID.n)
+    nan, inf = good.copy(), good.copy()
+    nan[3, 3], inf[0, 5] = np.nan, np.inf
+    odd = np.full((GRID.panels, GRID.order, GRID.order), -0.5)
+    odd[1, 2, 0] = np.nan
+    for values, o in ((nan, None), (inf, None), (good, odd)):
+        k = Kernel(grid=GRID, label="broken", half_order=1,
+                   sampler=lambda g, v=values, o=o: (v, o))
+        with pytest.raises(ValueError, match="kernel broken has non-finite"):
+            k.evaluate_on(GRID)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_covariance_is_a_specification_error(capsys):
+    # sqrt of a negative lag: NaN kink coefficients, refused at sampling
+    assert main(["prob", "--process", "bogolyubov", "--omega", "1",
+                 "--covariance", "sqrt(t)", "-K", "5", "--eps", "0.3"]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+#: 131 panels of 8: the last row and column of tiles are partial
+ODD_GRID = Grid.composite(1048, 8)
+PSI_A = Weight.from_text("(0.5+1.5*t)^(-4)")
+
+
+@pytest.mark.parametrize("kern", [
+    *(build_process(ProcessSpec(fam, n=2, omega=1.0, level=1), ODD_GRID)
+      for fam in _FAMILIES),
+    build_process(ProcessSpec("wiener", m=1, betas=(0,)), ODD_GRID),
+    build_process(ProcessSpec("bridge", m=1, betas=(0,), centerings=1),
+                  ODD_GRID),
+    build_process(ProcessSpec("wiener", m=2, betas=(0, 1)), ODD_GRID),
+    build_process(ProcessSpec("ou", center_final=True), ODD_GRID),
+    apply_weight(base_kernel("bridge", grid=ODD_GRID), PSI_A),
+], ids=repr)
+def test_samples_are_bitwise_symmetric(kern):
+    v, odd = kern.evaluate_on(ODD_GRID)
+    assert np.array_equal(v, v.T)
+    if odd is not None:
+        assert np.array_equal(odd, odd.transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("kern", [
+    apply_weight(base_kernel("bridge", grid=GRID), PSI_A),
+    build_process(ProcessSpec("ciw", level=1), GRID),
+], ids=repr)
+def test_nystrom_leaves_the_cached_sample_alone(kern):
+    values, odd = kern.values, kern.odd
+    before = values.copy(), None if odd is None else odd.copy()
+    nystrom_eigenvalues(kern, None, 5)
+    assert kern.values is values and kern.odd is odd
+    assert np.array_equal(values, before[0])
+    assert odd is None or np.array_equal(odd, before[1])
 
 
 def test_build_process_samples_lazily(monkeypatch):

@@ -16,7 +16,8 @@ from greenball.model import (BoundaryCondition, BVProblem, OperatorSpec,
                              Weight, normalization_integral)
 from greenball.quadrature import Grid, _kink_full_moments
 from greenball.spectrum import (_CELLS_PER_CHUNK, SpectrumResult,
-                                _characteristic_batch, _guard, _mesh,
+                                _characteristic_batch, _check_above_noise,
+                                _guard, _mesh,
                                 _nystrom_matrix, _ritz_top,
                                 characteristic_function,
                                 eigenvalue_product, eigenvalues_shooting,
@@ -340,6 +341,12 @@ class TestNystrom:
             nystrom_eigenvalues(
                 _ClosedFormKernel(wiener_kernel_values,
                                   Grid.composite(64, 8)), None, 10)
+
+    def test_noise_floor_rejects_nan(self):
+        _check_above_noise(np.array([2.0, 1.0]))
+        for lam in ([1.0, 0.0], [1.0, np.nan]):
+            with pytest.raises(GridTooCoarse, match="noise floor"):
+                _check_above_noise(np.array(lam))
 
 
 def _dense_top(kern, g, K):
