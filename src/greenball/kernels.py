@@ -21,8 +21,8 @@ new sampler that re-runs the whole chain from the base formula on whatever
 grid is requested.  The constructors validate their arguments eagerly.
 Weighting is terminal -- every other transform refuses a weighted kernel,
 which enforces the "weight applied last" rule at the API level.  Every
-sample is bitwise symmetric -- by construction, or by one in-place
-`_symmetrize` after integrating or conditioning -- and a fresh array.
+catalog sample is bitwise symmetric -- by construction, or by one in-place
+`_symmetrize` after integrating or conditioning.
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ from .errors import SingularConditioning, UnsupportedFamily
 from .expr import compile_callable, constant, parse_expression, scale
 from .model import (BoundaryCondition as BC, BVProblem, OperatorSpec, Weight,
                     classify_boundary_conditions)
-from .quadrature import (Grid, _partial_weights, integrate_full,
-                         integrate_rows)
+from .quadrature import Grid, integrate_cols, integrate_full, integrate_rows
 
 DEFAULT_GRID = Grid.composite(1024, 8)
 
@@ -63,8 +62,7 @@ def _symmetrize(A):
     is allocated; the entries equal 0.5 * (A + A.T).
     """
     for a, b in _tile_pairs(len(A)):
-        avg = A[a, b] + A[b, a].T
-        avg *= 0.5
+        avg = 0.5 * (A[a, b] + A[b, a].T)
         A[a, b] = avg
         A[b, a] = avg.T
     return A
@@ -93,9 +91,8 @@ class Kernel:
     ``weight`` is the Weight applied by `apply_weight`, None before.
 
     `evaluate_on` is the only sampling path; ``values`` and ``odd`` are the
-    sample on ``grid``, computed on first access and cached (read only);
-    the caller may overwrite a sample on any other grid.  The first sample
-    of each kernel is checked to be finite and symmetric.
+    sample on ``grid``, computed on first access and cached.  The first
+    sample of each kernel is checked to be finite and symmetric.
     """
 
     grid: Grid
@@ -367,19 +364,8 @@ def integrate_kernel(k, beta):
         v, o = k.evaluate_on(g)
         A = integrate_rows(g, v, o, lower=beta)
         del v, o
-        # the second integral runs along A's contiguous rows, X (n P x q):
-        # panel partials X hQ^T plus the totals X hw of all earlier panels
-        P, q = g.panels, g.order
-        X = A.reshape(-1, q)
-        ahead = np.zeros((g.n, P + 1))
-        np.cumsum(blas.dgemv(1.0, X.T, g.w[:q], trans=1).reshape(g.n, P),
-                  axis=1, out=ahead[:, 1:])
-        ahead -= beta * ahead[:, -1:]
-        hQ = g.h * _partial_weights(q)
-        B = blas.dgemm(1.0, hQ, X.T).T.reshape(g.n, P, q)
-        del A, X
-        B += ahead[:, :-1, None]
-        return _symmetrize(B.reshape(g.n, g.n)), None
+        # the second integral runs along A's contiguous rows
+        return _symmetrize(integrate_cols(g, A, lower=beta)), None
 
     return Kernel(k.grid, f"int[{beta}]({k.label})", k.half_order + 1, sample)
 

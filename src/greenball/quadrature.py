@@ -183,8 +183,26 @@ def integrate_rows(grid, values, odd=None, lower=0):
         ahead[1:].reshape(P, P, q)[p, p] += _kink_totals(grid, odd)
         J.reshape(P, q, P, q)[p, :, p] += np.einsum(
             "pmj,ijm->pij", odd, _kink_partial_moments(q)) * grid.h ** 2
-    # every row also collects the earlier panels' totals (less all from 1)
+    J += _panel_starts(ahead, lower)[:, None, :]
+    return J.reshape(np.shape(values))
+
+
+def integrate_cols(grid, values, lower=0):
+    """`integrate_rows` of values.T for K smooth across the diagonal:
+    J[i, j] ~ integral over u in [lower, x_j] of K(x_i, u), one dgemm on the
+    contiguous rows (q panel nodes each) of a C-ordered `values`."""
+    q, P = grid.order, grid.panels
+    X = np.ascontiguousarray(values, dtype=float).reshape(-1, q)
+    ahead = np.zeros((P + 1, X.shape[0] // P))
+    ahead[1:] = blas.dgemv(1.0, X.T, grid.w[:q], trans=1).reshape(-1, P).T
+    J = blas.dgemm(1.0, grid.h * _partial_weights(q), X.T).T.reshape(-1, P, q)
+    J += _panel_starts(ahead, lower).T[:, :, None]
+    return J.reshape(len(J), -1)
+
+
+def _panel_starts(ahead, lower):
+    """Integrals from `lower` to each panel's start, in place: ``ahead``
+    holds zeros in row 0 and the P panel totals below; returns ahead[:-1]."""
     np.cumsum(ahead, axis=0, out=ahead)
     ahead -= lower * ahead[-1]
-    J += ahead[:-1, None, :]
-    return J.reshape(np.shape(values))
+    return ahead[:-1]

@@ -32,7 +32,7 @@ from scipy.linalg import blas, eigh, expm, lapack, qr
 
 from .errors import (GridTooCoarse, MissedRoot, NonConvergence,
                      NormalizationMismatch, StepFailure)
-from .kernels import _TILE, apply_weight
+from .kernels import apply_weight
 from .model import normalization_integral
 from .quadrature import (Grid, _kink_full_moments, _lagrange_coefficients,
                          _reference_rule)
@@ -464,20 +464,14 @@ def _check_above_noise(lam):
 
 
 def _nystrom_matrix(kern, g):
-    """The symmetric Nystrom matrix of `kern` on `g`.
-
-    S = G(x_i, x_j) (sqrt(w_i) sqrt(w_j)) is as symmetric as the sample;
-    the kink correction breaks that only in the diagonal panel blocks, and
-    only those are averaged.  A fresh sample (off the kernel's own grid)
-    becomes S in place; the cached one is only read.
-    """
+    """The symmetric Nystrom matrix of `kern` on `g`: S = G(x_i, x_j)
+    (sqrt(w_i) sqrt(w_j)) is as symmetric as the sample, and only the
+    diagonal panel blocks, which the kink correction skews, are averaged."""
     values, odd = kern.evaluate_on(g)
     sw = np.sqrt(g.w)
     # C order, so that S.T is the Fortran view LAPACK and BLAS work in
-    S = np.empty((g.n, g.n)) if g is kern.grid else values
-    for a in range(0, g.n, _TILE):  # by bands of rows, in cache
-        r = slice(a, a + _TILE)
-        np.multiply(values[r], np.multiply.outer(sw[r], sw), out=S[r])
+    S = np.multiply.outer(sw, sw)
+    S *= values
     if odd is not None:
         # exact |t-s| moments on the diagonal panels replace the plain rule
         P, q = g.panels, g.order

@@ -226,7 +226,7 @@ def test_public_names_have_a_caller():
 NYSTROM_PATH = {
     "spectrum.py": ("nystrom_eigenvalues", "_nystrom_matrix",
                     "_refine_seed", "_ritz_top", "_guard"),
-    "quadrature.py": ("integrate_full",),
+    "quadrature.py": ("integrate_full", "integrate_cols"),
     "kernels.py": ("integrate_kernel", "center_kernel", "condition_kernel",
                    "apply_weight"),
 }

@@ -263,6 +263,26 @@ def test_nystrom_leaves_the_cached_sample_alone(kern):
     assert odd is None or np.array_equal(odd, before[1])
 
 
+def test_nystrom_reads_any_sample_layout():
+    # a user sampler may hand back Fortran-ordered, read-only arrays; the
+    # doubled-grid solve (off the kernel's own grid) must read them as is
+    bridge = base_kernel("bridge", grid=GRID)
+
+    def fortran(g):
+        v, o = bridge.evaluate_on(g)
+        v, o = np.asfortranarray(v), np.asfortranarray(o)
+        v.setflags(write=False)
+        o.setflags(write=False)
+        return v, o
+
+    kern = Kernel(GRID, "fortran(bridge)", 1, fortran)
+    assert not kern.evaluate_on(GRID.doubled())[0].flags.c_contiguous
+    got = nystrom_eigenvalues(kern, None, 8)
+    want = nystrom_eigenvalues(bridge, None, 8)
+    assert np.array_equal(got.mu, want.mu)
+    assert np.array_equal(got.err, want.err)
+
+
 def test_build_process_samples_lazily(monkeypatch):
     import greenball.kernels as kernels
     calls = []

@@ -3,7 +3,8 @@ import pytest
 
 from greenball.quadrature import (Grid, _kink_full_moments,
                                   _kink_partial_moments, _partial_weights,
-                                  integrate_full, integrate_rows)
+                                  integrate_cols, integrate_full,
+                                  integrate_rows)
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +78,16 @@ def test_integrate_rows_matches_dense_cumulative_matrix():
                                rtol=0, atol=1e-14)
     np.testing.assert_allclose(integrate_rows(g, vals, lower=1),
                                C @ vals - g.w @ vals, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("rows", [5, 64])
+@pytest.mark.parametrize("lower", [0, 1])
+def test_integrate_cols_is_integrate_rows_transposed(rows, lower):
+    g = Grid.composite(64, 8)
+    vals = np.random.default_rng(rows).standard_normal((rows, g.n))
+    np.testing.assert_allclose(integrate_cols(g, vals, lower=lower),
+                               integrate_rows(g, vals.T, lower=lower).T,
+                               rtol=0, atol=1e-14)
 
 
 def test_integrate_rows_kinked(grid):
