@@ -6,7 +6,7 @@ the eigenvalue ratio mu_k^(2)/mu_k^(1) tends to 1 and three quantities
 agree in the limit:
 
   * the boundary-determinant ratio |theta_2 / theta_1|^(1/2)  (exact),
-  * the extrapolated product of eigenvalue ratios               (spectral),
+  * the product of eigenvalue ratios, fitted in 1/k              (spectral),
   * the small-ball probability ratio P_1(eps)/P_2(eps)          (as eps->0).
 
 Here all three are printed, the last one along a shrinking eps grid.  Each
@@ -33,7 +33,8 @@ K = 80
 s1 = eigenvalues_shooting(catalog_problem(spec, w1), K)
 s2 = eigenvalues_shooting(catalog_problem(spec, w2), K)
 prod, err = eigenvalue_product(s1, s2)
-print(f"eigenvalue route:  product = {prod:.6f} +- {err:.1e}  (K = {K})")
+print(f"eigenvalue route:  product = {prod:.12f} +- {err:.1e}  (K = {K}, "
+      "fit in 1/k)")
 
 partial = np.cumprod(s1.mu / s2.mu)
 print("\n  K     partial product")

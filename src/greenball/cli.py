@@ -326,14 +326,14 @@ def cmd_mc(cfg):
 # --- validate -------------------------------------------------------------
 
 
-def _radius_for_probability(lam, tail, target=0.02):
-    """Radius where the exact distribution reaches `target` (bisection on
-    the monotone map r -> p)."""
-    mean = lam.sum() + (tail.mean() if tail is not None else 0.0)
+def _radius_for_probability(lam):
+    """Radius where the exact distribution of the finite spectrum `lam`
+    reaches 0.02 (bisection on the monotone map r -> p)."""
+    mean = lam.sum()
     lo, hi = 1e-6 * math.sqrt(mean), 4.0 * math.sqrt(mean)
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        if smallball_probability_exact(lam, mid, tail=tail).p < target:
+        if smallball_probability_exact(lam, mid).p < 0.02:
             lo = mid
         else:
             hi = mid
@@ -395,7 +395,7 @@ def cmd_validate(cfg):
         all_ok &= _check(rows, "asymptotic_vs_exact", gap < tol, gap, tol)
         # Monte Carlo against the inversion at a moderate radius; both sides
         # use the same truncated spectrum so the comparison is unbiased
-        r = _radius_for_probability(lam, None, target=0.02)
+        r = _radius_for_probability(lam)
         sadr = smallball_probability_exact(lam, r, tail=None)
         mc = monte_carlo_probability(lam, r, cfg.N, cfg.seed)
         dev = abs(sadr.p - mc.p)

@@ -48,8 +48,7 @@ class GridTooCoarse(GreenballError):
 
 
 class NonConvergence(GreenballError):
-    """Product extrapolants disagree beyond the requested tolerance, or the
-    seeded doubled-grid Nystrom solve ran out of Krylov blocks."""
+    """The seeded doubled-grid Nystrom solve ran out of Krylov blocks."""
 
 
 class SingularConditioning(GreenballError):

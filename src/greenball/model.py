@@ -130,15 +130,16 @@ class OperatorSpec:
             return np.asarray(_expr.evaluate(c, t))
         return np.full(t.shape, float(c))
 
-    def p_derivative(self, m, j, t, h=1e-6):
+    def p_derivative(self, m, j, t):
         """j-th derivative of p_m at t; constants are exact, expressions use
-        central finite differences at spacing h."""
+        central finite differences at spacing h = 1e-6."""
         if j == 0:
             return self.p_values(m, t)
         c = self.p[m]
         if not isinstance(c, tuple):
             return np.zeros(np.asarray(t, dtype=float).shape)
         # central difference of order j (stencil j+1 points, alternating signs)
+        h = 1e-6
         t = np.asarray(t, dtype=float)
         acc = np.zeros(t.shape)
         for i in range(j + 1):
@@ -268,11 +269,11 @@ def normalize_weight(w, n):
     return scaled, c
 
 
-def require_equal_normalization(w1, w2, n, tol=1e-6):
+def require_equal_normalization(w1, w2, n):
     """Check the equal-normalization hypothesis the comparison limits need."""
     t1 = normalization_integral(w1, n)
     t2 = normalization_integral(w2, n)
-    if abs(t1 - t2) > tol * max(t1, t2):
+    if abs(t1 - t2) > 1e-6 * max(t1, t2):
         raise NormalizationMismatch(
             f"normalization integrals differ: {t1:.12g} vs {t2:.12g}; the two "
             "weights give different logarithmic asymptotics and no finite "

@@ -50,7 +50,7 @@ SHOOT_TOL = 1e-8
 _CELLS_PER_CHUNK = 64
 
 
-def _mesh(problem, zmax):
+def _mesh(problem, zmax, refine=0):
     """Magnus-4 exponents (Omega0, Omega1) on N and on 2N equal cells.
 
     A(t, zeta) = A_0(t) + zeta^{2n} psi(t) E is the traceless companion
@@ -60,13 +60,13 @@ def _mesh(problem, zmax):
     = Omega0 + zeta^{2n} Omega1, since [E, E] = 0.  N resolves the largest
     local frequency omega = zmax max(psi)^(1/2n) for zeta up to zmax: at
     h omega <= 0.62 the extrapolated eigenvalues are good to about 1e-11
-    relative (the error goes like h^6 omega^4.3 on the weighted-Wiener
-    problem), and N >= 2048 keeps small windows at the rounding level.
+    (the error goes like h^6 omega^4.3 on weighted Wiener; N >= 2048 keeps
+    small windows at the rounding level), and `refine` doubles N as often.
     """
     n = problem.op.n
     d = 2 * n
     omega = zmax * problem.weight.samples.max() ** (1.0 / (2 * n))
-    N = 1 << int(np.ceil(np.log2(max(2048.0, 1.6 * omega))))
+    N = 1 << (int(np.ceil(np.log2(max(2048.0, 1.6 * omega)))) + refine)
     E = np.zeros((d, d))
     E[-1, 0] = (-1.0) ** n
     out = []
@@ -291,16 +291,17 @@ class SpectrumResult:
         return len(self.mu)
 
 
-def _refine_roots(f, a, b, fa, fb, aux, rtol_root=ROOT_RTOL, maxit=80):
+def _refine_roots(f, a, b, fa, fb, aux):
     """Safeguarded secant/bisection of f, batched over all brackets whose
     ends differ in sign bit.  f(x) returns the values and an array of
     per-point data stacked along its last axis; each bracket keeps the data
     of its last evaluation in `aux` (which holds each bracket's data to
-    start).  Returns the roots, interpolated linearly across the final
-    brackets, the bracket widths and `aux`."""
+    start), for 80 steps or until each is ROOT_RTOL narrow.  Returns the
+    roots, interpolated linearly across the final brackets, the bracket
+    widths and `aux`."""
     x0, f0, x1, f1 = a, fa, b, fb
-    for _ in range(maxit):
-        active = (b - a) > rtol_root * np.abs(b)
+    for _ in range(80):
+        active = (b - a) > ROOT_RTOL * np.abs(b)
         if not active.any():
             break
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -309,7 +310,7 @@ def _refine_roots(f, a, b, fa, fb, aux, rtol_root=ROOT_RTOL, maxit=80):
         # a step within half the tolerance of a bracket end is pushed to that
         # distance, so a converged iterate or an exact zero at an end lands
         # across the root and closes the bracket (Dekker)
-        tol = 0.5 * rtol_root * np.abs(b)
+        tol = 0.5 * ROOT_RTOL * np.abs(b)
         xp = np.clip(np.where(take, xs, 0.5 * (a + b)), a + tol, b - tol)
         fp = np.zeros_like(xp)
         fp[active], aux[..., active] = f(xp[active])
@@ -331,14 +332,28 @@ def eigenvalues_shooting(problem, K):
     set by the scan window.  `err` is the relative error bound on mu from
     the mesh-halving gap (the shift between the fine-mesh and extrapolated
     roots), the final bracket width and the rounding that the growth of the
-    solutions amplifies.  StepFailure is raised when it exceeds SHOOT_TOL,
-    before any root is refined when the rounding at the scan brackets alone
-    does.
+    solutions amplifies.  While it exceeds SHOOT_TOL where the mesh-halving
+    gap is over SHOOT_TOL/2, the mesh is doubled (at most twice).  StepFailure
+    is raised when it still exceeds SHOOT_TOL, and before any root is
+    refined when the rounding at the scan brackets alone does.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     n = problem.op.n
     theta = normalization_integral(problem.weight, n)
+    for refine in range(3):
+        roots, gap, err, log_growth = _shoot(problem, K, theta, refine)
+        if not (gap[err > SHOOT_TOL] > SHOOT_TOL / 2).any():
+            break
+    _check_resolved(err, log_growth)
+    return SpectrumResult(mu=roots ** (2 * n), method="shooting", err=err,
+                          theta_norm=theta)
+
+
+def _shoot(problem, K, theta, refine):
+    """Roots zeta_1..zeta_K of F on `_mesh(problem, z, refine)`, the relative
+    mesh-halving gap and error bound of each mu_k, and the growth there."""
+    n = problem.op.n
     spacing = np.pi / (4 * theta)
     zmax = (K + 2) * np.pi / theta
 
@@ -349,7 +364,7 @@ def eigenvalues_shooting(problem, K):
         grid = np.arange(spacing, z_hi + 0.5 * spacing, spacing)
         # extra points near the origin in case of a low first root
         grid = np.concatenate(([1e-4, 1e-3, 1e-2, 0.1 * spacing], grid))
-        mesh = _mesh(problem, z_hi)
+        mesh = _mesh(problem, z_hi, refine)
         F, scan = _characteristic_batch(problem, grid, mesh)
         # a bracket wherever the sign bit flips, so an exact zero at a node
         # closes one bracket
@@ -387,9 +402,7 @@ def eigenvalues_shooting(problem, K):
     gap = np.abs(dF) * np.diff(grid)[lo] / np.abs(np.diff(F)[lo])
     rounding = np.finfo(float).eps * np.exp(log_growth)
     err = 2 * n * (gap + widths + rounding) / roots
-    _check_resolved(err, log_growth)
-    return SpectrumResult(mu=roots ** (2 * n), method="shooting", err=err,
-                          theta_norm=theta)
+    return roots, 2 * n * gap / roots, err, log_growth
 
 
 def _check_resolved(err, log_growth):
@@ -420,9 +433,10 @@ def nystrom_eigenvalues(kern, w, K, grid=None):
     (`_ritz_top`, NonConvergence if it does not settle), and its top K
     Ritz values are returned; a Cholesky guard (`_guard`) proves that the
     seeded space missed no eigenvalue of the doubled grid above them.
-    `err` is their relative gap to the solve on `grid`, and GridTooCoarse
-    is raised when it exceeds 1e-4 or the guard fails.  theta_norm is the
-    normalization integral of the kernel's weight (1 when unweighted).
+    `err` is their relative gap to the solve on `grid`, at least the
+    rounding floor 8 eps lambda_1/lambda_k of the solves, and GridTooCoarse
+    is raised when that gap exceeds 1e-4 or the guard fails.  theta_norm is
+    the normalization integral of the kernel's weight (1 when unweighted).
     """
     g = kern.grid if grid is None else grid
     if isinstance(g, int):
@@ -452,8 +466,9 @@ def nystrom_eigenvalues(kern, w, K, grid=None):
     _guard(S, ritz, U, K)  # consumes S
     theta = (1.0 if kern.weight is None
              else normalization_integral(kern.weight, kern.half_order))
-    return SpectrumResult(mu=1.0 / lam_fine, method="nystrom", err=rel,
-                          theta_norm=theta)
+    floor = 8 * np.finfo(float).eps * lam_fine[0] / lam_fine  # rounding
+    return SpectrumResult(mu=1.0 / lam_fine, method="nystrom",
+                          err=np.maximum(rel, floor), theta_norm=theta)
 
 
 def _check_above_noise(lam):
@@ -593,12 +608,16 @@ def _guard(S, theta, U, K):
             "increase the grid")
 
 
-def eigenvalue_product(s1, s2, tol=None):
+def eigenvalue_product(s1, s2):
     """Limit of prod_k mu_k^{(1)}/mu_k^{(2)} from two equal-length spectra.
 
-    Partial products are accumulated in log space and extrapolated by Aitken
-    delta-squared over the last third of indices, cross-checked against an
-    a/K + b/K^2 fit of the log-partial-product tail.  Returns (value, err).
+    The log partial products S_k converge like 1/k, a logarithmic sequence
+    no Aitken-type accelerator speeds up, so the limit is exp of the
+    constant term of the least-squares fit of S_k on 1, 1/k, 1/k^2, 1/k^3
+    over k > K//4.  err is value times its gap to the degree-4 constant
+    plus the summed relative error bars of both spectra.  Spectra too short
+    for that fit (K < 8) give the last partial product, its change since
+    K//2 taking the gap's place.  Returns (value, err).
     """
     if len(s1) != len(s2):
         raise ValueError("spectra must have equal length")
@@ -609,30 +628,11 @@ def eigenvalue_product(s1, s2, tol=None):
             f"{s2.theta_norm:.9g}); the eigenvalue product diverges")
     K = len(s1)
     S = np.cumsum(np.log(np.asarray(s1.mu)) - np.log(np.asarray(s2.mu)))
-    if K < 12:
-        return float(np.exp(S[-1])), float(abs(S[-1] - S[K // 2]))
-
-    start = 2 * K // 3
-    tail = S[start:]
-    d1 = np.diff(tail)
-    d2 = np.diff(d1)
-    safe = np.abs(d2) > 1e-15
-    ait = tail[2:] - np.where(safe, d1[1:] ** 2 / np.where(safe, d2, 1.0), 0.0)
-    aitken_ok = safe[-5:].all() if len(safe) >= 5 else safe.all()
-
-    # cross-check: fit log P_K ~ s_inf + a/K + b/K^2 on the tail
-    ks = np.arange(start + 1, K + 1, dtype=float)
-    X = np.stack([np.ones_like(ks), 1 / ks, 1 / ks ** 2], axis=1)
-    coef, *_ = np.linalg.lstsq(X, tail, rcond=None)
-    fit_val = coef[0]
-
-    main = float(ait[-1]) if aitken_ok else float(fit_val)
-    spread = float(np.ptp(ait[-5:])) if len(ait) >= 5 else float(np.ptp(ait))
-    err_log = max(spread, abs(main - fit_val))
-    value = float(np.exp(main))
-    err = value * err_log
-    if tol is not None and err_log > tol:
-        raise NonConvergence(
-            f"product extrapolants disagree by {err_log:.3e} in log, beyond "
-            f"the requested {tol:.3e}")
-    return value, err
+    bars = float(np.sum(s1.err) + np.sum(s2.err))
+    if K < 8:
+        value = float(np.exp(S[-1]))
+        return value, value * (abs(S[-1] - S[K // 2]) + bars)
+    x = 1.0 / np.arange(K // 4 + 1, K + 1)
+    c3, c4 = (npoly.polyfit(x, S[K // 4:], deg)[0] for deg in (3, 4))
+    value = float(np.exp(c3))
+    return value, value * (abs(c3 - c4) + bars)

@@ -122,8 +122,8 @@ def theta_det(inp, sign):
     return complex(np.linalg.det(_theta_matrix(inp, sign)))
 
 
-def _checked_theta(inp, sign=-1):
-    M = _theta_matrix(inp, sign)
+def _checked_theta(inp):
+    M = _theta_matrix(inp, -1)
     det = complex(np.linalg.det(M))
     scale = np.abs(M).max() ** (2 * inp.n)
     if abs(det) < DEGENERATE_TOL * scale:

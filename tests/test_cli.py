@@ -126,16 +126,36 @@ def test_theta_rejects_custom_covariance(capsys):
 
 
 def test_compare_product_limit_four(capsys):
+    # the fit in 1/k puts the K = 60 product within 2e-7 of 4 (Aitken's
+    # extrapolant was 2e-2 off), and the err column covers the gap
     rc, out, _ = run_cli(["compare", "--process", "wiener",
                           "--weight", RATIO2, "--weight2", "1",
-                          "-K", "40", "--tol", "0.02"], capsys)
+                          "-K", "60", "--tol", "0.02"], capsys)
     assert rc == 0
     vals = {r["quantity"]: r for r in rows_of(out)}
     assert float(vals["product_determinant"]["value"]) == pytest.approx(
         4.0, abs=1e-10)
     assert vals["agreement_rel_diff"]["status"] == "PASS"
-    assert float(vals["product_eigenvalues"]["value"]) == pytest.approx(
-        4.0, rel=2e-2)
+    product = vals["product_eigenvalues"]
+    gap = abs(float(product["value"]) - 4.0)
+    assert gap <= 4e-7
+    assert float(product["err"]) >= gap
+
+
+@pytest.mark.parametrize("family, weight2", [
+    ("wiener", "1"), ("bridge", "1"), ("ou", "1"), ("slepian", "1"),
+    ("wiener", "(2-1.5*t)^(-4)")])
+def test_compare_product_err_bounds_its_error(capsys, family, weight2):
+    # the determinant route is exact to about 1e-12: the eigenvalue
+    # product's err must cover its distance from it
+    rc, out, _ = run_cli(["compare", "--process", family, "--weight", RATIO2,
+                          "--weight2", weight2, "-K", "60"], capsys)
+    assert rc == 0
+    vals = {r["quantity"]: r for r in rows_of(out)}
+    product = vals["product_eigenvalues"]
+    gap = abs(float(product["value"])
+              - float(vals["product_determinant"]["value"]))
+    assert gap <= float(product["err"])
 
 
 def test_compare_identical_weights(capsys):

@@ -2,10 +2,11 @@
 at the top of the module rather than inside a function; every private
 module-level helper is referenced somewhere in the package, no module reads
 another object's private (``_name``) attributes, every public name has a
-caller outside the tests, and the Nystrom path keeps its dense linear algebra
-out of numpy's BLAS (no ``@``, no ``np.linalg``), and the command line holds
-no boundary-condition data: it reads the family registry in ``kernels``,
-and ``smallball`` imports nothing from ``spectrum``.
+caller outside the tests, every defaulted parameter is set by some call, and
+the Nystrom path keeps its dense linear algebra out of numpy's BLAS (no
+``@``, no ``np.linalg``), and the command line holds no boundary-condition
+data: it reads the family registry in ``kernels``, and ``smallball`` imports
+nothing from ``spectrum``.
 
 A name counts as used when the module refers to it anywhere in its code
 (attribute chains such as ``np.linalg`` start at a plain name) or lists it in
@@ -216,6 +217,104 @@ def test_public_names_have_a_caller():
     uncalled = uncalled_public_names(exported, sources, texts)
     assert not uncalled, ", ".join(f"{name} is in __all__ but has no caller"
                                    for name in uncalled)
+
+
+def defaulted_parameters(tree):
+    """(call name, function, parameter, default, position) of every
+    parameter with a default in the functions and methods of `tree`, nested
+    ones included.  A method is called by its own name with `self` or `cls`
+    bound (none for a staticmethod), an __init__ by its class's name; the
+    position is None for a keyword-only parameter."""
+    out = []
+
+    def visit(body, owner):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in node.decorator_list)
+                bound = 1 if owner and not static else 0
+                tail = positional[len(positional) - len(args.defaults):]
+                defaults = list(zip(tail, args.defaults)) + [
+                    (a.arg, d) for a, d in zip(args.kwonlyargs,
+                                               args.kw_defaults)
+                    if d is not None]
+                call = owner if node.name == "__init__" else node.name
+                for name, default in defaults:
+                    pos = (positional.index(name) - bound
+                           if name in positional else None)
+                    out.append((call, node.name, name, ast.dump(default), pos))
+                visit(node.body, None)
+
+    visit(tree.body, None)
+    return out
+
+
+def passed_values(trees):
+    """{call name: set of (position or keyword, ast.dump of the value)} over
+    every call in `trees`, the call named by its plain name or last
+    attribute; `*args` from position p is recorded as ("*", p) and
+    `**kwargs` as ("**", None)."""
+    out = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            seen = out.setdefault(name, set())
+            for pos, arg in enumerate(node.args):
+                if isinstance(arg, ast.Starred):
+                    seen.add(("*", pos))
+                    break
+                seen.add((pos, ast.dump(arg)))
+            seen.update((k.arg, ast.dump(k.value)) if k.arg else ("**", None)
+                        for k in node.keywords)
+    return out
+
+
+def never_set_defaults(sources, callers):
+    """Sorted (module, function, parameter) of the defaulted parameters in
+    `sources` (a name -> source mapping) that no call in `callers` (source
+    texts) passes a value other than the default, by position or keyword."""
+    passed = passed_values([ast.parse(text) for text in callers])
+    found = []
+    for mod, text in sources.items():
+        for call, func, name, default, pos in defaulted_parameters(
+                ast.parse(text)):
+            seen = passed.get(call, set())
+            if not any(key == "**" or (key == "*" and pos is not None
+                                       and pos >= value)
+                       or (key in (name, pos) and value != default)
+                       for key, value in seen):
+                found.append((mod, func, name))
+    return sorted(found)
+
+
+def test_never_set_default_scanner():
+    sources = {"a.py": ("def f(x, tol=1e-6, sign=-1, *, mode='a'):\n"
+                        "    def inner(k=0):\n        pass\n"
+                        "class C:\n    def __init__(self, k=2):\n        pass\n"
+                        "    def m(self, h=1.0, n=3):\n        pass\n"
+                        "    @staticmethod\n    def s(a=1, b=2):\n"
+                        "        pass\n")}
+    callers = ["f(1, 1e-6, sign=-1, mode='b')\nC(3).m(2.0)\n"
+               "inner(**opts)\nC.s(*args)\n"]
+    assert never_set_defaults(sources, callers) == [
+        ("a.py", "f", "sign"), ("a.py", "f", "tol"), ("a.py", "m", "n")]
+
+
+def test_every_default_is_set_somewhere():
+    """A default that no call in the package, the tests or the demos ever
+    changes is a constant in disguise: it belongs in the body."""
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    callers = [p.read_text() for folder in ("src", "tests", "demos")
+               for p in sorted((ROOT / folder).rglob("*.py"))]
+    found = never_set_defaults(sources, callers)
+    assert not found, ", ".join(f"{mod}: nothing sets {func}({name}=...)"
+                                for mod, func, name in found)
 
 
 #: functions on the Nystrom path, whose dense linear algebra must run in

@@ -275,6 +275,26 @@ class TestShooting:
         assert mu[1] == pytest.approx(np.pi ** 2 / 2, rel=1e-14)
         assert mu[3] == pytest.approx(9 * np.pi ** 2 / 2, rel=1e-14)
 
+    @pytest.mark.parametrize("family, doublings", [
+        ("wiener", 0), ("bridge", 0), ("ou", 0), ("slepian", 1)])
+    def test_mesh_doubles_only_where_it_must(self, family, doublings,
+                                              monkeypatch):
+        # with psi = (0.5+1.5t)^{-4} the 1.6 omega rule leaves the Slepian
+        # mesh-halving gap above SHOOT_TOL at K = 60; the mesh is doubled
+        # for it alone, and the others keep their mesh and their bits
+        used = []
+
+        def spy(problem, zmax, refine):
+            used.append(refine)
+            return _mesh(problem, zmax, refine)
+
+        monkeypatch.setattr(spectrum, "_mesh", spy)
+        problem = catalog_problem(ProcessSpec(family),
+                                  Weight.from_text("(0.5+1.5*t)^(-4)"))
+        res = eigenvalues_shooting(problem, 60)
+        assert (res.err <= spectrum.SHOOT_TOL).all()
+        assert max(used) == doublings
+
     def test_cantilever_n2(self):
         # v'''' = mu v, v(0) = v'(0) = 0, v''(1) = v'''(1) = 0: mu = x^4 with
         # 1 + cos x cosh x = 0.  The fundamental matrix grows like e^x, so
@@ -335,6 +355,13 @@ class TestNystrom:
         x = np.array([brentq(f, (k - 1) * np.pi, k * np.pi, xtol=1e-14)
                       for k in range(1, 81)])
         np.testing.assert_allclose(res.mu, x ** 4, rtol=1e-6)
+
+    def test_err_is_not_below_the_rounding_floor(self):
+        # Wiener m = 2: the 30th eigenvalue is about 5e-11 lambda_1, and the
+        # grid-doubling gap of the small ones falls below eps lambda_1/lambda_k
+        kern = build_process(ProcessSpec("wiener", m=2, betas=(0, 1)))
+        res = nystrom_eigenvalues(kern, None, 30, grid=1024)
+        assert (res.err >= np.finfo(float).eps * res.mu / res.mu[0]).all()
 
     def test_grid_precondition(self):
         with pytest.raises(GridTooCoarse):
@@ -510,25 +537,36 @@ class TestEigenvalueProduct:
 
     def test_known_product(self):
         # mu1/mu2 = exp(1/k^2): infinite product exp(pi^2/6).  The partial
-        # sums close like 1/K, for which Aitken removes about half the
-        # remaining tail; the reported error bar must cover the rest.
+        # sums close like 1/K, which the fit in 1/k extrapolates to about
+        # 2e-11; the reported error bar must cover the rest.
         k = np.arange(1, 201)
         base = ((k - 0.5) * np.pi) ** 2
         s1 = self._result(base * np.exp(1 / k ** 2))
         s2 = self._result(base)
         val, err = eigenvalue_product(s1, s2)
         exact = np.exp(np.pi ** 2 / 6)
-        assert val == pytest.approx(exact, rel=6e-3)
+        assert val == pytest.approx(exact, rel=1e-9)
         assert abs(val - exact) < 3 * err
-        assert err < 0.02 * val
+        assert err < 1e-9 * val
 
-    def test_disagreeing_extrapolants_raise(self):
-        # prod (1 + 1/k) grows like K: Aitken and the 1/K fit disagree
+    def test_divergent_product_reports_its_error(self):
+        # prod (1 + 1/k) grows like K: the degree-3 and degree-4 fits in 1/k
+        # disagree, and the error bar says so
         k = np.arange(1, 41)
         base = ((k - 0.5) * np.pi) ** 2
-        with pytest.raises(NonConvergence):
-            eigenvalue_product(self._result(base * (1 + 1 / k)),
-                               self._result(base), tol=1e-12)
+        val, err = eigenvalue_product(self._result(base * (1 + 1 / k)),
+                                      self._result(base))
+        assert err >= 0.1 * val
+
+    def test_spectra_error_bars_reach_the_product(self):
+        # the fit alone is far inside 1e-4 here: the spectra's own 1e-4
+        # error bars must reach the product's err
+        k = np.arange(1, 61)
+        base = ((k - 0.5) * np.pi) ** 2
+        s1 = SpectrumResult(mu=base * np.exp(1 / k ** 2), method="nystrom",
+                            err=np.full(60, 1e-4), theta_norm=1.0)
+        val, err = eigenvalue_product(s1, self._result(base))
+        assert err >= 60 * 1e-4 * val
 
     def test_normalization_guard(self):
         k = np.arange(1, 51)
