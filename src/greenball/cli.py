@@ -82,8 +82,8 @@ class RunConfig:
         if self.N < 1:
             raise CLIError("N must be >= 1")
         eps = tuple(float(e) for e in self.eps)
-        if any(e <= 0 for e in eps):
-            raise CLIError("eps values must be positive")
+        if not all(math.isfinite(e) and e > 0 for e in eps):
+            raise CLIError("eps values must be positive and finite")
         self.eps = tuple(sorted(eps, reverse=True))
         if self.covariance is not None:
             spec = _process_spec(self)

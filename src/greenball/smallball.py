@@ -519,7 +519,7 @@ class WeylTailModel:
 
 
 #: entries of the largest (points x eigenvalues) outer product, and of each
-#: worker's (samples x eigenvalues) Monte Carlo block; 4 MB of complex values
+#: worker's (samples x columns) Monte Carlo block; 4 MB of complex values
 #: (the k = 1, 2 sums) or a few 2 MB real arrays (the real-arithmetic logs)
 #: stay below the 8 MB work arrays of shooting, so freeing a chunk does not
 #: raise the allocator's mmap threshold for later solves
@@ -593,8 +593,8 @@ def smallball_probability_exact(lams, r, tail=None):
     lam = _positive_spectrum(lams)
     if (np.diff(lam) > 0).any():
         raise ValueError("eigenvalues must be in descending order")
-    if r <= 0:
-        raise ValueError("radius must be positive")
+    if not (math.isfinite(r) and r > 0):
+        raise ValueError("radius must be positive and finite")
     q = r * r
 
     def cgf(s, k):  # k-th derivative of log L(s), head plus tail
@@ -717,6 +717,20 @@ def _solve_tilt(q, cgf):
 #: samples per Monte Carlo batch; each batch draws from its own spawned seed
 _MC_BATCH = 100_000
 
+#: eigenvalue columns of a batch's first Monte Carlo chunk; each later chunk
+#: is twice as wide
+_MC_FIRST_CHUNK = 8
+
+
+def _mc_chunks(K):
+    """(lo, hi) column ranges of the Monte Carlo chunks over K eigenvalues:
+    `_MC_FIRST_CHUNK` wide, then doubling, capped at `_OUTER_ENTRIES` so one
+    row of a chunk always fits the buffer."""
+    lo, w = 0, _MC_FIRST_CHUNK
+    while lo < K:
+        yield lo, min(lo + w, K)
+        lo, w = lo + w, min(2 * w, _OUTER_ENTRIES)
+
 
 def monte_carlo_probability(lams, eps, N, seed, tail=None):
     """Empirical P(sum lam_j xi_j^2 <= eps^2) from N Gaussian samples.
@@ -725,34 +739,53 @@ def monte_carlo_probability(lams, eps, N, seed, tail=None):
     Karhunen-Loeve eigenbasis, where the squared norm is exactly the
     weighted chi-square sum, so no path construction is needed.  Batches of
     `_MC_BATCH` samples draw from seeds spawned off `seed` and run on a
-    thread pool, one worker per available core; each draws its rows in
-    blocks of at most `_OUTER_ENTRIES` normals into one reused buffer, which
-    bounds the memory.  Hit counts are integers and a block-wise draw reads
-    the same stream as a whole-batch draw, so a fixed (seed, N) pair gives
-    the same p on any number of cores.  The optional tail model only
-    reports the mean of the dropped remainder as `truncation_bias` (the
-    estimate itself uses the given eigenvalues).
+    thread pool, one worker per available core.  A batch draws its normals
+    in chunks of eigenvalue columns, largest lam first: `_MC_FIRST_CHUNK`
+    columns, then twice as many each time.  After each chunk the samples
+    whose partial sum exceeds eps^2 are dropped.  This early exit is exact:
+    the terms are nonnegative and a rounded sum of nonnegative terms never
+    decreases, so a dropped sample could never have become a hit, and the
+    samples left after the last column are the hits.  Every draw is fresh
+    from the batch's stream, so each sample's xi are i.i.d. N(0, 1) under
+    this schedule and the estimator is plain Monte Carlo.  Chunks are drawn
+    in row blocks of at most `_OUTER_ENTRIES` normals into one reused
+    buffer, which bounds the memory.  Hit counts are integers and the
+    schedule depends only on the batch, so a fixed (seed, N) pair gives the
+    same p on any number of cores and for any order of lams.  The optional
+    tail model only reports the mean of the dropped remainder as
+    `truncation_bias` (the estimate itself uses the given eigenvalues).
     """
     lam = _positive_spectrum(lams)
-    if eps <= 0:
-        raise ValueError("radius must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError("radius must be positive and finite")
     if N < 1:
         raise ValueError("need at least one sample")
     q = eps * eps
+    lam = -np.sort(-lam)  # largest first: partial sums pass q soonest
+    chunks = list(_mc_chunks(lam.size))
     children = np.random.SeedSequence(seed).spawn(-(-N // _MC_BATCH))
-    rows = max(1, _OUTER_ENTRIES // lam.size)
 
     def batch(i):  # hits among the samples of batch i
         rng = np.random.default_rng(children[i])
         b = min(_MC_BATCH, N - i * _MC_BATCH)
-        buf = np.empty((min(rows, b), lam.size))
-        hits = 0
-        for start in range(0, b, rows):
-            block = buf[:min(rows, b - start)]
-            rng.standard_normal(out=block)
-            np.square(block, out=block)
-            hits += int(np.count_nonzero(block @ lam <= q))
-        return hits
+        buf = np.empty(min(_OUTER_ENTRIES, b * lam.size))
+        sums = np.zeros(b)  # partial sums of the live samples, compacted
+        live = b
+        for lo, hi in chunks:
+            w = hi - lo
+            rows = _OUTER_ENTRIES // w
+            for start in range(0, live, rows):
+                n = min(rows, live - start)
+                block = buf[:n * w].reshape(n, w)
+                rng.standard_normal(out=block)
+                np.square(block, out=block)
+                sums[start:start + n] += block @ lam[lo:hi]
+            keep = sums[:live] <= q
+            live = int(np.count_nonzero(keep))
+            sums[:live] = sums[:keep.size][keep]
+            if live == 0:
+                break
+        return live
 
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)

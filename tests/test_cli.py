@@ -427,6 +427,16 @@ def test_invalid_eps_exits_2(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("cmd", ["mc", "prob"])
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_nonfinite_eps_exits_2(cmd, eps, capsys):
+    rc, out, err = run_cli([cmd, "--process", "wiener", "-K", "20", "--eps",
+                            eps, "-N", "1000"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_prob_single_eigenvalue_exits_2(capsys):
     # one eigenvalue cannot fix the two parameters of the fitted tail
     rc, out, err = run_cli(["prob", "--process", "wiener", "-K", "1",

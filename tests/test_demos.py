@@ -1,9 +1,7 @@
 """Smoke test: the demos run to completion against the source tree.
 
 Each demo runs in its own interpreter with `src` on the path and numerical
-warnings turned into errors, and must exit 0.  `probability_routes.py` is
-left out: its Monte Carlo route dominates it (about 17 s on two cores),
-and `test_smallball.py` already covers Monte Carlo against the saddle point.
+warnings turned into errors, and must exit 0.
 """
 
 import os
@@ -18,6 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("demo", ["asymptotic_forms.py",
                                   "comparison_routes.py",
+                                  "probability_routes.py",
                                   "spectra_catalog.py"])
 def test_demo_runs(demo):
     env = dict(os.environ)

@@ -19,6 +19,7 @@ Hand-derived reference values used below:
 """
 
 import math
+import os
 import tracemalloc
 import warnings
 from itertools import product
@@ -332,6 +333,9 @@ def test_exact_oracle_input_validation():
         smallball_probability_exact(np.array([]), 1.0)
     with pytest.raises(ValueError):
         smallball_probability_exact(np.array([1.0]), 0.0)
+    for r in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="radius"):
+            smallball_probability_exact(np.array([1.0, 0.5]), r)
 
 
 def _solve_tilt_reference(q, cgf):
@@ -777,30 +781,77 @@ def test_mc_truncation_bias_reported():
     ([[1.0, 0.5]], 0.5, "nonempty 1-d"),
     ([1.0, 0.5], 0.0, "radius"),
     ([1.0, 0.5], -1.0, "radius"),
-], ids=["empty", "negative", "2-d", "zero-eps", "negative-eps"])
+    ([1.0, 0.5], math.nan, "radius"),
+    ([1.0, 0.5], math.inf, "radius"),
+    ([1.0, 0.5], -math.inf, "radius"),
+], ids=["empty", "negative", "2-d", "zero-eps", "negative-eps", "nan-eps",
+        "inf-eps", "minus-inf-eps"])
 def test_mc_input_validation(lams, eps, match):
     with pytest.raises(ValueError, match=match):
         monte_carlo_probability(np.array(lams), eps, 1000, seed=0)
 
 
 def _mc_hits_serial(lam, q, N, seed):
-    """Hits of the one-thread loop that draws each batch whole."""
+    """Hits of the one-thread loop that draws each batch's column chunks
+    whole: the 8 largest eigenvalues, then twice as many columns each time,
+    for the samples whose partial sum has not yet passed q."""
+    lam = np.sort(lam)[::-1].copy()
     hits, done = 0, 0
     for child in np.random.SeedSequence(seed).spawn(-(-N // _MC_BATCH)):
         rng = np.random.default_rng(child)
         b = min(_MC_BATCH, N - done)
-        xi = rng.standard_normal((b, lam.size))
-        hits += int(np.count_nonzero((xi * xi) @ lam <= q))
+        sums = np.zeros(b)
+        lo, w = 0, 8
+        while lo < lam.size and sums.size:
+            xi = rng.standard_normal((sums.size, min(w, lam.size - lo)))
+            sums = sums + (xi * xi) @ lam[lo:lo + w]
+            sums = sums[sums <= q]
+            lo, w = lo + w, 2 * w
+        hits += sums.size
         done += b
     return hits
 
 
 @pytest.mark.parametrize("N", [1, 99_999, 100_001, 350_000, 10 ** 6])
 def test_mc_matches_serial_reference(N):
-    # threads and row blocks change neither the streams nor the integer sum
+    # threads, row blocks and the in-place compaction change neither the
+    # streams nor the integer sum
     lam = wiener_lams(200)
     est = monte_carlo_probability(lam, 0.6, N, seed=N)
     assert est.p == _mc_hits_serial(lam, 0.36, N, seed=N) / N
+
+
+def test_mc_one_worker_matches_all_cores(monkeypatch):
+    lam = wiener_lams(200)
+    full = monte_carlo_probability(lam, 0.3, 350_000, seed=5)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert monte_carlo_probability(lam, 0.3, 350_000, seed=5).p == full.p
+
+
+def test_mc_eigenvalue_order_is_irrelevant():
+    # the chunks always take the largest eigenvalues first
+    lam = wiener_lams(50)
+    a = monte_carlo_probability(lam, 0.3, 200_000, seed=9)
+    b = monte_carlo_probability(lam[::-1], 0.3, 200_000, seed=9)
+    assert a.p == b.p
+
+
+def test_mc_short_spectrum_reads_one_row_major_draw():
+    # K <= 8: the first chunk is the whole batch drawn row by row, so p is
+    # that of the whole-batch estimator
+    est = monte_carlo_probability(np.array([1.0, 0.5]), 1.0, 10 ** 5,
+                                  seed=42)
+    assert est.p == 0.5031
+
+
+def test_mc_extreme_radii():
+    lam = wiener_lams(200)
+    assert monte_carlo_probability(lam, 1e3, 10 ** 4, seed=3).p == 1.0
+    tiny = monte_carlo_probability(lam, 1e-3, 10 ** 4, seed=3)
+    assert tiny.p == 0.0
+    assert tiny.log_p == -math.inf
 
 
 def test_mc_memory_is_bounded():
