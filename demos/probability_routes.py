@@ -6,12 +6,17 @@ P(||X|| <= eps) for the Brownian bridge by
 
   1. saddle-point inversion of the Laplace transform on the truncated
      spectrum plus a growth-model tail,
-  2. plain Monte Carlo over the truncated spectrum,
+  2. plain Monte Carlo over the truncated spectrum, next to the saddle
+     point on that same bare spectrum,
   3. the closed asymptotic form,
 
-and watch the three columns line up as eps shrinks (Monte Carlo dies
-first: at eps = 0.1 the probability is ~1e-6 and a 10^6-sample run sees
-a handful of hits at best).
+and watch the columns line up as eps shrinks.  Monte Carlo samples only
+the K computed terms, so it is compared with the bare-spectrum saddle
+point, with which it agrees within 3 standard errors; the gap to the
+tail-model column is the truncation, whose mean (the dropped part of
+E||X||^2, `truncation_bias`) is printed once.  Monte Carlo dies first: at
+eps = 0.1 the probability is ~1e-5 and a 10^6-sample run sees a handful
+of hits at best.
 """
 
 import numpy as np
@@ -26,15 +31,21 @@ lam = 1.0 / (k * np.pi) ** 2          # bridge spectrum, exact
 tail = WeylTailModel.calibrated(1, 1.0, K, lam[-1])
 form = process_asymptotic(ProcessSpec("bridge"))
 
-print(f"bridge norm distribution, K = {K} eigenvalues + tail model")
-print(f"{'eps':>6} {'saddlepoint':>14} {'monte carlo':>14} {'mc err':>10} "
+print(f"bridge norm distribution, K = {K} eigenvalues")
+print(f"{'eps':>6} {'saddle+tail':>14} {'saddle bare':>14} "
+      f"{'monte carlo':>14} {'mc err':>9} {'(mc-bare)/err':>13} "
       f"{'asymptotic':>14}")
 for eps in (0.5, 0.35, 0.25, 0.18, 0.13, 0.10):
     sad = smallball_probability_exact(lam, eps, tail=tail)
-    mc = monte_carlo_probability(lam, eps, 10 ** 6, seed=20260825)
+    bare = smallball_probability_exact(lam, eps)
+    mc = monte_carlo_probability(lam, eps, 10 ** 6, seed=20260825,
+                                 tail=tail)
     asym = evaluate_asymptotic(form, eps)
-    print(f"{eps:>6.2f} {sad.p:>14.6e} {mc.p:>14.6e} {mc.err:>10.1e} "
+    print(f"{eps:>6.2f} {sad.p:>14.6e} {bare.p:>14.6e} {mc.p:>14.6e} "
+          f"{mc.err:>9.1e} {(mc.p - bare.p) / mc.err:>13.2f} "
           f"{asym:>14.6e}")
+print(f"Monte Carlo truncation_bias (mean of the dropped terms): "
+      f"{mc.truncation_bias:.3e}")
 
 # deep in the tail only the saddle point and the closed form survive;
 # their ratio tends to 1

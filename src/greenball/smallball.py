@@ -13,8 +13,11 @@ Three ways to get at P(||X||_psi <= eps):
   first two s-derivatives come from one sum (`_log_laplace_sums`) over the
   computed eigenvalues plus `WeylTailModel.log_laplace(s, k)` for the
   continuation; the tilt, the contour integrand and its end corrections all
-  read them through that pair.  The continuation costs the same at every s:
-  a fixed block of model eigenvalues, then a closed-form remainder;
+  read them through that pair.  The sum takes exact logs only of the terms
+  with |2 s lam_j| > 0.1 and one power series for the rest; the tilt is a
+  safeguarded Newton iteration in (log s, log m).  The continuation costs
+  the same at every s: a fixed block of model eigenvalues, then a
+  closed-form remainder;
 * plain Monte Carlo over the same quadratic form.
 
 `comparison_convergence` tabulates P_1(eps)/P_2(eps) from two weights'
@@ -64,8 +67,8 @@ def epsilon_transforms(eps, n):
     hat      = (eps sqrt(2n/c_n sin(pi/2n)))^{1/(2n-1)},
     c_n      = 2 sqrt(pi) Gamma(n)/Gamma(n - 1/2).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError("eps must be positive and finite")
     s = math.sin(math.pi / (2 * n))
     p = 1.0 / (2 * n - 1)
     c_n = 2 * math.sqrt(math.pi) * gamma_fn(n) / gamma_fn(n - 0.5)
@@ -480,17 +483,9 @@ class WeylTailModel:
                 - 0.5 * rem.reshape(s.shape))
 
     def _series(self, u, k):
-        """k-th s-derivative of G by its power series in u.  The powers
-        u^0, u^1, ... come from one cumulative product, so a scalar u costs
-        a few numpy calls rather than one per term; the terms are summed
-        from the highest power down, the order Horner's rule adds them in."""
-        c = self._coef[k]
-        terms = np.empty(np.shape(u) + c.shape, np.result_type(u, float))
-        terms[..., 0] = 1.0
-        terms[..., 1:] = np.expand_dims(u, -1)
-        np.cumprod(terms, axis=-1, out=terms)
-        terms *= c
-        return terms[..., ::-1].sum(axis=-1)
+        """k-th s-derivative of G by its power series in u
+        (`_power_series`)."""
+        return _power_series(u, self._coef[k])
 
     def _stirling(self, s, k):
         """k-th s-derivative of G by the root form: with z_k = Y - rho_k,
@@ -525,21 +520,56 @@ class WeylTailModel:
 #: raise the allocator's mmap threshold for later solves
 _OUTER_ENTRIES = 1 << 18
 
+#: terms with |2 s lam_j| <= _SPLIT are summed as one power series in
+#: u = 2 s lam_J0, G(u) = -(1/2) sum_p (-1)^{p+1} T_p u^p/p up to
+#: p = _SPLIT_TERMS + k for the k-th s-derivative; the first term dropped
+#: is below 0.1^17/18 (k = 0) and 19 * 0.1^18 (k = 2) of the leading one
+_SPLIT, _SPLIT_TERMS = 0.1, 17
+#: fewest terms, over all points of a call, the series must take over for
+#: the split to pay for its fixed cost (a few dozen numpy calls), so the
+#: scalar calls of the tilt and of the contour's end data take the exact
+#: sum unless K > 4096
+_SPLIT_MIN = 4096
+#: u^i coefficient of the k-th s-derivative of the series, over
+#: lam_J0^k T_{i+k}: G = -(1/2) sum_p (-1)^{p+1} T_p u^p/p differentiated k
+#: times in s (du/ds = 2 lam_J0); entry 0 of k = 0 multiplies T_0 := 0
+_SPLIT_FACTORS = tuple(
+    np.array([0.0 if i + k == 0 else
+              -0.5 * (-1.0) ** (i + k + 1) / (i + k) * 2.0 ** k
+              * math.perm(i + k, k) for i in range(_SPLIT_TERMS + 1)])
+    for k in range(3))
 
-def _log_laplace_sums(s, lam, k):
-    """k-th s-derivative (k = 0, 1, 2) of -(1/2) sum_j log(1 + 2 s lam_j).
 
-    s is a real or complex scalar or array; its points are taken in chunks
-    so that no (points x eigenvalues) outer product exceeds
+def _power_series(u, c):
+    """sum_p c_p u^p for each u: the powers u^0, u^1, ... come from one
+    cumulative product, so a scalar u costs a few numpy calls rather than
+    one per term; the terms are summed from the highest power down, the
+    order Horner's rule adds them in.  Chunked so that the power table stays
+    within `_OUTER_ENTRIES` entries."""
+    u = np.asarray(u)
+    flat = u.reshape(-1)
+    out = np.empty(flat.shape, np.result_type(u, float))
+    step = max(1, _OUTER_ENTRIES // c.size)
+    for i in range(0, flat.size, step):
+        terms = np.empty((flat[i:i + step].size, c.size), out.dtype)
+        terms[:, 0] = 1.0
+        terms[:, 1:] = flat[i:i + step, None]
+        np.cumprod(terms, axis=-1, out=terms)
+        terms *= c
+        out[i:i + step] = terms[:, ::-1].sum(axis=-1)
+    return out.reshape(u.shape)
+
+
+def _exact_log_sums(flat, lam, k):
+    """k-th s-derivative (k = 0, 1, 2) of -(1/2) sum_j log(1 + 2 s lam_j),
+    term by term, for a 1-d array of abscissae; the points are taken in
+    chunks so that no (points x eigenvalues) outer product exceeds
     `_OUTER_ENTRIES` entries.  For k = 0 and complex s (Re s >= 0) the logs
     are real arithmetic: with 2 s lam = a + ib, log(1 + a + ib) =
     (1/2) log1p(a(2+a) + b^2) + i atan2(b, 1+a), free of cancellation for
     a >= 0 and 2-3 times faster than numpy's complex log1p, which can lose
     the real part of small Im-dominated terms; where b^2 overflows
-    (|2 s lam| past ~1e154) the real part is log hypot(1+a, b).
-    """
-    s = np.asarray(s)
-    flat = s.reshape(-1)
+    (|2 s lam| past ~1e154) the real part is log hypot(1+a, b)."""
     step = max(1, _OUTER_ENTRIES // lam.size)
     out = []
     for i in range(0, flat.size, step):
@@ -562,7 +592,80 @@ def _log_laplace_sums(s, lam, k):
             out.append(-np.sum(lam / (1.0 + x), axis=-1))
         else:
             out.append(np.sum(2.0 * lam ** 2 / (1.0 + x) ** 2, axis=-1))
-    return np.concatenate(out).reshape(s.shape)
+    return np.concatenate(out)
+
+
+def _suffix_power_sums(lam, starts, P):
+    """T[b, p-1] = sum_{j >= J} (lam_j/lam_J)^p for p = 1..P at each J of
+    the ascending `starts` (all < K).  Normalized by lam_J, every term lies
+    in [0, 1] and T in [1, K - J]: nothing overflows, and terms that
+    underflow are below rounding of the j = J term.  One pass sums each
+    segment [J_b, J_{b+1}) against its own lam_{J_b}; the suffixes follow
+    from T_b = S_b + (lam_{J_{b+1}}/lam_{J_b})^p T_{b+1}."""
+    seg = np.diff(starts, append=lam.size)
+    ratio = lam[starts[0]:] / np.repeat(lam[starts], seg)
+    power = ratio.copy()
+    T = np.empty((starts.size, P))
+    for p in range(P):  # one power at a time: O(K) memory at any P
+        if p:
+            power *= ratio
+        T[:, p] = np.add.reduceat(power, starts - starts[0])
+    rho = (lam[starts[1:]] / lam[starts[:-1]])[:, None] ** np.arange(1, P + 1)
+    for b in range(starts.size - 2, -1, -1):
+        T[b] += rho[b] * T[b + 1]
+    return T
+
+
+def _log_laplace_sums(s, lam, k):
+    """k-th s-derivative (k = 0, 1, 2) of -(1/2) sum_j log(1 + 2 s lam_j).
+
+    s is a real or complex scalar or array; lam is positive and descending.
+    At each s the spectrum splits at J0, the first j with
+    |2 s lam_j| <= `_SPLIT`.  The terms j < J0 are summed exactly
+    (`_exact_log_sums`); the rest are one power series
+    -(1/2) sum_p (-1)^{p+1} T_p u^p/p in u = 2 s lam_J0 (and its
+    s-derivatives), with T_p = sum_{j>=J0} (lam_j/lam_J0)^p the normalized
+    suffix power sums, so a point costs J0 logs plus `_SPLIT_TERMS`
+    products instead of K logs.  The points are sorted by |s| (so by J0) and
+    cut into blocks whose largest J0 is at most twice (or 64 past) their
+    smallest; a block splits at its largest J0, where the series still
+    holds for every point, and its power sums come from one pass over the
+    spectrum per call (`_suffix_power_sums`).  Where the series would take
+    over fewer than `_SPLIT_MIN` terms in all (J0 = K at every point, or a
+    scalar s), the call is the exact sum alone, as before the split.
+    """
+    s = np.asarray(s)
+    flat = s.reshape(-1)
+    K = lam.size
+    with np.errstate(divide="ignore"):  # s = 0: every term is small
+        j0 = np.searchsorted(-lam, -(0.5 * _SPLIT) / np.abs(flat))
+    if K * flat.size - j0.sum() < _SPLIT_MIN:
+        return _exact_log_sums(flat, lam, k).reshape(s.shape)
+    order = np.argsort(j0, kind="stable")
+    j0 = j0[order]
+    blocks = []  # (first point, end point, split index J)
+    i = 0
+    while i < j0.size:
+        end = int(np.searchsorted(j0, max(2 * j0[i], j0[i] + 64),
+                                  side="right"))
+        blocks.append((i, end, int(j0[end - 1])))
+        i = end
+    if blocks[0][2] == K:  # one block, and its largest J0 is K
+        return _exact_log_sums(flat, lam, k).reshape(s.shape)
+    splits = np.array([J for _, _, J in blocks if J < K])
+    T = np.zeros((splits.size, _SPLIT_TERMS + k + 1))  # T_0, T_1, ...
+    T[:, 1:] = _suffix_power_sums(lam, splits, _SPLIT_TERMS + k)
+    coef = (lam[splits, None] ** k * _SPLIT_FACTORS[k]
+            * T[:, k:k + _SPLIT_TERMS + 1])
+    fs = flat[order]
+    out = np.empty(flat.shape, np.result_type(flat, float))
+    coef = iter(coef)
+    for i, end, J in blocks:
+        part = _exact_log_sums(fs[i:end], lam[:J], k) if J else 0.0
+        if J < K:
+            part = part + _power_series(2.0 * lam[J] * fs[i:end], next(coef))
+        out[order[i:end]] = part
+    return out.reshape(s.shape)
 
 
 def _positive_spectrum(lams):
@@ -584,11 +687,13 @@ def smallball_probability_exact(lams, r, tail=None):
     the saddle of the integrand and integrated by trapezoid along the
     vertical contour, with the truncated ends restored by integration by
     parts; self-checks on step halving and end decay guard the result.
-    Nested node sets let a step halving evaluate only the new odd nodes and
-    a contour doubling only the new stretch.  `err` bounds the quadrature
-    error only (the gap between the last two sums and the end terms, but
-    no less than the rounding of the finer sum), not that of the truncated
-    spectrum or of the tail model.
+    The abscissa is found by `_solve_tilt`, a few Newton steps per
+    equation.  Nested node sets let a step halving evaluate only the new odd
+    nodes and a contour doubling only the new stretch, and each node sums
+    exact logs only up to its split index (`_log_laplace_sums`).  `err`
+    bounds the quadrature error only (the gap between the last two sums and
+    the end terms, but no less than the rounding of the finer sum), not
+    that of the truncated spectrum or of the tail model.
     """
     lam = _positive_spectrum(lams)
     if (np.diff(lam) > 0).any():
@@ -678,36 +783,87 @@ def smallball_probability_exact(lams, r, tail=None):
                                log_p=logp)
 
 
+#: the tilt is searched for on [_S_MIN, _S_MAX]; past _S_MAX it is reported
+#: as not found
+_S_MIN, _S_MAX = 1e-300, 1e280
+_ULP = np.finfo(float).eps
+#: largest Newton step in log s while the root is bracketed on one side only
+_MAX_LOG_STEP = 30.0
+
+
 def _solve_tilt(q, cgf):
     """Contour abscissa: the tilt solving q + cgf'(s) = 0 when it is well
-    separated from the s = 0 pole, else the saddle of the full integrand
-    (q + cgf'(s) = 1/s), which always exists on s > 0.  cgf(s, k) is the
-    k-th derivative of log L at a real scalar s."""
-
-    def bisect(fn):
-        lo, hi = 1e-300, 1.0
-        while not fn(hi) > 0:
-            hi *= 2.0
-            if hi > 1e280:
-                raise TiltNotFound("tilt bracketing failed")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:  # adjacent doubles: mid is final
-                break
-            if fn(mid) > 0:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
-
+    separated from the s = 0 pole (s* >= 2 sigma), else the saddle of the
+    full integrand (q + cgf'(s) = 1/s), which always exists on s > 0.
+    cgf(s, k) is the k-th derivative of log L at a real scalar s.  Both are
+    roots of m(s) = q for a decreasing m > 0, m = -cgf' for the tilt and
+    m = -cgf' + 1/s for the saddle, found by `_log_newton` from
+    s = 1/(2q) and from the tilt (or from 1/q, a point left of the saddle)."""
+    if not q > 0:  # r^2 underflowed
+        raise TiltNotFound("tilt bracketing failed")
+    start = 1.0 / q
     if q < -float(cgf(0.0, 1)):  # below the mean of Q
-        sstar = bisect(lambda s: q + float(cgf(s, 1)))
+        sstar = _log_newton(q, lambda s: -float(cgf(s, 1)),
+                            lambda s: s * float(cgf(s, 2)), 0.5 / q)
         curv = float(cgf(sstar, 2))
         sigma = 1.0 / math.sqrt(curv) if curv > 0 else np.inf
         if sstar >= 2.0 * sigma:
             return sstar
+        start = sstar  # m(s*) + 1/s* > q: the saddle lies right of s*
     # pole-anchored saddle of e^{sq} L(s)/s
-    return bisect(lambda s: q + float(cgf(s, 1)) - 1.0 / s)
+    return _log_newton(q, lambda s: 1.0 / s - float(cgf(s, 1)),
+                       lambda s: s * float(cgf(s, 2)) + 1.0 / s, start)
+
+
+def _log_newton(q, m, dm, s):
+    """Root of m(s) = q, m > 0 decreasing on s > 0 and dm(s) = -s m'(s).
+
+    Newton's method on log m - log q in log s, where the power-law decay of
+    m is nearly a straight line, kept inside a bracket lo < hi with
+    m(lo) >= q > m(hi): a step that leaves it is replaced by the geometric
+    midpoint, and so is one that does not halve the step before it.  Until
+    both ends are known a step is at most a factor e^`_MAX_LOG_STEP`.  A
+    step below 1e-10 has converged to rounding, so it is pushed 2 ulps on
+    (twice as far each time it does not cross) to land past the root; once
+    the bracket spans at most 64 ulps it is bisected, with no derivative.
+    The slope is re-evaluated only while steps exceed 1e-4.  The search
+    stops when lo and hi are adjacent doubles and returns hi; outside
+    [`_S_MIN`, `_S_MAX`] it raises TiltNotFound."""
+    lo, hi = 0.0, math.inf
+    last, push = math.inf, 2.0 * _ULP
+    while True:
+        if not _S_MIN <= s <= _S_MAX:
+            raise TiltNotFound("tilt bracketing failed")
+        v = m(s)
+        if v == q:
+            return s
+        if v > q:
+            lo = s
+        else:
+            hi = s
+        if math.nextafter(lo, math.inf) >= hi:
+            return hi
+        if hi - lo <= 64.0 * _ULP * lo:
+            s = lo + 0.5 * (hi - lo)
+            continue
+        if last > 1e-4:  # else the last slope is still good to ~1e-4
+            scale = v / dm(s)
+        # v/q, not log v - log q: near the root only the quotient keeps the
+        # sign of v - q, which fixes the direction of the step
+        way = 1.0 if v > q else -1.0
+        step = math.log(v / q) * scale
+        if not abs(step) <= _MAX_LOG_STEP:  # a flat m, or no derivative
+            step = way * _MAX_LOG_STEP
+        if abs(step) < 1e-10 or step * way <= 0.0:
+            t = s * math.exp(way * (abs(step) + push))
+            push *= 2.0  # a push that does not cross the root doubles
+        else:
+            t = s * math.exp(step)
+            if lo > 0.0 and hi < math.inf and not (
+                    lo < t < hi and abs(step) <= 0.5 * last):
+                t = lo * math.sqrt(hi / lo)
+                step = math.log(t / s)
+        s, last = t, abs(step)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import greenball.smallball as smallball
 from greenball.errors import (DegenerateTheta, InversionUnstable,
                               NotNormalized, TiltNotFound, UnsupportedFamily)
 from greenball.kernels import ProcessSpec, base_kernel, build_process, \
@@ -35,7 +36,8 @@ from greenball.kernels import ProcessSpec, base_kernel, build_process, \
 from greenball.model import Weight
 from greenball.smallball import (AsymptoticForm, ProbabilityEstimate,
                                  WeylTailModel, _MC_BATCH, _SWITCH,
-                                 _log_laplace_sums, _solve_tilt,
+                                 _exact_log_sums, _log_laplace_sums,
+                                 _solve_tilt,
                                  comparison_convergence,
                                  constants, epsilon_transforms,
                                  evaluate_asymptotic, K_of, K_tilde_of,
@@ -133,6 +135,18 @@ def test_epsilon_transforms_order_two():
                                / 2.0), rel=1e-13)  # Gamma(2)/Gamma(3/2)
     assert e_h == pytest.approx((0.1 * math.sqrt(4.0 / c2 * s)) ** (1 / 3),
                                 rel=1e-14)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -0.1])
+def test_non_finite_eps_is_rejected(eps):
+    # a NaN eps used to give a NaN value and an infinite one a log value
+    # of +inf, a log-probability above 0
+    form = process_asymptotic(ProcessSpec("wiener"))
+    for fn in (evaluate_asymptotic, log_evaluate_asymptotic):
+        with pytest.raises(ValueError, match="positive and finite"):
+            fn(form, eps)
+    with pytest.raises(ValueError, match="positive and finite"):
+        epsilon_transforms(eps, 1)
 
 
 def test_index_sums():
@@ -338,37 +352,15 @@ def test_exact_oracle_input_validation():
             smallball_probability_exact(np.array([1.0, 0.5]), r)
 
 
-def _solve_tilt_reference(q, cgf):
-    """`_solve_tilt` with each bisection running all 200 halvings."""
-
-    def bisect(fn):
-        lo, hi = 1e-300, 1.0
-        while not fn(hi) > 0:
-            hi *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if fn(mid) > 0:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
-
-    if q < -float(cgf(0.0, 1)):
-        sstar = bisect(lambda s: q + float(cgf(s, 1)))
-        curv = float(cgf(sstar, 2))
-        sigma = 1.0 / math.sqrt(curv) if curv > 0 else np.inf
-        if sstar >= 2.0 * sigma:
-            return sstar
-    return bisect(lambda s: q + float(cgf(s, 1)) - 1.0 / s)
-
-
 @pytest.mark.parametrize("tail", [False, True], ids=["head", "tail"])
 @pytest.mark.parametrize("r", [0.05, 0.2, 0.5, 1.0])
 def test_tilt_bisection_stops_when_bracket_is_tight(r, tail):
-    # r = 0.05 returns the tilt, 0.2 and 0.5 bisect for the tilt and then
-    # for the pole-anchored saddle, 1.0 (above the mean) for the saddle only;
-    # once the bracket holds two adjacent doubles, further halvings cannot
-    # move the returned midpoint
+    # r = 0.05 returns the tilt, 0.2 and 0.5 solve for the tilt and then for
+    # the pole-anchored saddle, 1.0 (above the mean) for the saddle only.
+    # Newton steps shrink the bracket to 64 ulps, bisection to adjacent
+    # doubles, and s* ends it: the equation it solves changes sign within
+    # s* (1 +- 4 eps).  Each solve takes at most 30 transform evaluations
+    # (a bisection from the first double took about 115)
     lam = wiener_lams(200)
     model = (WeylTailModel.calibrated(1, 1.0, 200, float(lam[-1]))
              if tail else None)
@@ -379,9 +371,22 @@ def test_tilt_bisection_stops_when_bracket_is_tight(r, tail):
         out = _log_laplace_sums(s, lam, k)
         return out if model is None else out + model.log_laplace(s, k)
 
-    sstar = _solve_tilt(r * r, cgf)
-    assert calls.count(1) <= 130
-    assert sstar == _solve_tilt_reference(r * r, cgf)
+    q = r * r
+    sstar = _solve_tilt(q, cgf)
+    used = len(calls)
+    mean = -float(cgf(0.0, 1))
+    curv = float(cgf(sstar, 2))
+    tilt = q < mean and sstar >= 2.0 / math.sqrt(curv)
+    assert tilt == (r == 0.05)
+
+    def equation(s):  # negative left of the root, positive right of it
+        return q + float(cgf(s, 1)) - (0.0 if tilt else 1.0 / s)
+
+    u = np.finfo(float).eps
+    assert equation(sstar * (1 - 4 * u)) <= 0.0 < equation(sstar * (1 + 4 * u))
+    # the mean and the branch curvature come on top of the solves
+    solves = 1 if r in (0.05, 1.0) else 2
+    assert used <= 30 * solves + (2 if r < 1.0 else 0), used
 
 
 def test_tilt_failure_reported():
@@ -527,6 +532,122 @@ def test_complex_log_terms_match_high_precision():
             want = reference(si, lam)
             for part, ref in ((gi.real, want.real), (gi.imag, want.imag)):
                 assert abs(part - float(ref)) <= 4e-16 * abs(ref), si
+
+
+def _exact_terms(s, lam, k):
+    """The K terms of `_log_laplace_sums` one by one, k = 0 at complex s in
+    the real-arithmetic log form (checked against 40 digits above)."""
+    x = 2.0 * s * lam
+    if k == 1:
+        return -lam / (1.0 + x)
+    if k == 2:
+        return 2.0 * lam ** 2 / (1.0 + x) ** 2
+    if not np.iscomplexobj(x):
+        return -0.5 * np.log1p(x)
+    a, b = x.real, x.imag
+    with np.errstate(over="ignore"):
+        m = np.log1p((2.0 + a) * a + b * b)
+    big = np.isinf(m)
+    m[big] = 2.0 * np.log(np.hypot(1.0 + a[big], b[big]))
+    return -0.25 * m - 0.5j * np.arctan2(b, 1.0 + a)
+
+
+@pytest.mark.parametrize("K", [1, 32, 500])
+def test_split_sums_match_exact_terms(K, monkeypatch):
+    # exact logs for |2 s lam_j| > 0.1 plus one power series for the rest,
+    # forced at every call, against the correctly rounded sum of all K
+    # exact terms: within 4 eps of sum |terms| for k = 0, 1, 2, real and
+    # complex s from 1e-3 to 1e300, one point per call and all of a phase's
+    # points in one call (many split indices, one pass of power sums).  The
+    # spectra decay like j^-2, j^-4 and j^-10 (lam_1/lam_K up to 1e27 at
+    # K = 500); normalized power sums neither overflow nor lose the terms
+    monkeypatch.setattr(smallball, "_SPLIT_MIN", 0)
+    j = np.arange(1, K + 1)
+    mags = np.geomspace(1e-3, 1e300, 61)
+    eps = np.finfo(float).eps
+    for power in (2, 4, 10):
+        lam = (1.0 / (math.pi * (j - 0.5))) ** power
+        for phase in (0.0, 0.3, 1.2, 1.5):
+            s = mags * np.exp(1j * phase) if phase else mags
+            for k in (0, 1, 2):
+                # past |2 s lam| ~ 1e154 the exact k = 2 terms overflow in
+                # (1 + x)^2; such points are left out below
+                quiet = dict(over="ignore", invalid="ignore") if k == 2 \
+                    else {}
+                with np.errstate(**quiet):
+                    together = _log_laplace_sums(s, lam, k)
+                for si, got in zip(s, together):
+                    with np.errstate(**quiet):
+                        terms = _exact_terms(si, lam, k)
+                        alone = _log_laplace_sums(si, lam, k)
+                    size = np.abs(terms).sum()
+                    if not np.isfinite(size):
+                        assert k == 2
+                        continue
+                    want = (complex(math.fsum(terms.real),
+                                    math.fsum(terms.imag))
+                            if np.iscomplexobj(terms) else math.fsum(terms))
+                    for value in (got, alone):
+                        assert abs(value - want) <= 4 * eps * size, \
+                            (power, phase, k, si)
+
+
+def test_split_sums_keep_exact_path_where_nothing_is_small():
+    # compare's K = 60 Wiener spectrum at its tilts (|2 s lam_K| > 0.1 for
+    # every point) and any scalar s: the split adds nothing and the sums are
+    # the exact ones bit for bit
+    lam = wiener_lams(60)
+    s = 2e4 + 1j * np.linspace(0.0, 1e5, 400)
+    for k in (0, 1, 2):
+        assert np.array_equal(_log_laplace_sums(s, lam, k),
+                              _exact_log_sums(s, lam, k))
+        for x in (1e-3, 3.0, 2e4 + 5e3j):
+            assert _log_laplace_sums(x, lam, k) == \
+                _exact_log_sums(np.array([x]), lam, k)[0]
+
+
+def test_saddle_work_is_bounded_on_benchmark_inputs(monkeypatch):
+    # the benchmark's saddle-point set (as in the err test above): the tilt
+    # solves take at most 30 transform evaluations each (a bisection took
+    # about 115) and the sums evaluate about 5.2e6 exact terms (all-exact
+    # sums took 2.3e7); either sliding back fails here
+    solves, terms = [], [0]
+    solve_tilt, exact = smallball._solve_tilt, smallball._exact_log_sums
+
+    def counted_solve(q, cgf):
+        def counted(s, k):
+            solves[-1] += 1
+            return cgf(s, k)
+        solves.append(0)
+        return solve_tilt(q, counted)
+
+    def counted_exact(flat, lam, k):
+        terms[0] += flat.size * lam.size
+        return exact(flat, lam, k)
+
+    monkeypatch.setattr(smallball, "_solve_tilt", counted_solve)
+    monkeypatch.setattr(smallball, "_exact_log_sums", counted_exact)
+    bridge, wiener, cant = bridge_lams(500), wiener_lams(500), \
+        _cantilever_lams(200)
+    runs = [(bridge, WeylTailModel.calibrated(1, 1.0, 500, bridge[-1]),
+             [math.sqrt(x) for x in (0.02, 0.03, 0.05, 0.0833, 0.11888,
+                                     0.2, 0.3473, 0.46136, 0.74346)]),
+            (wiener, WeylTailModel.fitted(1, wiener),
+             np.geomspace(0.2, 0.03, 8)),
+            (cant, WeylTailModel.fitted(2, cant),
+             np.geomspace(0.05, 0.005, 6))]
+    for lam, tail, radii in runs:
+        for r in radii:
+            smallball_probability_exact(lam, r, tail=tail)
+    lam = wiener_lams(200)
+    lo, hi = 1e-6 * math.sqrt(lam.sum()), 4.0 * math.sqrt(lam.sum())
+    for _ in range(41):
+        mid = 0.5 * (lo + hi)
+        p = smallball_probability_exact(lam, mid).p
+        lo, hi = (mid, hi) if p < 1e-2 else (lo, mid)
+    assert len(solves) == 64
+    assert max(solves) <= 30, max(solves)
+    assert terms[0] <= 7e6, terms[0]
 
 
 # ---------------------------------------------------------------------------
