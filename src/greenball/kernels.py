@@ -23,6 +23,14 @@ Weighting is terminal -- every other transform refuses a weighted kernel,
 which enforces the "weight applied last" rule at the API level.  Every
 catalog sample is bitwise symmetric -- by construction, or by one in-place
 `_symmetrize` after integrating or conditioning.
+
+A sample belongs to whoever asked for it, so one n x n buffer carries it
+through a chain: the base sampler fills it, and each transform -- and
+finally the Nystrom solve -- writes its result into the sample it was
+handed, a row block or a panel at a time.  A stage copies only a sample it
+may not write: a kernel's cached own-grid sample (``Kernel.values``), which
+is stored read-only, or a user sampler's read-only or Fortran-ordered
+array.
 """
 
 from __future__ import annotations
@@ -45,14 +53,30 @@ DEFAULT_GRID = Grid.composite(1024, 8)
 
 #: condition-number ceiling for the conditioning Gram matrix
 CONDITION_LIMIT = 1e12
-#: side of the square tiles `_symmetrize` averages in place
+#: side of the square tiles `_symmetrize` averages in place, and the height
+#: of the row blocks in which the stages overwrite a sample
 _TILE = 64
+
+
+def _row_blocks(n):
+    """Slices of the `_TILE`-row blocks of an n-row matrix."""
+    return [slice(i, i + _TILE) for i in range(0, n, _TILE)]
 
 
 def _tile_pairs(n):
     """Slices (a, b) of the tiles A[a, b] on and above the diagonal."""
-    cuts = [slice(i, i + _TILE) for i in range(0, n, _TILE)]
+    cuts = _row_blocks(n)
     return [(a, b) for k, a in enumerate(cuts) for b in cuts[k:]]
+
+
+def _scale_outer(A, a):
+    """A_ij <- (a_i a_j) A_ij in place, a row block at a time; return A.
+
+    Each entry is one product with a_i a_j, as in outer(a, a) * A, so a
+    symmetric A stays bitwise symmetric."""
+    for r in _row_blocks(len(A)):
+        A[r] *= np.multiply.outer(a[r], a)
+    return A
 
 
 def _symmetrize(A):
@@ -89,10 +113,20 @@ class Kernel:
     ``half_order`` is the n for which the associated differential operator
     has order 2n (it sets the Weyl tail rate of the spectrum).
     ``weight`` is the Weight applied by `apply_weight`, None before.
+    ``symmetric`` marks a sampler whose values are symmetric by
+    construction (the catalog bases and transforms).
 
     `evaluate_on` is the only sampling path; ``values`` and ``odd`` are the
-    sample on ``grid``, computed on first access and cached.  The first
-    sample of each kernel is checked to be finite and symmetric.
+    sample on ``grid``, computed on first access and cached read-only.  The
+    first sample of each kernel is checked to be finite and, unless
+    ``symmetric`` is set, symmetric to 1e-14, tile by tile.
+
+    Ownership: a sampler hands over the arrays it returns, and
+    `evaluate_on` hands them on uncopied -- except the cached sample, once
+    ``values`` or ``odd`` has been read.  The transforms and the Nystrom
+    solve overwrite a writable C-ordered ``values`` in place; a sampler
+    that keeps its arrays returns them read-only (or Fortran-ordered), and
+    they are copied once.
     """
 
     grid: Grid
@@ -100,6 +134,7 @@ class Kernel:
     half_order: int
     sampler: Callable
     weight: object = None
+    symmetric: bool = False
 
     @property
     def weighted(self):
@@ -107,36 +142,55 @@ class Kernel:
 
     @property
     def values(self):
-        return self.evaluate_on(self.grid)[0]
+        return self._cached()[0]
 
     @property
     def odd(self):
-        return self.evaluate_on(self.grid)[1]
+        return self._cached()[1]
+
+    def _cached(self):
+        """The read-only sample on the kernel's own grid, sampled once."""
+        own = getattr(self, "_own", None)
+        if own is None:
+            values, odd = self.evaluate_on(self.grid)
+            own = _read_only(values), _read_only(odd)
+            object.__setattr__(self, "_own", own)
+        return own
 
     def evaluate_on(self, grid):
-        """(values, odd) of this kernel sampled on `grid`."""
+        """(values, odd) of this kernel sampled on `grid`: the cached
+        read-only sample if `grid` is the kernel's own grid and ``values``
+        or ``odd`` has been read, else a fresh one that the caller owns."""
         own = getattr(self, "_own", None)
         if grid is self.grid and own is not None:
             return own
         values, odd = self.sampler(grid)
-        if not getattr(self, "_symmetric", False):
+        if not getattr(self, "_checked", False):
             v = np.asarray(values, dtype=float)
             # max and min propagate NaN: a finite bound means a finite v
             bound = 1e-14 * (max(float(v.max()), -float(v.min())) or 1.0)
             if not np.isfinite(bound) or not np.isfinite(
                     0.0 if odd is None else odd).all():
                 raise ValueError(f"kernel {self.label} has non-finite samples")
-            if any(np.abs(v[a, b] - v[b, a].T).max() > bound
-                   for a, b in _tile_pairs(len(v))):
+            if not self.symmetric and any(
+                    np.abs(v[a, b] - v[b, a].T).max() > bound
+                    for a, b in _tile_pairs(len(v))):
                 raise ValueError("kernel matrix is not symmetric to 1e-14")
-            object.__setattr__(self, "_symmetric", True)
-        if grid is self.grid:
-            object.__setattr__(self, "_own", (values, odd))
+            object.__setattr__(self, "_checked", True)
         return values, odd
 
     def __repr__(self):  # the matrices are big; keep repr readable
         return (f"Kernel({self.label!r}, n={self.half_order}, "
                 f"grid={self.grid.n}, weighted={self.weighted})")
+
+
+def _read_only(a):
+    """A read-only view of array `a` (None stays None); `a` keeps its flags."""
+    if a is None:
+        return None
+    view = np.asarray(a).view()
+    view.setflags(write=False)
+    return view
 
 
 # ---------------------------------------------------------------------------
@@ -154,14 +208,23 @@ def _panel_constant(g, c):
     return np.full((g.panels, g.order, g.order), c)
 
 
+def _lags(g):
+    """|x_i - x_j| in one n x n array."""
+    u = np.subtract.outer(g.x, g.x)
+    return np.abs(u, out=u)
+
+
 def _radial_split(g, f, diag_slope):
     """Sample f(|t-s|) together with its |t-s| kink coefficient.
 
     f must accept signed arguments (analytic extension of the radial
     profile); the coefficient is (f(u) - f(-u)) / (2u) with the supplied
-    limit on the diagonal.
+    limit on the diagonal.  f is applied elementwise, a row block at a
+    time, in the buffer of the lags.
     """
-    values = f(np.abs(g.x[:, None] - g.x[None, :]))
+    values = _lags(g)
+    for r in _row_blocks(g.n):
+        values[r] = f(values[r])
     u = _panel_lags(g)
     den = np.where(u == 0.0, 1.0, 2.0 * u)
     odd = np.where(u == 0.0, diag_slope, (f(u) - f(-u)) / den)
@@ -175,11 +238,15 @@ def _wiener_values(g):
 
 def _bridge_values(g):
     t = g.x
-    return np.minimum.outer(t, t) - np.outer(t, t), _panel_constant(g, -0.5)
+    values = np.minimum.outer(t, t)
+    for r in _row_blocks(g.n):
+        values[r] -= np.multiply.outer(t[r], t)
+    return values, _panel_constant(g, -0.5)
 
 
 def _ou_values(g):
-    values = np.exp(-np.abs(g.x[:, None] - g.x[None, :]))
+    values = _lags(g)
+    np.exp(np.negative(values, out=values), out=values)
     u = _panel_lags(g)
     den = np.where(u == 0.0, 1.0, u)
     odd = np.where(u == 0.0, -1.0, -np.sinh(u) / den)
@@ -187,8 +254,8 @@ def _ou_values(g):
 
 
 def _slepian_values(g):
-    u = np.abs(g.x[:, None] - g.x[None, :])
-    return 1.0 - u, _panel_constant(g, -1.0)
+    u = _lags(g)
+    return np.subtract(1.0, u, out=u), _panel_constant(g, -1.0)
 
 
 def _matern_sampler(n):
@@ -336,7 +403,7 @@ def base_kernel(family, params=None, grid=None):
     if params:
         raise ValueError(f"unused parameters for family {fam}: "
                          f"{sorted(params)}")
-    return Kernel(g, label, half, sampler)
+    return Kernel(g, label, half, sampler, symmetric=True)
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +422,7 @@ def integrate_kernel(k, beta):
     The sign cancels in the covariance, so the result is
     K'(t, s) = int_beta^t int_beta^s K(u, v) dv du for beta = 0 or 1.
     Iterated integrals are C^1 across the diagonal, hence odd = None.
+    Both integrations and the symmetrization overwrite the sample of `k`.
     """
     if beta not in (0, 1):
         raise ValueError("beta must be 0 or 1")
@@ -363,11 +431,11 @@ def integrate_kernel(k, beta):
     def sample(g):
         v, o = k.evaluate_on(g)
         A = integrate_rows(g, v, o, lower=beta)
-        del v, o
         # the second integral runs along A's contiguous rows
         return _symmetrize(integrate_cols(g, A, lower=beta)), None
 
-    return Kernel(k.grid, f"int[{beta}]({k.label})", k.half_order + 1, sample)
+    return Kernel(k.grid, f"int[{beta}]({k.label})", k.half_order + 1, sample,
+                  symmetric=True)
 
 
 def center_kernel(k):
@@ -376,6 +444,7 @@ def center_kernel(k):
     K'(t,s) = K(t,s) - r(t) - r(s) + c with r(t) = int K(t,u) du and
     c = int int K; the result annihilates constants, and the |t-s| kink
     coefficient is untouched (only smooth rank-one terms are subtracted).
+    The subtraction overwrites the sample of `k`, a row block at a time.
     """
     _require_unweighted(k, "center_kernel")
 
@@ -384,10 +453,13 @@ def center_kernel(k):
         r = integrate_full(g, v, o)
         # (r_i - c/2) + (r_j - c/2) is bitwise symmetric, so v minus it is
         s = r - 0.5 * g.integrate(r)
-        out = np.add.outer(s, s)
-        return np.subtract(v, out, out=out), o
+        v = np.require(v, float, "CW")
+        for rows in _row_blocks(g.n):
+            v[rows] -= np.add.outer(s[rows], s)
+        return v, o
 
-    return Kernel(k.grid, f"center({k.label})", k.half_order, sample)
+    return Kernel(k.grid, f"center({k.label})", k.half_order, sample,
+                  symmetric=True)
 
 
 def condition_kernel(k, cross, gram):
@@ -396,7 +468,8 @@ def condition_kernel(k, cross, gram):
     cross: callable mapping a node array t (shape (N,)) to the (N, q)
     matrix of cross-covariances Cov(X(t_i), Z_j); gram: the (q, q)
     covariance matrix of Z.  Returns the kernel of (X | Z = 0),
-    K'(t,s) = K(t,s) - c(t)^T Sigma^+ c(s), via a symmetric pseudo-solve.
+    K'(t,s) = K(t,s) - c(t)^T Sigma^+ c(s), via a symmetric pseudo-solve;
+    one dgemm subtracts the rank-q term from the sample of `k` in place.
     """
     _require_unweighted(k, "condition_kernel")
     S = np.atleast_2d(np.asarray(gram, dtype=float))
@@ -422,13 +495,15 @@ def condition_kernel(k, cross, gram):
             raise ValueError(
                 f"cross-covariance shape {C.shape} does not match "
                 f"{(g.n, S.shape[0])}")
-        # (C (C P)^T)^T = C P C^T, one dgemm whose transpose is C-ordered
-        out = blas.dgemm(1.0, C, np.einsum("ik,kl->il", C, P), trans_b=True).T
-        np.subtract(v, out, out=out)
-        return _symmetrize(out), o
+        # v -= C P C^T, written as v^T -= C (C P)^T in v's Fortran view:
+        # one dgemm that writes into v
+        v = np.require(v, float, "CW")
+        blas.dgemm(-1.0, C, np.einsum("ik,kl->il", C, P), 1.0, v.T,
+                   trans_b=True, overwrite_c=True)
+        return _symmetrize(v), o
 
     return Kernel(k.grid, f"cond[{S.shape[0]}]({k.label})", k.half_order,
-                  sample)
+                  sample, symmetric=True)
 
 
 def apply_weight(k, w):
@@ -436,7 +511,7 @@ def apply_weight(k, w):
 
     The weighted kernel is what the squared-psi-norm quadratic form and the
     Nystrom matrix are built from; it records `w` as its ``weight``.  No
-    further transform accepts it.
+    further transform accepts it.  The sample of `k` is scaled in place.
     """
     if k.weight is not None:
         raise ValueError("kernel is already weighted; apply_weight is "
@@ -448,11 +523,10 @@ def apply_weight(k, w):
         if o is not None:
             hb = half.reshape(g.panels, g.order)
             o = o * (hb[:, :, None] * hb[:, None, :])
-        out = np.multiply.outer(half, half)
-        return np.multiply(out, v, out=out), o
+        return _scale_outer(np.require(v, float, "CW"), half), o
 
     return Kernel(k.grid, f"weight[{w.text}]({k.label})", k.half_order,
-                  sample, weight=w)
+                  sample, weight=w, symmetric=True)
 
 
 # ---------------------------------------------------------------------------

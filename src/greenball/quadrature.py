@@ -18,6 +18,9 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.linalg import blas
 
+#: rows of an n x n matrix that `integrate_cols` transforms per dgemm
+_ROWS = 32
+
 
 @dataclass(eq=False, frozen=True)
 class Grid:
@@ -94,6 +97,17 @@ def _partial_weights(order):
     Q.setflags(write=False)
     return Q
 
+
+@lru_cache(maxsize=None)
+def _panel_rule(order):
+    """The partial weights Q of the reference panel with its full weights
+    appended as a last row, (order + 1) x order: one product with a panel's
+    samples gives its partial integrals and its total."""
+    W = np.vstack((_partial_weights(order), _reference_rule(order)[1]))
+    W.setflags(write=False)
+    return W
+
+
 def _kink_integral(c, a, upper):
     """Exact integral of poly(c)(x)*|x - a| over [0, upper] (a in [0,1])."""
     lo = npoly.polymul(c, np.array([a, -1.0]))   # poly * (a - x)
@@ -157,47 +171,79 @@ def integrate_full(grid, values, odd=None):
 
 
 def integrate_rows(grid, values, odd=None, lower=0):
-    """Row-cumulative integration of a two-argument function on the grid.
+    """Row-cumulative integration of a two-argument function on the grid,
+    in place.
 
     Returns J with J[i, j] ~ integral over u in [lower, x_i] of K(u, x_j),
-    where K is `values` sampled at grid x grid.  If `odd` is given, K is
-    understood as smooth + odd(u,s)*|u - s|, with odd of shape
-    (panels, order, order) holding the coefficient on the diagonal panel
-    blocks, and the |u - s| kink (at the node u = x_j) is integrated with
-    exact panel moments.
+    where K is `values` sampled at grid x grid (any number of columns).  If
+    `odd` is given, K is understood as smooth + odd(u,s)*|u - s|, with odd
+    of shape (panels, order, order) holding the coefficient on the diagonal
+    panel blocks, and the |u - s| kink (at the node u = x_j) is integrated
+    with exact panel moments.
 
     `lower` is 0 or 1; lower = 1 yields the signed integral from 1.
+
+    J overwrites `values` when that is a writable C-ordered float array and
+    is built in one copy of it otherwise.  Panel by panel (from the last
+    one when lower = 1), one dgemm of the panel's rows against its partial
+    weights, with the full weights as an extra row, gives its partial
+    integrals and its total; the totals of the panels already passed are
+    carried in one row vector.
     """
     q, P = grid.order, grid.panels
-    _, wq = _reference_rule(q)
-    blocks = np.asarray(values).reshape(P, q, -1)
-    # each panel's total (in row p + 1), then its partial integrals
-    ahead = np.zeros((P + 1, blocks.shape[2]))
-    np.matmul(grid.h * wq, blocks, out=ahead[1:])
-    J = (grid.h * _partial_weights(q)) @ blocks
+    J = np.require(values, float, "CW")
+    blocks = J.reshape(P, q, -1)
+    # T = B^T W^T (Fortran order) for a panel's rows B: T.T = W B is
+    # C-ordered like B
+    Wt = (grid.h * _panel_rule(q)).T
+    T = np.empty((blocks.shape[2], q + 1), order="F")
+    run = np.zeros(blocks.shape[2])
     if odd is not None:
         # the kink of column s lies in the panel holding s: exact moments
-        # correct that panel's total and its partial integrals (MDp axes:
+        # correct that panel's partial integrals and its total (MDp axes:
         # row upper-limit node, kink node, basis node)
-        p = np.arange(P)
-        ahead[1:].reshape(P, P, q)[p, p] += _kink_totals(grid, odd)
-        J.reshape(P, q, P, q)[p, :, p] += np.einsum(
-            "pmj,ijm->pij", odd, _kink_partial_moments(q)) * grid.h ** 2
-    J += _panel_starts(ahead, lower)[:, None, :]
-    return J.reshape(np.shape(values))
+        kink = np.einsum("pmj,ijm->pij", odd,
+                         _kink_partial_moments(q)) * grid.h ** 2
+        totals = _kink_totals(grid, odd)
+    for p in (range(P - 1, -1, -1) if lower else range(P)):
+        R = blas.dgemm(1.0, blocks[p].T, Wt, c=T, overwrite_c=True).T
+        if odd is not None:
+            cols = slice(p * q, (p + 1) * q)
+            R[:q, cols] += kink[p]
+            R[q, cols] += totals[p]
+        if lower:  # from 1: minus this panel's and the later panels' totals
+            run += R[q]
+            np.subtract(R[:q], run, out=blocks[p])
+        else:
+            np.add(R[:q], run, out=blocks[p])
+            run += R[q]
+    return J
 
 
 def integrate_cols(grid, values, lower=0):
-    """`integrate_rows` of values.T for K smooth across the diagonal:
-    J[i, j] ~ integral over u in [lower, x_j] of K(x_i, u), one dgemm on the
-    contiguous rows (q panel nodes each) of a C-ordered `values`."""
+    """`integrate_rows` of values.T for K smooth across the diagonal, in
+    place: J[i, j] ~ integral over u in [lower, x_j] of K(x_i, u).
+
+    J overwrites `values` when that is a writable C-ordered float array and
+    is built in one copy of it otherwise.  A block of rows at a time, one
+    dgemm on their contiguous panel segments (q nodes each) gives every
+    segment's partial integrals and, in the extra row, its total."""
     q, P = grid.order, grid.panels
-    X = np.ascontiguousarray(values, dtype=float).reshape(-1, q)
-    ahead = np.zeros((P + 1, X.shape[0] // P))
-    ahead[1:] = blas.dgemv(1.0, X.T, grid.w[:q], trans=1).reshape(-1, P).T
-    J = blas.dgemm(1.0, grid.h * _partial_weights(q), X.T).T.reshape(-1, P, q)
-    J += _panel_starts(ahead, lower).T[:, :, None]
-    return J.reshape(len(J), -1)
+    J = np.require(values, float, "CW")
+    Wt = (grid.h * _panel_rule(q)).T
+    # column k of T holds node k's partial integrals of every segment (the
+    # totals in column q), so each write below runs over a whole block
+    T = np.empty((_ROWS * P, q + 1), order="F")
+    for rows in range(0, len(J), _ROWS):
+        X = J[rows:rows + _ROWS].reshape(-1, q)
+        Y = blas.dgemm(1.0, X.T, Wt, trans_a=True, c=T[:len(X)],
+                       overwrite_c=True)
+        ahead = np.zeros((P + 1, len(X) // P))
+        ahead[1:] = Y[:, q].reshape(-1, P).T
+        starts = _panel_starts(ahead, lower).T.ravel()
+        for k in range(q):
+            np.add(Y[:, k], starts, out=X[:, k])
+    return J
 
 
 def _panel_starts(ahead, lower):

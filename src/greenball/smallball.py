@@ -38,7 +38,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .errors import (DegenerateTheta, InversionUnstable, NotNormalized,
                      TiltNotFound, UnsupportedFamily)
@@ -71,7 +70,7 @@ def epsilon_transforms(eps, n):
         raise ValueError("eps must be positive and finite")
     s = math.sin(math.pi / (2 * n))
     p = 1.0 / (2 * n - 1)
-    c_n = 2 * math.sqrt(math.pi) * gamma_fn(n) / gamma_fn(n - 0.5)
+    c_n = 2 * math.sqrt(math.pi) * math.gamma(n) / math.gamma(n - 0.5)
     e_n = (eps * math.sqrt(2 * n * s)) ** p
     e_tilde = (eps * math.sqrt(n * s)) ** p
     e_hat = (eps * math.sqrt(2 * n / c_n * s)) ** p
@@ -591,7 +590,9 @@ def _exact_log_sums(flat, lam, k):
         elif k == 1:
             out.append(-np.sum(lam / (1.0 + x), axis=-1))
         else:
-            out.append(np.sum(2.0 * lam ** 2 / (1.0 + x) ** 2, axis=-1))
+            # squared after the division: (1 + x)^2 would overflow past
+            # |2 s lam| ~ 1e154, where the term is just 0
+            out.append(np.sum(2.0 * (lam / (1.0 + x)) ** 2, axis=-1))
     return np.concatenate(out)
 
 
@@ -693,7 +694,9 @@ def smallball_probability_exact(lams, r, tail=None):
     exact logs only up to its split index (`_log_laplace_sums`).  `err`
     bounds the quadrature error only (the gap between the last two sums and
     the end terms, but no less than the rounding of the finer sum), not
-    that of the truncated spectrum or of the tail model.
+    that of the truncated spectrum or of the tail model.  InversionUnstable
+    is raised when the sums have not settled before a step halving or
+    contour doubling would pass `_MAX_NODES` nodes.
     """
     lam = _positive_spectrum(lams)
     if (np.diff(lam) > 0).any():
@@ -749,10 +752,11 @@ def smallball_probability_exact(lams, r, tail=None):
     vals, end = extend(np.ones(1), 320, h)
     cand = quadrature(vals, h, end)
     total = None
-    rel_err = None
-    for _ in range(60):
-        if not np.isfinite(cand):
-            break  # no step or contour length makes a non-finite sum finite
+    while True:  # each pass doubles the nodes or leaves the loop
+        if not np.isfinite(cand) or 2 * vals.size - 1 > _MAX_NODES:
+            # no step or contour length makes a non-finite sum finite, and
+            # sums that still disagree at the node cap will not settle
+            break
         # end of contour must be resolved: integrand below 1e-16 of peak
         # or the integration-by-parts correction self-certified
         if abs(vals[-1]) > 1e-16 and end[1] > 1e-14 * max(abs(cand), 1e-300):
@@ -776,13 +780,17 @@ def smallball_probability_exact(lams, r, tail=None):
     if total is None or total <= 0.0 or not np.isfinite(total):
         raise InversionUnstable(
             "Bromwich trapezoid failed its self-checks (refinement did not "
-            "converge or the integral lost positivity)")
+            f"converge within {_MAX_NODES} nodes or the integral lost "
+            "positivity)")
     logp = g0 + math.log(total / math.pi)
     p = min(math.exp(logp), 1.0)
     return ProbabilityEstimate(p=p, err=p * rel_err, method="saddlepoint",
                                log_p=logp)
 
 
+#: most trapezoid nodes of one inversion, 8 MB of integrand values; the
+#: test suite reaches 20481 and the benchmark 10241
+_MAX_NODES = 1 << 20
 #: the tilt is searched for on [_S_MIN, _S_MAX]; past _S_MAX it is reported
 #: as not found
 _S_MIN, _S_MAX = 1e-300, 1e280

@@ -32,7 +32,7 @@ from scipy.linalg import blas, eigh, expm, lapack, qr
 
 from .errors import (GridTooCoarse, MissedRoot, NonConvergence,
                      NormalizationMismatch, StepFailure)
-from .kernels import apply_weight
+from .kernels import _scale_outer, apply_weight
 from .model import normalization_integral
 from .quadrature import (Grid, _kink_full_moments, _lagrange_coefficients,
                          _reference_rule)
@@ -454,8 +454,12 @@ def nystrom_eigenvalues(kern, w, K, grid=None):
     lam = lam[::-1][:K]
     _check_above_noise(lam)
     fine = g.doubled()
+    # the seed's temporaries come and go before the doubled-grid matrix
+    # exists, so they do not add to the solve's peak memory
+    seed = _refine_seed(V, g, fine)
+    del V
     S = _nystrom_matrix(kern, fine)
-    ritz, U = _ritz_top(S, _refine_seed(V, g, fine), K)
+    ritz, U = _ritz_top(S, seed, K)
     lam_fine = ritz[:K]
     _check_above_noise(lam_fine)
     rel = np.abs(lam - lam_fine) / np.abs(lam_fine)
@@ -481,12 +485,15 @@ def _check_above_noise(lam):
 def _nystrom_matrix(kern, g):
     """The symmetric Nystrom matrix of `kern` on `g`: S = G(x_i, x_j)
     (sqrt(w_i) sqrt(w_j)) is as symmetric as the sample, and only the
-    diagonal panel blocks, which the kink correction skews, are averaged."""
+    diagonal panel blocks, which the kink correction skews, are averaged.
+
+    S overwrites the sample when that is a writable C-ordered float array;
+    the kernel's cached own-grid sample (read-only) and any other layout
+    are copied once."""
     values, odd = kern.evaluate_on(g)
     sw = np.sqrt(g.w)
     # C order, so that S.T is the Fortran view LAPACK and BLAS work in
-    S = np.multiply.outer(sw, sw)
-    S *= values
+    S = _scale_outer(np.require(values, float, "CW"), sw)
     if odd is not None:
         # exact |t-s| moments on the diagonal panels replace the plain rule
         P, q = g.panels, g.order
@@ -510,7 +517,9 @@ def _refine_seed(V, g, fine):
     T = np.stack([npoly.polyval(halves, c)
                   for c in _lagrange_coefficients(q)], axis=1)
     phi = (V / np.sqrt(g.w)[:, None]).reshape(g.panels, q, -1)
-    seed = np.einsum("ij,pjk->pik", T, phi).reshape(fine.n, -1)
+    # Fortran order, so that the QR factorization works in the seed's place
+    seed = np.empty((fine.n, V.shape[1]), order="F")
+    np.einsum("ij,pjk->pik", T, phi, out=seed.reshape(g.panels, 2 * q, -1))
     seed *= np.sqrt(fine.w)[:, None]
     return qr(seed, mode="economic", overwrite_a=True, check_finite=False)[0]
 

@@ -6,7 +6,7 @@ caller outside the tests, every defaulted parameter is set by some call, and
 the Nystrom path keeps its dense linear algebra out of numpy's BLAS (no
 ``@``, no ``np.linalg``), and the command line holds no boundary-condition
 data: it reads the family registry in ``kernels``, and ``smallball`` imports
-nothing from ``spectrum``.
+nothing from ``spectrum``; ``import greenball`` loads no ``scipy.special``.
 
 A name counts as used when the module refers to it anywhere in its code
 (attribute chains such as ``np.linalg`` start at a plain name) or lists it in
@@ -14,8 +14,11 @@ A name counts as used when the module refers to it anywhere in its code
 """
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -319,13 +322,12 @@ def test_every_default_is_set_somewhere():
 
 #: functions on the Nystrom path, whose dense linear algebra must run in
 #: scipy's BLAS/LAPACK: numpy's wheel bundles a second OpenBLAS, and its
-#: thread pool spins against scipy's for the cores.  Kernel assembly is on
-#: it; integrate_rows keeps numpy's stacked `@`, which per-panel scipy
-#: dgemm calls did not make faster
+#: thread pool spins against scipy's for the cores.  Kernel assembly and
+#: both integrators are on it
 NYSTROM_PATH = {
     "spectrum.py": ("nystrom_eigenvalues", "_nystrom_matrix",
                     "_refine_seed", "_ritz_top", "_guard"),
-    "quadrature.py": ("integrate_full", "integrate_cols"),
+    "quadrature.py": ("integrate_full", "integrate_rows", "integrate_cols"),
     "kernels.py": ("integrate_kernel", "center_kernel", "condition_kernel",
                    "apply_weight"),
 }
@@ -408,3 +410,14 @@ def test_smallball_computes_no_spectra():
     eigenvalue arrays) and never computes them."""
     found = imports_from((SRC / "smallball.py").read_text(), "spectrum")
     assert not found, f"smallball.py imports spectrum at lines {found}"
+
+
+def test_import_leaves_scipy_special_out():
+    """`import greenball` loads no scipy.special: the one Gamma ratio it
+    needs is math.gamma, and the module costs import time on every call."""
+    code = ("import sys, greenball; "
+            "print('scipy.special' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert out.stdout.strip() == "False"

@@ -283,6 +283,53 @@ def test_nystrom_reads_any_sample_layout():
     assert np.array_equal(got.err, want.err)
 
 
+def test_stages_write_into_the_sample_they_are_handed():
+    # off the kernel's own grid a writable C-ordered sample is the buffer
+    # of the whole chain: integration, centering, conditioning and weight
+    # each return the array the sampler handed over, overwritten
+    fine = GRID.doubled()
+    handed = []
+
+    def sampler(g):
+        handed.append(np.minimum.outer(g.x, g.x))
+        return handed[-1], _panel_constant(-0.5, g)
+
+    base = Kernel(GRID, "wiener", 1, sampler)
+    kern = apply_weight(condition_kernel(
+        center_kernel(integrate_kernel(base, 0)), lambda x: x,
+        np.array([[1.0]])), PSI_A)
+    values, _ = kern.evaluate_on(fine)
+    assert values is handed[-1]
+    assert np.array_equal(values, values.T)
+    # the cached own-grid sample is read-only; a chain on top of it copies
+    # it once and leaves it as it was
+    own = base.values
+    before = own.copy()
+    assert not own.flags.writeable
+    kern.evaluate_on(GRID)
+    assert base.values is own and np.array_equal(own, before)
+
+
+def test_catalog_kernels_are_symmetric_by_construction():
+    # catalog bases and transforms skip the tiled symmetry check of their
+    # first sample; a user-built Kernel keeps it, and every kernel keeps the
+    # finite check
+    kerns = [base_kernel("ou", grid=GRID),
+             build_process(ProcessSpec("ciw", level=1), GRID),
+             center_kernel(build_process(
+                 ProcessSpec("bridge", m=1, betas=(0,)), GRID)),
+             apply_weight(base_kernel("bridge", grid=GRID), PSI_A)]
+    assert all(k.symmetric for k in kerns)
+    user = Kernel(GRID, "user", 1, lambda g: (np.eye(g.n), None))
+    assert not user.symmetric
+    nan = np.eye(GRID.n)
+    nan[2, 2] = np.nan
+    trusted = Kernel(GRID, "trusted", 1, lambda g: (nan, None),
+                     symmetric=True)
+    with pytest.raises(ValueError, match="non-finite"):
+        trusted.evaluate_on(GRID)
+
+
 def test_build_process_samples_lazily(monkeypatch):
     import greenball.kernels as kernels
     calls = []

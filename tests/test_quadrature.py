@@ -74,9 +74,10 @@ def test_integrate_rows_matches_dense_cumulative_matrix():
         C[rows, :p * q] = g.w[:p * q]
         C[rows, rows] = g.h * _partial_weights(q)
     vals = np.random.default_rng(3).standard_normal((g.n, 5))
-    np.testing.assert_allclose(integrate_rows(g, vals), C @ vals,
+    # the integrators overwrite their input: each call gets a copy
+    np.testing.assert_allclose(integrate_rows(g, vals.copy()), C @ vals,
                                rtol=0, atol=1e-14)
-    np.testing.assert_allclose(integrate_rows(g, vals, lower=1),
+    np.testing.assert_allclose(integrate_rows(g, vals.copy(), lower=1),
                                C @ vals - g.w @ vals, rtol=0, atol=1e-14)
 
 
@@ -85,9 +86,25 @@ def test_integrate_rows_matches_dense_cumulative_matrix():
 def test_integrate_cols_is_integrate_rows_transposed(rows, lower):
     g = Grid.composite(64, 8)
     vals = np.random.default_rng(rows).standard_normal((rows, g.n))
-    np.testing.assert_allclose(integrate_cols(g, vals, lower=lower),
+    np.testing.assert_allclose(integrate_cols(g, vals.copy(), lower=lower),
                                integrate_rows(g, vals.T, lower=lower).T,
                                rtol=0, atol=1e-14)
+
+
+def test_integrators_overwrite_only_writable_c_ordered_input():
+    # a writable C-ordered sample is integrated in place; a read-only or
+    # Fortran-ordered one is copied once and left as it was
+    g = Grid.composite(64, 8)
+    vals = np.random.default_rng(9).standard_normal((g.n, g.n))
+    frozen = vals.copy()
+    frozen.setflags(write=False)
+    fortran = np.asfortranarray(vals)
+    for integrate in (integrate_rows, integrate_cols):
+        buf = vals.copy()
+        assert integrate(g, buf) is buf
+        assert np.array_equal(integrate(g, frozen), buf)
+        assert np.array_equal(integrate(g, fortran), buf)
+        assert np.array_equal(frozen, vals) and np.array_equal(fortran, vals)
 
 
 def test_integrate_rows_kinked(grid):
@@ -120,7 +137,7 @@ def test_kink_blocks_match_panel_loop():
     rng = np.random.default_rng(5)
     vals = rng.standard_normal((g.n, g.n))
     odd = rng.standard_normal((P, q, q))
-    J, full = integrate_rows(g, vals), g.w @ vals
+    J, full = integrate_rows(g, vals.copy()), g.w @ vals
     for p in range(P):
         blk = slice(p * q, (p + 1) * q)
         total = np.einsum("mj,jm->j", odd[p], _kink_full_moments(q)) * h2
@@ -128,7 +145,7 @@ def test_kink_blocks_match_panel_loop():
                                  _kink_partial_moments(q)) * h2
         J[(p + 1) * q:, blk] += total
         full[blk] += total
-    np.testing.assert_allclose(integrate_rows(g, vals, odd), J,
+    np.testing.assert_allclose(integrate_rows(g, vals.copy(), odd), J,
                                rtol=0, atol=1e-14)
     np.testing.assert_allclose(integrate_full(g, vals, odd), full,
                                rtol=0, atol=1e-14)

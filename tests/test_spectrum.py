@@ -489,32 +489,50 @@ class TestSeededNystrom:
         with pytest.raises(NonConvergence, match="8 Krylov blocks"):
             _ritz_top(S, seed, K)
 
-    def test_assembly_peak_memory(self):
-        # one n x n matrix beside the kernel samples: at n = 2048 each is
-        # 32 MiB, and the S + S.T temporary of a plain symmetrization
-        # pushes the peak to about 96 MiB
-        kern = base_kernel("ou")
+    @staticmethod
+    def _peak_mib(kern, weight, K):
         tracemalloc.start()
         try:
-            nystrom_eigenvalues(kern, None, 10, grid=1024)
+            got = nystrom_eigenvalues(kern, weight, K, grid=1024).mu
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 80 * 2 ** 20, peak / 2 ** 20
+        return got, peak / 2 ** 20
+
+    def test_assembly_peak_memory(self):
+        # each sample of the doubled grid (n = 2048) lives in one 32 MiB
+        # buffer, which the base formula fills and the sqrt(w) similarity
+        # overwrites; the Krylov workspace adds about 6 MiB.  Building S
+        # beside the sample peaked at 65 MiB
+        peak = self._peak_mib(base_kernel("ou"), None, 10)[1]
+        assert peak < 44, peak
+
+    @pytest.mark.parametrize("make, weight", [
+        (lambda: build_process(ProcessSpec("wiener", m=1, betas=(0,))), None),
+        (lambda: build_process(ProcessSpec("ciw", level=1)), None),
+        (lambda: build_process(ProcessSpec("bridge", m=1, betas=(0,),
+                                           centerings=1)), None),
+        (lambda: base_kernel("bridge"), PSI_HALF),
+    ], ids=["integrated_wiener", "ciw1", "centred_integrated_bridge",
+            "bridge_psi"])
+    def test_chain_assembly_peak_memory(self, make, weight):
+        # the integrations, centering, conditioning and weight overwrite the
+        # sample too, so a chain peaks as a base kernel does; a stage that
+        # allocated its result beside its input peaked at 65-69 MiB
+        w = None if weight is None else Weight.from_text(weight)
+        peak = self._peak_mib(make(), w, 10)[1]
+        assert peak < 44, peak
 
     def test_matern_sampler_peak_memory(self):
-        # the Matern profile c e^{-r} poly(r) is evaluated in place: two
-        # 32 MiB arrays beside |t-s| on the doubled grid (n = 2048), where
-        # c * exp(-r) * polyval(r, coef) keeps about five alive (~160 MiB);
-        # the eigenvalues are those of that expression
+        # the Matern profile c e^{-r} poly(r) is evaluated a row block at a
+        # time in the buffer of |t-s|: one 32 MiB array on the doubled grid
+        # (n = 2048) beside the Krylov workspace of K = 40 (about 17 MiB),
+        # where whole-matrix temporaries peaked at 96 MiB and
+        # c * exp(-r) * polyval(r, coef) at about 160 MiB; the eigenvalues
+        # are those of that expression
         kern = base_kernel("matern", {"n": 2})
-        tracemalloc.start()
-        try:
-            got = nystrom_eigenvalues(kern, None, 40, grid=1024).mu
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 110 * 2 ** 20, peak / 2 ** 20
+        got, peak = self._peak_mib(kern, None, 40)
+        assert peak <= 56, peak
 
         def profile(r):  # n = 2: (1/2) e^{-r} (2 + 2r)
             return 0.5 * np.exp(-r) * npoly.polyval(r, [2.0, 2.0])
