@@ -12,11 +12,11 @@ roots.  The cells are kept in component layout, the matrix axes first
 are a few passes over contiguous rows rather than a matmul per matrix.
 The route locates the sign-change roots of the boundary determinant
 F(zeta); eigenvalues are mu_k = zeta_k^{2n}.  The Nystrom route discretizes
-the weighted kernel on a composite Gauss-Legendre grid with an exact
-correction for the |t-s| kink and solves the dense symmetric eigenproblem
-on that grid only: the check on the doubled grid is a block Krylov
-Rayleigh-Ritz solve seeded with the interpolated eigenvectors, and a
-Cholesky factorization certifies that it missed no eigenvalue.  Its dense
+the weighted kernel on composite Gauss-Legendre grids with an exact
+correction for the |t-s| kink.  One dense eigensolve runs on the coarsest
+grid with at least 8K nodes; the requested grid and its doubling get block
+Krylov Rayleigh-Ritz solves seeded with the previous grid's interpolated
+eigenvectors, each certified by a Cholesky factorization.  Its dense
 linear algebra runs in scipy's BLAS/LAPACK only: numpy's wheel bundles a
 second OpenBLAS, whose thread pool would fight scipy's for the cores.
 """
@@ -34,8 +34,7 @@ from .errors import (GridTooCoarse, MissedRoot, NonConvergence,
                      NormalizationMismatch, StepFailure)
 from .kernels import _scale_outer, apply_weight
 from .model import normalization_integral
-from .quadrature import (Grid, _kink_full_moments, _lagrange_coefficients,
-                         _reference_rule)
+from .quadrature import Grid, _kink_full_moments, _lagrange_coefficients
 
 # ---------------------------------------------------------------------------
 # Fixed-mesh Magnus-4 propagation of the companion system
@@ -46,8 +45,10 @@ _GAUSS = 0.5 + np.array([-0.5, 0.5]) / np.sqrt(3.0)
 ROOT_RTOL = 1e-12
 #: relative accuracy of the shooting eigenvalues; StepFailure beyond it
 SHOOT_TOL = 1e-8
-#: coarse cells whose exponentials are formed at once (a power of two)
-_CELLS_PER_CHUNK = 64
+#: coarse cells whose exponentials are formed at once: at least this many,
+#: doubled while (fine cells) x batch <= _CHUNK_ENTRIES, up to 512 cells,
+#: whose growth e^{0.62 * 512} stays far below the overflow at e^709
+_CELLS_PER_CHUNK, _CHUNK_ENTRIES = 64, 16384
 
 
 def _mesh(problem, zmax, refine=0):
@@ -141,6 +142,7 @@ def _propagate(problem, zetas, mesh):
     form one (d, d, cells, batch) array, so the exponentials, the pairwise
     product down the chunk, the update of the (d, d, batch) solution and
     its rescaling are passes over contiguous cells x batch rows (`_mul`).
+    A small batch takes longer chunks, so that it pays for fewer passes.
     Returns (Y, Y_fine, log_growth): the Richardson extrapolant
     Y_fine + (Y_fine - Y_coarse)/15 and Y_fine, shape (batch, d, d), in the
     original variables and divided by exp(log_growth), the growth of the
@@ -154,6 +156,9 @@ def _propagate(problem, zetas, mesh):
     # diag(sigma^-i) Omega diag(sigma^i) scales entry (i, j) by sigma^(j-i)
     scale = sigma ** (ij[None, :, None] - ij[:, None, None])
     z2n = z ** d
+    cells = _CELLS_PER_CHUNK
+    while cells < 512 and 4 * cells * z.size <= _CHUNK_ENTRIES:
+        cells *= 2
     # Per mesh: the exponents in component layout and two work buffers.
     # Within each chunk the cells go in bit-reversed order: the first half
     # holds the even cells and the second the odd ones, again in
@@ -162,7 +167,7 @@ def _propagate(problem, zetas, mesh):
     # alternately into the buffers, never into the one they read.
     layouts = []
     for k, pair in enumerate(meshes):
-        c = (k + 1) * _CELLS_PER_CHUNK
+        c = (k + 1) * cells
         order = np.arange(pair[0].shape[0]).reshape(-1, c)
         order = order[:, _bit_reversed(c)].ravel()
         om0, om1 = (np.moveaxis(om[order], 0, -1).copy() for om in pair)
@@ -171,7 +176,7 @@ def _propagate(problem, zetas, mesh):
     Y = [np.broadcast_to(np.eye(d)[:, :, None], (d, d, z.size)).copy()
          for _ in meshes]
     logs = [np.zeros(z.size) for _ in meshes]
-    for chunk in range(N // _CELLS_PER_CHUNK):
+    for chunk in range(N // cells):
         for k, (c, om0, om1, work) in enumerate(layouts):
             sl = slice(chunk * c, (chunk + 1) * c)
             X = np.multiply(om1[:, :, sl, None], z2n, out=work[0])
@@ -337,8 +342,7 @@ def eigenvalues_shooting(problem, K):
     is raised when it still exceeds SHOOT_TOL, and before any root is
     refined when the rounding at the scan brackets alone does.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    _check_count(K)
     n = problem.op.n
     theta = normalization_integral(problem.weight, n)
     for refine in range(3):
@@ -415,7 +419,7 @@ def _check_resolved(err, log_growth):
             f"{np.exp(log_growth[k]):.1e} across [0, 1])")
 
 
-#: Krylov blocks the seeded doubled-grid solve may append
+#: Krylov blocks a seeded Ritz solve may append
 _KRYLOV_BLOCKS = 8
 
 
@@ -423,21 +427,22 @@ def nystrom_eigenvalues(kern, w, K, grid=None):
     """First K eigenvalues mu = 1/lambda of the weighted covariance operator.
 
     A weight `w` is applied with `apply_weight`; pass None when `kern` is
-    unweighted or already carries its weight.  The kernel is sampled on a
-    composite Gauss-Legendre grid (`grid`: a Grid, a node count, or None
-    for the kernel's own grid), the diagonal panels are corrected for the
-    |t-s| kink exactly, and the sqrt(quadrature-weight) similarity gives a
-    symmetric matrix.  A dense solve on `grid` gives its top b = K + K//4
-    + 8 eigenpairs.  Their eigenfunctions, interpolated panel-wise to the
-    doubled grid, seed a block Krylov Rayleigh-Ritz solve there
-    (`_ritz_top`, NonConvergence if it does not settle), and its top K
-    Ritz values are returned; a Cholesky guard (`_guard`) proves that the
-    seeded space missed no eigenvalue of the doubled grid above them.
-    `err` is their relative gap to the solve on `grid`, at least the
-    rounding floor 8 eps lambda_1/lambda_k of the solves, and GridTooCoarse
-    is raised when that gap exceeds 1e-4 or the guard fails.  theta_norm is
-    the normalization integral of the kernel's weight (1 when unweighted).
+    unweighted or already carries its weight.  The kernel is sampled on
+    composite Gauss-Legendre grids of the order of `grid` (a Grid, a node
+    count, or None for the kernel's own grid), with the |t-s| kink of the
+    diagonal panels corrected exactly, in the symmetric sqrt(weight) form.
+    A dense solve gives the top b = K + K//4 + 8 eigenpairs on the coarsest
+    grid with >= 8K nodes, or on `grid` if that has over half its nodes.
+    `grid` and then its doubling get a block Krylov Rayleigh-Ritz solve
+    seeded with the previous grid's interpolated eigenfunctions
+    (`_ritz_top`, NonConvergence if it does not settle), and a Cholesky
+    guard (`_guard`) proves that it missed no eigenvalue above its top K.
+    The doubled grid's are returned; `err` is their relative gap to those
+    on `grid`, at least the rounding floor 8 eps lambda_1/lambda_k, and
+    GridTooCoarse is raised when that gap exceeds 1e-4 or a guard fails.
+    theta_norm is the normalization integral of the weight (1 if none).
     """
+    _check_count(K)
     g = kern.grid if grid is None else grid
     if isinstance(g, int):
         g = Grid.composite(g, kern.grid.order)
@@ -446,33 +451,46 @@ def nystrom_eigenvalues(kern, w, K, grid=None):
     if w is not None:
         kern = apply_weight(kern, w)
 
-    b = min(K + K // 4 + 8, g.n)
+    src = Grid.composite(-(-8 * K // g.order) * g.order, g.order)
+    src = src if 2 * src.n <= g.n else g
+    b = min(K + K // 4 + 8, src.n)
     # S is symmetric, so its Fortran view S.T goes to LAPACK uncopied
-    lam, V = eigh(_nystrom_matrix(kern, g).T, subset_by_index=(g.n - b,
-                                                               g.n - 1),
-                  driver="evr", overwrite_a=True, check_finite=False)
-    lam = lam[::-1][:K]
-    _check_above_noise(lam)
+    lam, V = eigh(_nystrom_matrix(kern, src).T,
+                  subset_by_index=(src.n - b, src.n - 1), driver="evr",
+                  overwrite_a=True, check_finite=False)
+    lam = lam[::-1]
+    _check_above_noise(lam[:K])
     fine = g.doubled()
-    # the seed's temporaries come and go before the doubled-grid matrix
-    # exists, so they do not add to the solve's peak memory
-    seed = _refine_seed(V, g, fine)
-    del V
-    S = _nystrom_matrix(kern, fine)
-    ritz, U = _ritz_top(S, seed, K)
-    lam_fine = ritz[:K]
-    _check_above_noise(lam_fine)
-    rel = np.abs(lam - lam_fine) / np.abs(lam_fine)
-    if (rel > 1e-4).any():
-        raise GridTooCoarse(
-            f"grid-doubling moved an eigenvalue by {rel.max():.2e} relative "
-            "(> 1e-4); increase the grid")
-    _guard(S, ritz, U, K)  # consumes S
+    for dst in (g, fine)[src is g:]:
+        prev = lam[:K]
+        # the seed's temporaries come and go before the matrix of `dst`
+        # exists, so they do not add to the solve's peak memory
+        seed = _interpolated_seed(V, src, dst)
+        del V
+        S = _nystrom_matrix(kern, dst)
+        lam, V = _ritz_top(S, seed, K)
+        _check_above_noise(lam[:K])
+        if dst is fine:
+            rel = np.abs(prev - lam[:K]) / np.abs(lam[:K])
+            if (rel > 1e-4).any():
+                raise GridTooCoarse(
+                    f"grid-doubling moved an eigenvalue by {rel.max():.2e} "
+                    "relative (> 1e-4); increase the grid")
+        _guard(S, lam, V, K)  # consumes S
+        del S, seed
+        src = dst
+    lam = lam[:K]
     theta = (1.0 if kern.weight is None
              else normalization_integral(kern.weight, kern.half_order))
-    floor = 8 * np.finfo(float).eps * lam_fine[0] / lam_fine  # rounding
-    return SpectrumResult(mu=1.0 / lam_fine, method="nystrom",
+    floor = 8 * np.finfo(float).eps * lam[0] / lam  # rounding
+    return SpectrumResult(mu=1.0 / lam, method="nystrom",
                           err=np.maximum(rel, floor), theta_norm=theta)
+
+
+def _check_count(K):
+    """ValueError unless K, the number of eigenvalues, is an integer >= 1."""
+    if not isinstance(K, (int, np.integer)) or K < 1:
+        raise ValueError("K must be >= 1")
 
 
 def _check_above_noise(lam):
@@ -506,22 +524,46 @@ def _nystrom_matrix(kern, g):
     return S
 
 
-def _refine_seed(V, g, fine):
-    """Orthonormal basis on the doubled grid `fine` from eigenvectors V of
-    the Nystrom matrix on `g`: the eigenfunction samples V / sqrt(w) are
-    interpolated from each panel to its two halves by the panel's Lagrange
-    basis (exact to degree order - 1) and weighted by sqrt(w_fine)."""
-    q = g.order
-    xq, _ = _reference_rule(q)
-    halves = np.concatenate((0.5 * xq, 0.5 + 0.5 * xq))
-    T = np.stack([npoly.polyval(halves, c)
-                  for c in _lagrange_coefficients(q)], axis=1)
-    phi = (V / np.sqrt(g.w)[:, None]).reshape(g.panels, q, -1)
-    # Fortran order, so that the QR factorization works in the seed's place
+def _interpolated_seed(V, coarse, fine):
+    """Orthonormal basis on `fine` from eigenvectors V of the Nystrom
+    matrix on `coarse`, a grid of the same order: the eigenfunction samples
+    V / sqrt(w) are interpolated from each coarse panel to the fine nodes
+    inside it by that panel's Lagrange basis (exact to degree order - 1)
+    and weighted by sqrt(w_fine)."""
+    q, c = coarse.order, coarse.panels
+    x = fine.x * c  # in coarse panels
+    panel = np.minimum(x.astype(int), c - 1)
+    T = np.stack([npoly.polyval(x - panel, coef)
+                  for coef in _lagrange_coefficients(q)], axis=1)
+    bounds = np.searchsorted(panel, np.arange(c + 1))
+    phi = (V / np.sqrt(coarse.w)[:, None]).reshape(c, q, -1)
+    # Fortran order, so that `_orthonormalize` works in the seed's place
     seed = np.empty((fine.n, V.shape[1]), order="F")
-    np.einsum("ij,pjk->pik", T, phi, out=seed.reshape(g.panels, 2 * q, -1))
+    for p in range(c):
+        rows = slice(bounds[p], bounds[p + 1])
+        np.einsum("ij,jk->ik", T[rows], phi[p], out=seed[rows])
     seed *= np.sqrt(fine.w)[:, None]
-    return qr(seed, mode="economic", overwrite_a=True, check_finite=False)[0]
+    return _orthonormalize(seed)
+
+
+def _orthonormalize(W):
+    """Orthonormalize the columns of the Fortran-ordered n x b array W in
+    place by three Cholesky QR passes W <- W R^-1, R^T R = W^T W + s I, the
+    first shifted by s = 11 (n b + b^2 + b) eps ||W||_F^2 so that the other
+    two see a well-conditioned W (level-3 BLAS, where Householder QR, the
+    fallback, factors its panels a column at a time)."""
+    n, b = W.shape
+    s = 11 * (n * b + b * b + b) * np.finfo(float).eps
+    for shift in (s * np.einsum("ij,ij->", W, W), 0.0, 0.0):
+        G = blas.dsyrk(1.0, W, trans=1)
+        G.flat[::b + 1] += shift
+        R, info = lapack.dpotrf(G, overwrite_a=True)
+        if info:
+            W[:] = qr(W, mode="economic", overwrite_a=True,
+                      check_finite=False)[0]
+            break
+        blas.dtrsm(1.0, R, W, side=1, overwrite_b=True)
+    return W
 
 
 def _ritz_top(S, Q, K, blocks=_KRYLOV_BLOCKS):
@@ -559,18 +601,23 @@ def _ritz_top(S, Q, K, blocks=_KRYLOV_BLOCKS):
         r = np.zeros(m)
         r[:b] = np.sqrt(np.einsum("ij,ij->j", R, R))
         if m == n or (_ritz_bounds(theta, r)[:K] <= tol * theta[0]).all():
-            return theta[:b], U
+            # theta inherits the rounding of H's n-term sums (10 eps theta_1
+            # at n = 1600): the Rayleigh quotient theta + u.r / u.u does not
+            return theta[:b] + (np.einsum("ij,ij->j", U, R)
+                                / np.einsum("ij,ij->j", U, U)), U
         if m == basis.shape[1]:
             raise NonConvergence(
-                f"the seeded doubled-grid solve did not resolve the top {K} "
+                f"the seeded solve on {n} nodes did not resolve the top {K} "
                 f"eigenvalues in {blocks} Krylov blocks")
         new = slice(m, min(m + b, basis.shape[1]))
         W = basis[:, new]
         W[:] = images[:, last][:, :W.shape[1]]
+        # where the basis nearly spans a column of S Q_j, the first pass
+        # scales its rounding up to unit norm and the second removes it
         for _ in range(2):
             blas.dgemm(-1.0, Qm, blas.dgemm(1.0, Qm, W, trans_a=True),
                        beta=1.0, c=W, overwrite_c=True)
-        W[:] = qr(W, mode="economic", overwrite_a=True, check_finite=False)[0]
+            _orthonormalize(W)
         blas.dgemm(1.0, S.T, W, c=images[:, new], overwrite_c=True)
         m, last = new.stop, new
 
@@ -612,9 +659,9 @@ def _guard(S, theta, U, K):
     _, info = lapack.dpotrf(S.T, lower=True, clean=False, overwrite_a=True)
     if info != 0:
         raise GridTooCoarse(
-            f"the seeded doubled-grid solve missed an eigenvalue above "
-            f"{sigma:.3e} (guard factorization failed at column {info}); "
-            "increase the grid")
+            f"the seeded solve on {S.shape[0]} nodes missed an eigenvalue "
+            f"above {sigma:.3e} (guard factorization failed at column "
+            f"{info}); increase the grid")
 
 
 def eigenvalue_product(s1, s2):

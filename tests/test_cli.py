@@ -422,6 +422,18 @@ def test_too_coarse_grid_exits_3(capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("argv, gap", [
+    (["prob", "--process", "bridge", "-m", "1", "--betas", "0"], "2.47e-04"),
+    (["mc", "--process", "ciw", "--level", "1"], "2.50e-04"),
+])
+def test_readme_defaults_exit_3_on_grid_doubling(capsys, argv, gap):
+    # K = 200 on the 1600-node grid, which has no coarser dense level: the
+    # doubled-grid check still refuses these spectra (ROADMAP item 3)
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 3 and out == ""
+    assert f"grid-doubling moved an eigenvalue by {gap} relative" in err
+
+
 def test_invalid_eps_exits_2(capsys):
     rc, _, _ = run_cli(["asympt", "--eps", "-0.1"], capsys)
     assert rc == 2

@@ -326,7 +326,8 @@ def test_every_default_is_set_somewhere():
 #: both integrators are on it
 NYSTROM_PATH = {
     "spectrum.py": ("nystrom_eigenvalues", "_nystrom_matrix",
-                    "_refine_seed", "_ritz_top", "_guard"),
+                    "_interpolated_seed", "_orthonormalize", "_ritz_top",
+                    "_guard"),
     "quadrature.py": ("integrate_full", "integrate_rows", "integrate_cols"),
     "kernels.py": ("integrate_kernel", "center_kernel", "condition_kernel",
                    "apply_weight"),

@@ -17,7 +17,7 @@ from greenball.model import (BoundaryCondition, BVProblem, OperatorSpec,
 from greenball.quadrature import Grid, _kink_full_moments
 from greenball.spectrum import (_CELLS_PER_CHUNK, SpectrumResult,
                                 _characteristic_batch, _check_above_noise,
-                                _guard, _mesh,
+                                _expm_cells, _guard, _mesh,
                                 _nystrom_matrix, _ritz_top,
                                 characteristic_function,
                                 eigenvalue_product, eigenvalues_shooting,
@@ -220,6 +220,80 @@ class TestComponentLayout:
             F).max()
         assert ((F2 < 0) == (F < 0)).all()
 
+    @staticmethod
+    def _readme_scan():
+        """psi_0.5-weighted Wiener and the 252 points of its K = 60 scan,
+        the README compare's window, with its mesh."""
+        w = wiener(Weight.from_text(PSI_HALF))
+        theta = normalization_integral(w.weight, 1)
+        spacing, zmax = np.pi / (4 * theta), 62 * np.pi / theta
+        grid = np.arange(spacing, zmax + 0.5 * spacing, spacing)
+        grid = np.concatenate(([1e-4, 1e-3, 1e-2, 0.1 * spacing], grid))
+        return w, grid, _mesh(w, zmax)
+
+    def test_small_batches_match_the_scan(self):
+        # a 1-point batch runs 512-cell chunks, the 252-point scan 64-cell
+        # ones: the chunk length moves F only by rounding
+        w, grid, mesh = self._readme_scan()
+        assert grid.size == 252
+        F = _characteristic_batch(w, grid, mesh)[0]
+        single = np.array([_characteristic_batch(w, grid[i:i + 1], mesh)[0][0]
+                           for i in range(grid.size)])
+        assert (np.abs(single - F) <= 1e-13 * np.abs(F)).all()
+
+    def test_chunk_length_moves_the_cantilever_by_rounding(self,
+                                                          monkeypatch):
+        # d = 4 exponentials go through scipy's expm, so a 252-point
+        # cantilever batch takes about 16 s on a 2-core Xeon: 1-point
+        # batches are run once with their own 512-cell chunks and once held
+        # to the 64-cell chunks of a scan, through the solutions' growth
+        # to 1e8
+        problem, zetas, zmax = _layout_cases()["d4_cantilever_growth_1e8"]
+        zetas = np.append(zetas, [0.5, 4.7, 11.0])
+        mesh = _mesh(problem, zmax)
+
+        def singles():
+            return np.array([_characteristic_batch(problem, [z], mesh)[0][0]
+                             for z in zetas])
+
+        F512 = singles()
+        monkeypatch.setattr(spectrum, "_CHUNK_ENTRIES", 0)
+        F64 = singles()
+        assert np.abs(F512 - F64).max() <= 1e-13 * np.abs(F64).max()
+
+    @pytest.mark.parametrize("batch, passes", [(1, 4), (12, 4), (16, 4),
+                                               (17, 8), (252, 32)])
+    def test_chunk_passes_follow_the_batch(self, batch, passes, monkeypatch):
+        # a chunk doubles from 64 cells while its fine-mesh cells times the
+        # batch stay within 16384, up to 512: a refinement step of at most
+        # 16 zetas makes 4 passes per mesh at N = 2048, a scan 32
+        w, grid, mesh = self._readme_scan()
+        assert mesh[0] == 2048
+        calls = []
+
+        def counted(X):
+            calls.append(X.shape[2])
+            return _expm_cells(X)
+
+        monkeypatch.setattr(spectrum, "_expm_cells", counted)
+        spectrum._propagate(w, grid[:batch], mesh)
+        assert len(calls) == 2 * passes
+        assert sorted(set(calls)) == [2048 // passes, 4096 // passes]
+
+
+class TestEigenvalueCount:
+    @pytest.mark.parametrize("K", [0, -1, 1.5, None, "3"])
+    def test_non_integer_or_nonpositive_k_raises(self, K):
+        with pytest.raises(ValueError, match="K must be >= 1"):
+            nystrom_eigenvalues(base_kernel("ou"), None, K)
+        with pytest.raises(ValueError, match="K must be >= 1"):
+            eigenvalues_shooting(wiener(), K)
+
+    def test_numpy_integer_k_is_accepted(self):
+        K = np.int64(3)
+        assert len(nystrom_eigenvalues(base_kernel("ou"), None, K)) == 3
+        assert len(eigenvalues_shooting(wiener(), K)) == 3
+
 
 class TestShooting:
     def test_wiener_spectrum(self):
@@ -396,8 +470,9 @@ PSI_HALF = "(0.5+1.5*t)^(-4)"
 
 
 class TestSeededNystrom:
-    """The doubled grid is solved by Rayleigh-Ritz from the interpolated
-    coarse eigenvectors; it must reproduce the dense solve of that grid."""
+    """The requested grid and its doubling are solved by Rayleigh-Ritz
+    from the previous grid's interpolated eigenvectors; each must reproduce
+    the dense solve of its grid."""
 
     @pytest.mark.parametrize("name, make, weight, K, grid", [
         ("wiener", lambda: base_kernel("wiener"), None, 10, 512),
@@ -418,26 +493,52 @@ class TestSeededNystrom:
          None, 12, 512),
         ("K1_grid8", lambda: base_kernel("wiener"), None, 1, 8),
         ("grid_8K", lambda: base_kernel("bridge"), None, 64, 512),
-        # n = 3: its smallest eigenvalues sit at the 64 eps lambda_1 floor
+        # n = 3: its smallest eigenvalues sit at the 8 eps lambda_1 floor
         ("wiener_m2",
          lambda: build_process(ProcessSpec("wiener", m=2, betas=(0, 1))),
          None, 30, 512),
+        # the dense solve on 480 nodes, Ritz on the kernel's own grid
+        ("bridge_psi_own_grid", lambda: base_kernel("bridge"), PSI_HALF, 60,
+         1024),
+        ("matern2_own_grid", lambda: build_process(ProcessSpec("matern", n=2)),
+         None, 40, 1024),
+        # 125 panels, which the 10-panel dense grid does not divide
+        ("odd_panels", lambda: base_kernel("ou"), None, 10, 1000),
+        ("K1", lambda: base_kernel("wiener"), None, 1, 512),
+        ("K2", lambda: base_kernel("bridge"), None, 2, 512),
     ])
-    def test_matches_dense_doubled_grid(self, name, make, weight, K, grid):
+    def test_matches_dense_doubled_grid(self, name, make, weight, K, grid,
+                                        monkeypatch):
         kern = make()
         w = None if weight is None else Weight.from_text(weight)
+        ritz = {}
+
+        def recorded(S, Q, K, *args):
+            out = _ritz_top(S, Q, K, *args)
+            ritz[S.shape[0]] = out[0][:K]
+            return out
+
+        monkeypatch.setattr(spectrum, "_ritz_top", recorded)
         res = nystrom_eigenvalues(kern, w, K, grid=grid)
         kw = kern if w is None else apply_weight(kern, w)
         g = Grid.composite(grid, kw.grid.order)
         fine = _dense_top(kw, g.doubled(), K)
         coarse = _dense_top(kw, g, K)
         eps = np.finfo(float).eps
-        lam = 1.0 / res.mu
-        assert np.abs(lam - fine).max() <= 64 * eps * fine[0], name
-        # err is a relative gap of eigenvalues known to 64 eps lambda_1
+        # the dense solve runs on the coarsest grid with >= 8K nodes when
+        # that has at most half the nodes of g; g then gets a Ritz solve
+        dense_n = -(-8 * K // g.order) * g.order
+        cascade = 2 * dense_n <= g.n
+        assert sorted(ritz) == [g.n, 2 * g.n][not cascade:], name
+        assert np.array_equal(res.mu, 1.0 / ritz[2 * g.n]), name
+        for n, want in ((g.n, coarse), (2 * g.n, fine)):
+            if n in ritz:
+                gap = np.abs(ritz[n] - want).max()
+                assert gap <= 8 * eps * want[0], (name, n, gap / eps / want[0])
+        # err is a relative gap of eigenvalues known to 8 eps lambda_1
         # absolute; beyond that rounding floor it must agree to 1e-6
         want = np.abs(coarse - fine) / fine
-        floor = 2 * 64 * eps * fine[0] / fine
+        floor = 2 * 8 * eps * fine[0] / fine
         assert (np.abs(res.err - want) <= 1e-6 * want + floor).all(), name
 
     def test_repeated_calls_are_bitwise_equal(self):
@@ -477,6 +578,25 @@ class TestSeededNystrom:
         # with the leading mode present the same guard passes
         theta, U = _ritz_top(S, V[:, -b:], K, blocks=0)
         _guard(S.copy(), theta, U, K)
+
+    def test_exhausted_krylov_space_keeps_the_basis_orthonormal(self):
+        # rank 5: the first block already spans the range of S, so the
+        # next ones project to rounding, which each block's orthonormalized
+        # first pass scales up and its second pass removes.  Orthonormalized
+        # only once, after two projections, the basis lost orthogonality
+        # and the solve stalled until NonConvergence
+        rng = np.random.default_rng(1)
+        n, K = 300, 2
+        Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        lam = np.zeros(n)
+        lam[:5] = [1.0, 0.8, 0.6, 0.4, 0.2]
+        S = (Q * lam) @ Q.T
+        S = 0.5 * (S + S.T)
+        seed = np.linalg.qr(rng.standard_normal((n, K + 8)))[0]
+        theta, U = _ritz_top(S, seed, K)
+        np.testing.assert_allclose(theta[:K], lam[:K], rtol=0,
+                                   atol=8 * np.finfo(float).eps)
+        assert np.abs(U.T @ U - np.eye(U.shape[1])).max() <= 1e-13
 
     def test_block_limit_raises_nonconvergence(self):
         # eigenvalues 1 .. 0.9 in a random basis: relative gaps of 3e-4
