@@ -82,8 +82,10 @@ class RunConfig:
         if self.N < 1:
             raise CLIError("N must be >= 1")
         eps = tuple(float(e) for e in self.eps)
-        if not all(math.isfinite(e) and e > 0 for e in eps):
-            raise CLIError("eps values must be positive and finite")
+        if not eps or not all(math.isfinite(e) and e > 0 for e in eps):
+            raise CLIError("eps must be one or more positive, finite values")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise CLIError("tol must be positive and finite")
         self.eps = tuple(sorted(eps, reverse=True))
         if self.covariance is not None:
             spec = _process_spec(self)
@@ -131,9 +133,7 @@ def _build_kernel(cfg, weighted=True):
 
 
 def _nystrom_grid(cfg, K, floor=512):
-    if cfg.grid is not None:
-        return cfg.grid
-    return max(floor, 8 * K)
+    return max(floor, 8 * K) if cfg.grid is None else cfg.grid
 
 
 def _eigenvalue_lambdas(cfg):

@@ -34,8 +34,9 @@ class Grid:
     @classmethod
     def composite(cls, nodes, order=8):
         """Grid with `nodes` total points (panels = nodes/order)."""
-        if nodes % order:
-            raise ValueError("nodes must be a multiple of the panel order")
+        if nodes <= 0 or nodes % order:
+            raise ValueError("nodes must be a positive multiple of the panel "
+                             "order")
         panels = nodes // order
         xq, wq = _reference_rule(order)
         h = 1.0 / panels

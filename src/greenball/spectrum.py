@@ -51,7 +51,7 @@ SHOOT_TOL = 1e-8
 _CELLS_PER_CHUNK, _CHUNK_ENTRIES = 64, 16384
 
 
-def _mesh(problem, zmax, refine=0):
+def _mesh(problem, zmax):
     """Magnus-4 exponents (Omega0, Omega1) on N and on 2N equal cells.
 
     A(t, zeta) = A_0(t) + zeta^{2n} psi(t) E is the traceless companion
@@ -62,12 +62,12 @@ def _mesh(problem, zmax, refine=0):
     local frequency omega = zmax max(psi)^(1/2n) for zeta up to zmax: at
     h omega <= 0.62 the extrapolated eigenvalues are good to about 1e-11
     (the error goes like h^6 omega^4.3 on weighted Wiener; N >= 2048 keeps
-    small windows at the rounding level), and `refine` doubles N as often.
+    small windows at the rounding level).
     """
     n = problem.op.n
     d = 2 * n
     omega = zmax * problem.weight.samples.max() ** (1.0 / (2 * n))
-    N = 1 << (int(np.ceil(np.log2(max(2048.0, 1.6 * omega)))) + refine)
+    N = 1 << int(np.ceil(np.log2(max(2048.0, 1.6 * omega))))
     E = np.zeros((d, d))
     E[-1, 0] = (-1.0) ** n
     out = []
@@ -302,9 +302,11 @@ def _refine_roots(f, a, b, fa, fb, aux):
     per-point data stacked along its last axis; each bracket keeps the data
     of its last evaluation in `aux` (which holds each bracket's data to
     start), for 80 steps or until each is ROOT_RTOL narrow.  Returns the
-    roots, interpolated linearly across the final brackets, the bracket
-    widths and `aux`."""
+    roots (linear across the final brackets), the bracket widths, `aux` and
+    the secant slope over each bracket's last step wider than 1e-7 relative,
+    which rounding in f cannot swamp."""
     x0, f0, x1, f1 = a, fa, b, fb
+    slope = (fb - fa) / (b - a)
     for _ in range(80):
         active = (b - a) > ROOT_RTOL * np.abs(b)
         if not active.any():
@@ -319,12 +321,14 @@ def _refine_roots(f, a, b, fa, fb, aux):
         xp = np.clip(np.where(take, xs, 0.5 * (a + b)), a + tol, b - tol)
         fp = np.zeros_like(xp)
         fp[active], aux[..., active] = f(xp[active])
+        wide = active & (np.abs(xp - x1) > 1e-7 * np.abs(xp))
+        slope[wide] = (fp[wide] - f1[wide]) / (xp[wide] - x1[wide])
         left = active & ((fp < 0) == (fa < 0))
         right = active & ~left
         a, fa = np.where(left, xp, a), np.where(left, fp, fa)
         b, fb = np.where(right, xp, b), np.where(right, fp, fb)
         x0, f0, x1, f1 = x1, f1, xp, fp
-    return a - fa * (b - a) / (fb - fa), b - a, aux
+    return a - fa * (b - a) / (fb - fa), b - a, aux, slope
 
 
 def eigenvalues_shooting(problem, K):
@@ -333,30 +337,25 @@ def eigenvalues_shooting(problem, K):
     Scans F(zeta) on a grid of spacing pi/(4 theta) up to (K+2) pi / theta,
     brackets sign changes, refines each root to relative 1e-12, and checks
     the count against the leading-order growth model.  F comes from a
-    fixed-mesh Magnus-4 propagator with Richardson extrapolation, its mesh
-    set by the scan window.  `err` is the relative error bound on mu from
-    the mesh-halving gap (the shift between the fine-mesh and extrapolated
-    roots), the final bracket width and the rounding that the growth of the
-    solutions amplifies.  While it exceeds SHOOT_TOL where the mesh-halving
-    gap is over SHOOT_TOL/2, the mesh is doubled (at most twice).  StepFailure
-    is raised when it still exceeds SHOOT_TOL, and before any root is
-    refined when the rounding at the scan brackets alone does.
+    Magnus-4 propagator with Richardson extrapolation on one mesh, set by
+    the scan window.  `err` is the relative error bound on mu from the
+    mesh-halving gap (F_fine - F over the slope of F near the root), the
+    final bracket width and the rounding that the growth of the solutions
+    amplifies.  StepFailure is raised when it exceeds SHOOT_TOL, and before
+    any root is refined when the rounding at the scan brackets alone does.
     """
     _check_count(K)
     n = problem.op.n
     theta = normalization_integral(problem.weight, n)
-    for refine in range(3):
-        roots, gap, err, log_growth = _shoot(problem, K, theta, refine)
-        if not (gap[err > SHOOT_TOL] > SHOOT_TOL / 2).any():
-            break
+    roots, err, log_growth = _shoot(problem, K, theta)
     _check_resolved(err, log_growth)
     return SpectrumResult(mu=roots ** (2 * n), method="shooting", err=err,
                           theta_norm=theta)
 
 
-def _shoot(problem, K, theta, refine):
-    """Roots zeta_1..zeta_K of F on `_mesh(problem, z, refine)`, the relative
-    mesh-halving gap and error bound of each mu_k, and the growth there."""
+def _shoot(problem, K, theta):
+    """Roots zeta_1..zeta_K of F on `_mesh(problem, z)` for the scan window
+    up to z, the relative error bound of each mu_k, and the growth there."""
     n = problem.op.n
     spacing = np.pi / (4 * theta)
     zmax = (K + 2) * np.pi / theta
@@ -368,7 +367,7 @@ def _shoot(problem, K, theta, refine):
         grid = np.arange(spacing, z_hi + 0.5 * spacing, spacing)
         # extra points near the origin in case of a low first root
         grid = np.concatenate(([1e-4, 1e-3, 1e-2, 0.1 * spacing], grid))
-        mesh = _mesh(problem, z_hi, refine)
+        mesh = _mesh(problem, z_hi)
         F, scan = _characteristic_batch(problem, grid, mesh)
         # a bracket wherever the sign bit flips, so an exact zero at a node
         # closes one bracket
@@ -384,29 +383,27 @@ def _shoot(problem, K, theta, refine):
     floor = (2 * n * np.finfo(float).eps / grid[first + 1] * np.exp(
         np.minimum(scan_growth[first], scan_growth[first + 1])))
     _check_resolved(floor, scan_growth[first])
-    roots, widths, aux = _refine_roots(
+    roots, widths, aux, slope = _refine_roots(
         lambda z: _characteristic_batch(problem, z, mesh),
         grid[lo], grid[lo + 1], F[lo], F[lo + 1], scan[:, lo])
 
-    # count sanity check against the growth model over the first scan window
-    in_first = roots <= zmax
-    predicted = theta * zmax / np.pi
-    if abs(in_first.sum() - predicted) > n + 1:
-        raise MissedRoot(
-            f"root count {in_first.sum()} on [0, {zmax:.3g}] is inconsistent "
-            f"with the expected {predicted:.1f} +- {n + 1}")
+    # count sanity check against the growth model, which puts theta zmax / pi
+    # = K + 2 roots in the first scan window
+    count = np.count_nonzero(roots <= zmax)
+    if abs(count - (K + 2)) > n + 1:
+        raise MissedRoot(f"root count {count} on [0, {zmax:.3g}] is "
+                         f"inconsistent with the expected {K + 2} +- {n + 1}")
 
-    roots, widths, lo, (dF, log_growth) = (roots[:K], widths[:K], lo[:K],
-                                           aux[:, :K])
+    roots, widths, slope, (dF, log_growth) = (roots[:K], widths[:K],
+                                              slope[:K], aux[:, :K])
     # error bar in zeta: the fine-mesh root's shift from the extrapolated
-    # one (F difference over the scan slope of F), the bracket width, and
-    # rounding, which the growth G of the scaled solutions amplifies to
+    # one (F difference over F's slope near the root), the bracket width,
+    # and rounding, which the growth G of the scaled solutions amplifies to
     # about eps * G (the equilibrated determinant's slope falls like 1/G);
     # dF and G come from each bracket's last evaluation, within its width
-    gap = np.abs(dF) * np.diff(grid)[lo] / np.abs(np.diff(F)[lo])
     rounding = np.finfo(float).eps * np.exp(log_growth)
-    err = 2 * n * (gap + widths + rounding) / roots
-    return roots, 2 * n * gap / roots, err, log_growth
+    err = 2 * n * (np.abs(dF / slope) + widths + rounding) / roots
+    return roots, err, log_growth
 
 
 def _check_resolved(err, log_growth):

@@ -439,6 +439,23 @@ def test_invalid_eps_exits_2(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["eigs", "--grid", "0"],
+    ["eigs", "--grid", "-8"],
+    ["asympt", "--eps-start", "0.2", "--eps-stop", "0.1", "--eps-count", "0"],
+    ["compare", "--weight", RATIO2, "--weight2", "1", "--tol", "nan"],
+    ["compare", "--weight", RATIO2, "--weight2", "1", "--tol", "-1"],
+    ["eigs", "-K", "0"],
+    ["mc", "-N", "0"],
+], ids=["grid-0", "grid-neg8", "eps-count-0", "tol-nan", "tol-neg1", "K-0",
+        "N-0"])
+def test_malformed_option_exits_2(argv, capsys):
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("cmd", ["mc", "prob"])
 @pytest.mark.parametrize("eps", ["nan", "inf"])
 def test_nonfinite_eps_exits_2(cmd, eps, capsys):

@@ -30,6 +30,9 @@ def test_composite_grid_shape(grid):
 def test_composite_validates_node_count():
     with pytest.raises(ValueError):
         Grid.composite(1003, 8)  # not a multiple of the panel order
+    for nodes in (0, -8):
+        with pytest.raises(ValueError, match="positive multiple"):
+            Grid.composite(nodes, 8)
 
 
 def test_polynomial_exactness(grid):

@@ -349,25 +349,32 @@ class TestShooting:
         assert mu[1] == pytest.approx(np.pi ** 2 / 2, rel=1e-14)
         assert mu[3] == pytest.approx(9 * np.pi ** 2 / 2, rel=1e-14)
 
-    @pytest.mark.parametrize("family, doublings", [
-        ("wiener", 0), ("bridge", 0), ("ou", 0), ("slepian", 1)])
-    def test_mesh_doubles_only_where_it_must(self, family, doublings,
-                                              monkeypatch):
-        # with psi = (0.5+1.5t)^{-4} the 1.6 omega rule leaves the Slepian
-        # mesh-halving gap above SHOOT_TOL at K = 60; the mesh is doubled
-        # for it alone, and the others keep their mesh and their bits
-        used = []
-
-        def spy(problem, zmax, refine):
-            used.append(refine)
-            return _mesh(problem, zmax, refine)
-
-        monkeypatch.setattr(spectrum, "_mesh", spy)
+    @pytest.mark.parametrize("family", ["wiener", "bridge", "ou", "slepian"])
+    def test_one_mesh_and_err_bounds_a_finer_mesh_error(self, family,
+                                                       monkeypatch):
+        # with psi = (0.5+1.5t)^{-4}, OU and Slepian are steep at their roots
+        # and flat at the scan points: err takes F's slope near each root, so
+        # one mesh serves the solve and err still bounds the error against a
+        # mesh sized for a 4x wider window (4x finer at K = 60)
         problem = catalog_problem(ProcessSpec(family),
                                   Weight.from_text("(0.5+1.5*t)^(-4)"))
+        sizes = []
+
+        def sized(problem, zmax, scale=1):
+            mesh = _mesh(problem, scale * zmax)
+            sizes.append(mesh[0])
+            return mesh
+
+        monkeypatch.setattr(spectrum, "_mesh", sized)
         res = eigenvalues_shooting(problem, 60)
+        assert len(sizes) == 1
+        monkeypatch.setattr(spectrum, "_mesh",
+                            lambda problem, zmax: sized(problem, zmax, 4))
+        ref = eigenvalues_shooting(problem, 60)
+        assert sizes[-1] == 4 * sizes[0]
+        rel = np.abs(res.mu - ref.mu) / ref.mu
         assert (res.err <= spectrum.SHOOT_TOL).all()
-        assert max(used) == doublings
+        assert (rel <= res.err).all(), (rel / res.err).max()
 
     def test_cantilever_n2(self):
         # v'''' = mu v, v(0) = v'(0) = 0, v''(1) = v'''(1) = 0: mu = x^4 with
