@@ -3,13 +3,13 @@ discretization of covariance kernels, plus the infinite eigenvalue-product
 evaluator used for weight comparisons.
 
 The shooting route propagates the order-2n companion system for a batch of
-spectral parameters zeta across a fixed mesh of cells, whose size depends
-only on the scan window: one 4th-order Magnus step per cell (psi and the
-operator coefficients sampled once at two Gauss nodes), Richardson
-extrapolation over a mesh halving, and positive rescaling that moves no
-roots.  The cells are kept in component layout, the matrix axes first
-((d, d, cells, batch) arrays), so that the exponentials and the products
-are a few passes over contiguous rows rather than a matmul per matrix.
+spectral parameters zeta across a fixed mesh of cells at equal steps of
+int psi^(1/2n), as many as the scan window times theta needs: one
+4th-order Magnus step per cell (psi and the operator coefficients sampled
+once at two Gauss nodes), Richardson extrapolation over halved cells, and
+positive rescaling that moves no roots.  The cells are kept in component
+layout, matrix axes first ((d, d, cells, batch) arrays), so exponentials
+and products are passes over contiguous rows, not a matmul per matrix.
 The route locates the sign-change roots of the boundary determinant
 F(zeta); eigenvalues are mu_k = zeta_k^{2n}.  The Nystrom route discretizes
 the weighted kernel on composite Gauss-Legendre grids with an exact
@@ -28,13 +28,14 @@ from math import comb
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.linalg import blas, eigh, expm, lapack, qr
+from scipy.linalg import blas, eigh, lapack, qr
 
 from .errors import (GridTooCoarse, MissedRoot, NonConvergence,
                      NormalizationMismatch, StepFailure)
 from .kernels import _scale_outer, apply_weight
-from .model import normalization_integral
-from .quadrature import Grid, _kink_full_moments, _lagrange_coefficients
+from .model import WEIGHT_GRID, normalization_integral
+from .quadrature import (Grid, _kink_full_moments, _lagrange_coefficients,
+                         _panel_rule)
 
 # ---------------------------------------------------------------------------
 # Fixed-mesh Magnus-4 propagation of the companion system
@@ -47,33 +48,40 @@ ROOT_RTOL = 1e-12
 SHOOT_TOL = 1e-8
 #: coarse cells whose exponentials are formed at once: at least this many,
 #: doubled while (fine cells) x batch <= _CHUNK_ENTRIES, up to 512 cells,
-#: whose growth e^{0.62 * 512} stays far below the overflow at e^709
-_CELLS_PER_CHUNK, _CHUNK_ENTRIES = 64, 16384
+#: whose growth e^{0.5 * 512} stays far below the overflow at e^709; and
+#: the fewest coarse cells of a mesh
+_CELLS_PER_CHUNK, _CHUNK_ENTRIES, _MIN_CELLS = 64, 16384, 1024
 
 
 def _mesh(problem, zmax):
-    """Magnus-4 exponents (Omega0, Omega1) on N and on 2N equal cells.
+    """Magnus-4 exponents (Omega0, Omega1) on N graded cells and their halves.
 
     A(t, zeta) = A_0(t) + zeta^{2n} psi(t) E is the traceless companion
     matrix of v^{(2n)} = (-1)^n [zeta^{2n} psi v - sum_m (p_m v^{(m)})^{(m)}],
     E = (-1)^n in the bottom-left corner.  With A sampled at the two Gauss
-    nodes of a cell, Omega = h/2 (A_1 + A_2) + (sqrt(3)/12) h^2 [A_2, A_1]
-    = Omega0 + zeta^{2n} Omega1, since [E, E] = 0.  N resolves the largest
-    local frequency omega = zmax max(psi)^(1/2n) for zeta up to zmax: at
-    h omega <= 0.62 the extrapolated eigenvalues are good to about 1e-11
-    (the error goes like h^6 omega^4.3 on weighted Wiener; N >= 2048 keeps
-    small windows at the rounding level).
+    nodes of a cell of width h, Omega = h/2 (A_1 + A_2) + (sqrt(3)/12) h^2
+    [A_2, A_1] = Omega0 + zeta^{2n} Omega1, since [E, E] = 0.  The coarse
+    edges are equal steps of X(t) = int_0^t psi^(1/2n) / theta (summed to
+    each WEIGHT_GRID node and panel end, inverted linearly; equal cells for
+    psi = 1), in which omega = zeta psi^(1/2n) is uniform: N, the power of
+    two >= max(_MIN_CELLS, 2 zmax theta), holds h omega <= 1/2 in each cell.
     """
     n = problem.op.n
     d = 2 * n
-    omega = zmax * problem.weight.samples.max() ** (1.0 / (2 * n))
-    N = 1 << int(np.ceil(np.log2(max(2048.0, 1.6 * omega))))
+    P, q = WEIGHT_GRID.panels, WEIGHT_GRID.order
+    X = (problem.weight.samples ** (1.0 / d)).reshape(P, q) @ _panel_rule(q).T
+    X = np.append(0.0, X + np.append(0.0, np.cumsum(X[:-1, -1]))[:, None]) / P
+    t = np.append(0.0, np.column_stack((WEIGHT_GRID.x.reshape(P, q),
+                                        np.arange(1, P + 1) / P)))
+    N = 1 << int(np.ceil(np.log2(max(_MIN_CELLS, 2.0 * zmax * X[-1]))))
+    edges = np.interp(np.arange(N + 1) / N, X / X[-1], t)
     E = np.zeros((d, d))
     E[-1, 0] = (-1.0) ** n
     out = []
-    for cells in (N, 2 * N):
-        h = 1.0 / cells
-        t = ((np.arange(cells)[:, None] + _GAUSS) * h).ravel()
+    for edges in (edges, np.interp(np.arange(2 * N + 1) / 2,
+                                   np.arange(N + 1), edges)):
+        h = np.diff(edges)[:, None, None]
+        t = (edges[:-1, None] + _GAUSS * h[:, 0]).ravel()
         A = np.zeros((t.size, d, d))
         A[:, np.arange(d - 1), np.arange(1, d)] = 1.0
         for m in range(n):
@@ -96,13 +104,21 @@ def _expm_cells(X):
 
     For d = 2, Omega^2 = s^2 I with s^2 = -det Omega, so exp(Omega) is
     cosh(s) I + sinh(s)/s Omega (cos/sin when s^2 < 0), formed entrywise on
-    the component arrays; larger systems move the matrix axes last for
-    scipy's expm and back.
+    the component arrays.  Larger ones sum the degree-18 Taylor series of
+    2^-s X (1-norms <= 1) by Horner's rule and square it s times (`_mul`).
     """
     if X.shape[0] > 2:
-        # expm walks its stack matrix by matrix: hand it contiguous ones
-        E = expm(np.ascontiguousarray(np.moveaxis(X, (0, 1), (-2, -1))))
-        return np.ascontiguousarray(np.moveaxis(E, (-2, -1), (0, 1)))
+        s = max(0, int(np.frexp(np.abs(X).sum(axis=0).max())[1]))
+        X *= 0.5 ** s
+        P, Q, diag = X / 18.0, np.empty_like(X), np.arange(X.shape[0])
+        for k in range(17, 0, -1):
+            P[diag, diag] += 1.0
+            P, Q = _mul(X, P, out=Q), P
+            P /= k
+        P[diag, diag] += 1.0
+        for _ in range(s):
+            P, Q = _mul(P, P, out=Q), P
+        return P
     s2 = X[0, 0] ** 2 + X[0, 1] * X[1, 0]
     r = np.sqrt(np.abs(s2))
     cs, sn = np.cos(r), np.sin(r)
@@ -360,8 +376,7 @@ def _shoot(problem, K, theta):
     spacing = np.pi / (4 * theta)
     zmax = (K + 2) * np.pi / theta
 
-    # rare fallback: if the standard window holds fewer than K roots
-    # (large boundary-induced offsets), rescan a wider window from scratch
+    # rare fallback (n >= 2): rescan wider when K + 1 - n <= brackets < K
     for attempt in range(3):
         z_hi = zmax * (attempt + 1)
         grid = np.arange(spacing, z_hi + 0.5 * spacing, spacing)
@@ -372,7 +387,7 @@ def _shoot(problem, K, theta):
         # a bracket wherever the sign bit flips, so an exact zero at a node
         # closes one bracket
         lo = np.flatnonzero((F[:-1] < 0) != (F[1:] < 0))
-        if len(lo) >= K:
+        if not K + 1 - n <= len(lo) < K:
             break
     if len(lo) < K:
         raise MissedRoot(f"found only {len(lo)} roots up to zeta={z_hi:.3g} "

@@ -243,11 +243,9 @@ class TestComponentLayout:
 
     def test_chunk_length_moves_the_cantilever_by_rounding(self,
                                                           monkeypatch):
-        # d = 4 exponentials go through scipy's expm, so a 252-point
-        # cantilever batch takes about 16 s on a 2-core Xeon: 1-point
-        # batches are run once with their own 512-cell chunks and once held
-        # to the 64-cell chunks of a scan, through the solutions' growth
-        # to 1e8
+        # 1-point cantilever batches are run once with their own 512-cell
+        # chunks and once held to the 64-cell chunks of a scan, through the
+        # solutions' growth to 1e8
         problem, zetas, zmax = _layout_cases()["d4_cantilever_growth_1e8"]
         zetas = np.append(zetas, [0.5, 4.7, 11.0])
         mesh = _mesh(problem, zmax)
@@ -261,14 +259,14 @@ class TestComponentLayout:
         F64 = singles()
         assert np.abs(F512 - F64).max() <= 1e-13 * np.abs(F64).max()
 
-    @pytest.mark.parametrize("batch, passes", [(1, 4), (12, 4), (16, 4),
-                                               (17, 8), (252, 32)])
+    @pytest.mark.parametrize("batch, passes", [(1, 2), (12, 2), (16, 2),
+                                               (17, 4), (252, 16)])
     def test_chunk_passes_follow_the_batch(self, batch, passes, monkeypatch):
         # a chunk doubles from 64 cells while its fine-mesh cells times the
         # batch stay within 16384, up to 512: a refinement step of at most
-        # 16 zetas makes 4 passes per mesh at N = 2048, a scan 32
+        # 16 zetas makes 2 passes per mesh at N = 1024, a scan 16
         w, grid, mesh = self._readme_scan()
-        assert mesh[0] == 2048
+        assert mesh[0] == 1024
         calls = []
 
         def counted(X):
@@ -278,7 +276,27 @@ class TestComponentLayout:
         monkeypatch.setattr(spectrum, "_expm_cells", counted)
         spectrum._propagate(w, grid[:batch], mesh)
         assert len(calls) == 2 * passes
-        assert sorted(set(calls)) == [2048 // passes, 4096 // passes]
+        assert sorted(set(calls)) == [1024 // passes, 2048 // passes]
+
+
+class TestGradedMesh:
+    def test_unit_weight_gives_equal_cells(self):
+        # with p = 0, Omega0 = h A_0: its (0, 1) entries are the cell widths
+        N, ((coarse, _), (fine, _)) = _mesh(wiener(), 10.0)
+        assert N == spectrum._MIN_CELLS
+        for cells, om in ((N, coarse), (2 * N, fine)):
+            edges = np.append(0.0, np.cumsum(om[:, 0, 1]))
+            np.testing.assert_allclose(edges, np.arange(cells + 1) / cells,
+                                       rtol=0.0, atol=1e-15)
+
+    def test_cells_follow_theta_not_max_psi(self):
+        # psi_a = (a + (1/a - a) t)^{-4} has theta = 1 for every a, while
+        # its peak psi_a(0)^{1/2} = 1/a^2 ranges from 2.4 to 4.9: the K = 100
+        # window gets one mesh size, that of psi = 1
+        psi_a = [Weight.from_text(f"({a}+{1 / a - a}*t)^(-4)")
+                 for a in (0.45, 0.5, 0.65)]
+        sizes = {_mesh(wiener(w), 102 * np.pi)[0] for w in [UNIT] + psi_a}
+        assert len(sizes) == 1
 
 
 class TestEigenvalueCount:
@@ -327,6 +345,29 @@ class TestShooting:
         with pytest.raises(MissedRoot):
             eigenvalues_shooting(per, 5)
 
+    def test_short_first_window_raises_on_one_mesh(self, monkeypatch):
+        # for n = 1 a window with fewer than K brackets holds at least 3
+        # roots fewer than the K + 2 the count check expects, which allows
+        # n + 1 = 2: no wider window is scanned
+        per = make_problem(1, [BC(0, 1, -1), BC(1, 1, -1)])
+        windows = []
+
+        def counted(problem, zmax):
+            windows.append(zmax)
+            return _mesh(problem, zmax)
+
+        monkeypatch.setattr(spectrum, "_mesh", counted)
+        with pytest.raises(MissedRoot):
+            eigenvalues_shooting(per, 200)
+        assert len(windows) == 1
+
+    def test_weighted_bridge_is_good_to_rounding(self):
+        # psi = (0.5+1.5t)^{-4} keeps the bridge at mu = (k pi)^2: on the
+        # Liouville-graded mesh all 200 are exact to rounding
+        res = eigenvalues_shooting(bridge(Weight.from_text(PSI_HALF)), 200)
+        np.testing.assert_allclose(res.mu, (np.arange(1, 201) * np.pi) ** 2,
+                                   rtol=1e-13)
+
     def test_err_bounds_the_actual_error(self):
         # psi = (0.5+1.5t)^{-4}: Wiener roots solve 3 sin x + x cos x = 0,
         # and the weighted bridge keeps mu = (k pi)^2
@@ -355,13 +396,16 @@ class TestShooting:
         # with psi = (0.5+1.5t)^{-4}, OU and Slepian are steep at their roots
         # and flat at the scan points: err takes F's slope near each root, so
         # one mesh serves the solve and err still bounds the error against a
-        # mesh sized for a 4x wider window (4x finer at K = 60)
+        # mesh sized for a 4x wider window with a 4x higher floor, so
+        # exactly 4x finer
         problem = catalog_problem(ProcessSpec(family),
                                   Weight.from_text("(0.5+1.5*t)^(-4)"))
         sizes = []
 
         def sized(problem, zmax, scale=1):
-            mesh = _mesh(problem, scale * zmax)
+            with monkeypatch.context() as m:
+                m.setattr(spectrum, "_MIN_CELLS", scale * spectrum._MIN_CELLS)
+                mesh = _mesh(problem, scale * zmax)
             sizes.append(mesh[0])
             return mesh
 
