@@ -259,24 +259,33 @@ class TestComponentLayout:
         F64 = singles()
         assert np.abs(F512 - F64).max() <= 1e-13 * np.abs(F64).max()
 
-    @pytest.mark.parametrize("batch, passes", [(1, 2), (12, 2), (16, 2),
-                                               (17, 4), (252, 16)])
+    @pytest.mark.parametrize("batch, passes", [(1, 4), (12, 4), (16, 4),
+                                               (17, 8), (252, 32)])
     def test_chunk_passes_follow_the_batch(self, batch, passes, monkeypatch):
         # a chunk doubles from 64 cells while its fine-mesh cells times the
         # batch stay within 16384, up to 512: a refinement step of at most
-        # 16 zetas makes 2 passes per mesh at N = 1024, a scan 16
+        # 16 zetas makes 4 passes per mesh at N = 2048, a scan 32; the
+        # scan's own mesh, N = 1024, takes half as many
         w, grid, mesh = self._readme_scan()
         assert mesh[0] == 1024
-        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(spectrum, "_MIN_CELLS", 2048)
+            wide = _mesh(w, grid[-1])
+        assert wide[0] == 2048
+        for N, mesh_passes in ((1024, passes // 2), (2048, passes)):
+            calls = []
 
-        def counted(X):
-            calls.append(X.shape[2])
-            return _expm_cells(X)
+            def counted(X):
+                calls.append(X.shape[2])
+                return _expm_cells(X)
 
-        monkeypatch.setattr(spectrum, "_expm_cells", counted)
-        spectrum._propagate(w, grid[:batch], mesh)
-        assert len(calls) == 2 * passes
-        assert sorted(set(calls)) == [1024 // passes, 2048 // passes]
+            with monkeypatch.context() as m:
+                m.setattr(spectrum, "_expm_cells", counted)
+                spectrum._propagate(w, grid[:batch],
+                                    mesh if N == 1024 else wide)
+            assert len(calls) == 2 * mesh_passes
+            assert sorted(set(calls)) == [N // mesh_passes,
+                                          2 * N // mesh_passes]
 
 
 class TestGradedMesh:
