@@ -24,7 +24,7 @@ second OpenBLAS, whose thread pool would fight scipy's for the cores.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -104,14 +104,19 @@ def _expm_cells(X):
 
     For d = 2, Omega^2 = s^2 I with s^2 = -det Omega, so exp(Omega) is
     cosh(s) I + sinh(s)/s Omega (cos/sin when s^2 < 0), formed entrywise on
-    the component arrays.  Larger ones sum the degree-18 Taylor series of
-    2^-s X (1-norms <= 1) by Horner's rule and square it s times (`_mul`).
+    the component arrays.  Larger ones sum the Taylor series of 2^-s X
+    (1-norms nu <= 1) to the least degree m with nu^(m+1)/(m+1)! < 2^-56
+    (m <= 18) by Horner's rule, and square it s times (`_mul`).
     """
     if X.shape[0] > 2:
-        s = max(0, int(np.frexp(np.abs(X).sum(axis=0).max())[1]))
+        nu = np.abs(X).sum(axis=0).max()
+        s = max(0, int(np.frexp(nu)[1]))
         X *= 0.5 ** s
-        P, Q, diag = X / 18.0, np.empty_like(X), np.arange(X.shape[0])
-        for k in range(17, 0, -1):
+        nu *= 0.5 ** s
+        m = next((m for m in range(1, 18)
+                  if nu ** (m + 1) / factorial(m + 1) < 2.0 ** -56), 18)
+        P, Q, diag = X / m, np.empty_like(X), np.arange(X.shape[0])
+        for k in range(m - 1, 0, -1):
             P[diag, diag] += 1.0
             P, Q = _mul(X, P, out=Q), P
             P /= k
@@ -235,16 +240,14 @@ def fundamental_system(problem, zeta):
     return np.broadcast_to(Y0, Y1.shape), Y1
 
 
-def _boundary_matrix(problem, Y1, w0=1.0):
+def _boundary_matrix(problem, Y1, w0):
     """Apply the boundary forms to the fundamental solutions.
 
     M[nu, j] = alpha_nu phi_j^{(k_nu)}(0) + gamma_nu phi_j^{(k_nu)}(1)
                + lower-order contributions; phi_j^{(i)}(0) = delta_ij.
-    When Y1 is the fundamental matrix times a positive per-zeta factor w0,
+    Y1 is the fundamental matrix times a positive per-zeta factor w0, so
     the t = 0 terms of every row that reads Y1 are scaled by w0 as well,
-    which multiplies that row by w0 and so moves no roots.  Each row is
-    divided by the sum of the sup-norms of its terms (the t = 0 terms, each
-    Y1 term): positive, continuous in zeta and nonzero where they cancel.
+    which multiplies that row by w0 and so moves no roots.
     """
     w0 = np.reshape(w0, (-1, 1))
     I = np.eye(Y1.shape[-1])
@@ -256,8 +259,7 @@ def _boundary_matrix(problem, Y1, w0=1.0):
         if any(a):
             row = sum(c * I[j] for j, c in enumerate(a) if c)
             terms.append(w0 * row if terms else row)
-        scale = sum(np.abs(t).max(axis=-1, keepdims=True) for t in terms)
-        M[:, nu, :] = sum(terms) / scale
+        M[:, nu, :] = sum(terms)
     return M
 
 
@@ -351,14 +353,15 @@ def eigenvalues_shooting(problem, K):
     """First K eigenvalues of L v = mu psi v by characteristic-root search.
 
     Scans F(zeta) on a grid of spacing pi/(4 theta) up to (K+2) pi / theta,
-    brackets sign changes, refines each root to relative 1e-12, and checks
-    the count against the leading-order growth model.  F comes from a
-    Magnus-4 propagator with Richardson extrapolation on one mesh, set by
-    the scan window.  `err` is the relative error bound on mu from the
-    mesh-halving gap (F_fine - F over the slope of F near the root), the
-    final bracket width and the rounding that the growth of the solutions
-    amplifies.  StepFailure is raised when it exceeds SHOOT_TOL, and before
-    any root is refined when the rounding at the scan brackets alone does.
+    brackets sign changes (MissedRoot if fewer than K, or more than n + 1
+    off the K + 2 of the leading-order growth model) and refines each root
+    to relative 1e-12.  F comes from a Magnus-4 propagator with Richardson
+    extrapolation on one mesh, set by the scan window, for every n.  `err`
+    is the relative error bound on mu from the mesh-halving gap (F_fine - F
+    over the slope of F near the root), the final bracket width and the
+    rounding that the growth of the solutions amplifies.  StepFailure is
+    raised when it exceeds SHOOT_TOL, and before any root is refined when
+    the rounding at the scan brackets alone does.
     """
     _check_count(K)
     n = problem.op.n
@@ -370,27 +373,22 @@ def eigenvalues_shooting(problem, K):
 
 
 def _shoot(problem, K, theta):
-    """Roots zeta_1..zeta_K of F on `_mesh(problem, z)` for the scan window
-    up to z, the relative error bound of each mu_k, and the growth there."""
+    """Roots zeta_1..zeta_K of F on `_mesh(problem, z)` for its one scan
+    window up to z, each mu_k's relative error bound, and the growth there."""
     n = problem.op.n
     spacing = np.pi / (4 * theta)
     zmax = (K + 2) * np.pi / theta
 
-    # rare fallback (n >= 2): rescan wider when K + 1 - n <= brackets < K
-    for attempt in range(3):
-        z_hi = zmax * (attempt + 1)
-        grid = np.arange(spacing, z_hi + 0.5 * spacing, spacing)
-        # extra points near the origin in case of a low first root
-        grid = np.concatenate(([1e-4, 1e-3, 1e-2, 0.1 * spacing], grid))
-        mesh = _mesh(problem, z_hi)
-        F, scan = _characteristic_batch(problem, grid, mesh)
-        # a bracket wherever the sign bit flips, so an exact zero at a node
-        # closes one bracket
-        lo = np.flatnonzero((F[:-1] < 0) != (F[1:] < 0))
-        if not K + 1 - n <= len(lo) < K:
-            break
+    grid = np.arange(spacing, zmax + 0.5 * spacing, spacing)
+    # extra points near the origin in case of a low first root
+    grid = np.concatenate(([1e-4, 1e-3, 1e-2, 0.1 * spacing], grid))
+    mesh = _mesh(problem, zmax)
+    F, scan = _characteristic_batch(problem, grid, mesh)
+    # a bracket wherever the sign bit flips, so an exact zero at a node
+    # closes one bracket
+    lo = np.flatnonzero((F[:-1] < 0) != (F[1:] < 0))
     if len(lo) < K:
-        raise MissedRoot(f"found only {len(lo)} roots up to zeta={z_hi:.3g} "
+        raise MissedRoot(f"found only {len(lo)} roots up to zeta={zmax:.3g} "
                          f"but {K} were requested")
     # fail before refining when rounding alone, amplified by the smaller
     # growth at the ends of one of the first K brackets, breaks the tolerance
@@ -398,24 +396,20 @@ def _shoot(problem, K, theta):
     floor = (2 * n * np.finfo(float).eps / grid[first + 1] * np.exp(
         np.minimum(scan_growth[first], scan_growth[first + 1])))
     _check_resolved(floor, scan_growth[first])
-    roots, widths, aux, slope = _refine_roots(
-        lambda z: _characteristic_batch(problem, z, mesh),
-        grid[lo], grid[lo + 1], F[lo], F[lo + 1], scan[:, lo])
-
     # count sanity check against the growth model, which puts theta zmax / pi
-    # = K + 2 roots in the first scan window
-    count = np.count_nonzero(roots <= zmax)
-    if abs(count - (K + 2)) > n + 1:
-        raise MissedRoot(f"root count {count} on [0, {zmax:.3g}] is "
+    # = K + 2 roots in the scan window
+    if abs(len(lo) - (K + 2)) > n + 1:
+        raise MissedRoot(f"root count {len(lo)} on [0, {zmax:.3g}] is "
                          f"inconsistent with the expected {K + 2} +- {n + 1}")
-
-    roots, widths, slope, (dF, log_growth) = (roots[:K], widths[:K],
-                                              slope[:K], aux[:, :K])
+    roots, widths, (dF, log_growth), slope = _refine_roots(
+        lambda z: _characteristic_batch(problem, z, mesh), grid[first],
+        grid[first + 1], F[first], F[first + 1], scan[:, first])
     # error bar in zeta: the fine-mesh root's shift from the extrapolated
     # one (F difference over F's slope near the root), the bracket width,
     # and rounding, which the growth G of the scaled solutions amplifies to
-    # about eps * G (the equilibrated determinant's slope falls like 1/G);
-    # dF and G come from each bracket's last evaluation, within its width
+    # about eps * G (the determinant of the growth-scaled rows has a slope
+    # that falls like 1/G); dF and G come from each bracket's last
+    # evaluation, within its width
     rounding = np.finfo(float).eps * np.exp(log_growth)
     err = 2 * n * (np.abs(dF / slope) + widths + rounding) / roots
     return roots, err, log_growth

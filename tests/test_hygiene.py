@@ -2,8 +2,9 @@
 at the top of the module rather than inside a function; every private
 module-level helper is referenced somewhere in the package, no module reads
 another object's private (``_name``) attributes, every public name has a
-caller outside the tests, every defaulted parameter is set by some call, and
-the Nystrom path keeps its dense linear algebra out of numpy's BLAS (no
+caller outside the tests, every defaulted parameter is set by some call
+(and, in a private helper, left to its default by some call), and the
+Nystrom path keeps its dense linear algebra out of numpy's BLAS (no
 ``@``, no ``np.linalg``), and the command line holds no boundary-condition
 data: it reads the family registry in ``kernels``, and ``smallball`` imports
 nothing from ``spectrum``; ``import greenball`` loads no ``scipy.special``.
@@ -317,6 +318,67 @@ def test_every_default_is_set_somewhere():
                for p in sorted((ROOT / folder).rglob("*.py"))]
     found = never_set_defaults(sources, callers)
     assert not found, ", ".join(f"{mod}: nothing sets {func}({name}=...)"
+                                for mod, func, name in found)
+
+
+def call_arguments(trees):
+    """{call name: [(positional count, keyword names), ...]}, one entry per
+    call in `trees`, the call named by its plain name or last attribute; a
+    call with `*args` or `**kwargs` has a positional count of None, since
+    what it passes is unknown."""
+    out = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id",
+                               getattr(node.func, "attr", None))
+                unknown = (any(isinstance(a, ast.Starred) for a in node.args)
+                           or any(k.arg is None for k in node.keywords))
+                out.setdefault(name, []).append(
+                    (None if unknown else len(node.args),
+                     {k.arg for k in node.keywords}))
+    return out
+
+
+def always_passed_defaults(sources, callers):
+    """Sorted (module, function, parameter) of the defaulted parameters of
+    private (`_name`) functions in `sources` that every call in `callers`
+    (source texts), and at least one, passes by position or keyword."""
+    calls = call_arguments([ast.parse(text) for text in callers])
+    found = []
+    for mod, text in sources.items():
+        for call, func, name, _, pos in defaulted_parameters(ast.parse(text)):
+            seen = calls.get(call, [])
+            if (func.startswith("_") and not func.startswith("__") and seen
+                    and all(count is not None and (
+                        name in keys or (pos is not None and pos < count))
+                            for count, keys in seen)):
+                found.append((mod, func, name))
+    return sorted(found)
+
+
+def test_always_passed_default_scanner():
+    sources = {"a.py": ("def _scaled(x, w=1.0):\n    return w * x\n"
+                        "def _loose(x, k=2):\n    return k * x\n"
+                        "def _spread(x, k=2):\n    return k * x\n"
+                        "def public(x, tol=1e-6):\n    return x\n"
+                        "class C:\n    def _m(self, h=1.0):\n"
+                        "        return h\n")}
+    callers = ["_scaled(1, 2.0)\n_scaled(3, w=1.0)\n_loose(1)\n"
+               "_loose(2, 3)\n_spread(*args)\n_spread(1, 3)\n"
+               "public(1, 1e-3)\nC()._m(2.0)\n"]
+    assert always_passed_defaults(sources, callers) == [
+        ("a.py", "_m", "h"), ("a.py", "_scaled", "w")]
+
+
+def test_private_defaults_are_left_to_some_call():
+    """A default of a private helper that every call overrides is never
+    used: the parameter should be required."""
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    callers = [p.read_text() for folder in ("src", "tests", "demos")
+               for p in sorted((ROOT / folder).rglob("*.py"))]
+    found = always_passed_defaults(sources, callers)
+    assert not found, ", ".join(f"{mod}: every call passes {func}({name}=...)"
                                 for mod, func, name in found)
 
 

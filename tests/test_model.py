@@ -162,3 +162,17 @@ class TestOperatorSpec:
         np.testing.assert_allclose(op.p_values(1, t), 3.0)
         np.testing.assert_allclose(op.p_derivative(1, 1, t), 0.0)
         np.testing.assert_allclose(op.p_derivative(0, 1, 0.5), 1.0, atol=1e-8)
+
+    def test_higher_derivatives_of_expressions_raise(self):
+        # a fixed-step difference is up to 3.5e-4 off at j = 2 and 955 at
+        # j = 3 for p = e^t, so j >= 2 of an expression is refused;
+        # constants and j <= 1 keep their values
+        from greenball.expr import parse_expression
+        op = OperatorSpec(3, (parse_expression("exp(t)"), 2.0, 0.0))
+        t = np.array([0.25, 0.5])
+        np.testing.assert_allclose(op.p_derivative(0, 1, t), np.exp(t),
+                                   rtol=1e-9)
+        for j in (2, 3):
+            with pytest.raises(ValueError, match="ROADMAP item 4"):
+                op.p_derivative(0, j, t)
+            np.testing.assert_array_equal(op.p_derivative(1, j, t), 0.0)

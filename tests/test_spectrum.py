@@ -209,11 +209,10 @@ class TestComponentLayout:
             assert (gap <= 1e-13 * np.abs(ref).max(axis=(1, 2))).all()
         np.testing.assert_allclose(logs2, logs, rtol=1e-13, atol=1e-13)
         # F magnifies the rounding of Y: the growth G of the solutions
-        # cancels in the equilibrated determinant, and a row divided by its
-        # largest entry carries a small entry's relative error (d = 2: 2.4e-13
-        # of max|F| between the layouts, each 1.7e-12 off a long-double
-        # product), so F is compared at 1e-13 max(G, 10) max|F|; the signs,
-        # and so every scan bracket, agree
+        # cancels in the determinant of the growth-scaled rows (the layouts
+        # differ by 7e-15 of max|F| at d = 2 and by 1.3e-8 at d = 4, where
+        # G = 1.5e8), so F is compared at 1e-13 max(G, 10) max|F|; the
+        # signs, and so every scan bracket, agree
         F, F2 = runs["stacked_F"][0], runs["component_F"][0]
         growth = np.exp(logs).max()
         assert np.abs(F2 - F).max() <= 1e-13 * max(growth, 10.0) * np.abs(
@@ -402,14 +401,16 @@ class TestShooting:
     @pytest.mark.parametrize("family", ["wiener", "bridge", "ou", "slepian"])
     def test_one_mesh_and_err_bounds_a_finer_mesh_error(self, family,
                                                        monkeypatch):
-        # with psi = (0.5+1.5t)^{-4}, OU and Slepian are steep at their roots
-        # and flat at the scan points: err takes F's slope near each root, so
+        # with psi = (0.5+1.5t)^{-4}, err takes F's slope near each root, so
         # one mesh serves the solve and err still bounds the error against a
         # mesh sized for a 4x wider window with a 4x higher floor, so
-        # exactly 4x finer
+        # exactly 4x finer.  F's rows are not divided by their norms, so F
+        # does not saturate between OU and Slepian roots and the secant does
+        # not fall back to bisection: each family takes at most 11
+        # refinement passes (Wiener 10, bridge 1, OU 9, Slepian 10)
         problem = catalog_problem(ProcessSpec(family),
                                   Weight.from_text("(0.5+1.5*t)^(-4)"))
-        sizes = []
+        sizes, batches = [], []
 
         def sized(problem, zmax, scale=1):
             with monkeypatch.context() as m:
@@ -418,9 +419,16 @@ class TestShooting:
             sizes.append(mesh[0])
             return mesh
 
+        def counted(*args):
+            batches.append(len(args[1]))
+            return _characteristic_batch(*args)
+
         monkeypatch.setattr(spectrum, "_mesh", sized)
+        monkeypatch.setattr(spectrum, "_characteristic_batch", counted)
         res = eigenvalues_shooting(problem, 60)
         assert len(sizes) == 1
+        # the scan, then one batch per refinement pass
+        assert len(batches) - 1 <= 11, batches
         monkeypatch.setattr(spectrum, "_mesh",
                             lambda problem, zmax: sized(problem, zmax, 4))
         ref = eigenvalues_shooting(problem, 60)
@@ -429,7 +437,7 @@ class TestShooting:
         assert (res.err <= spectrum.SHOOT_TOL).all()
         assert (rel <= res.err).all(), (rel / res.err).max()
 
-    def test_cantilever_n2(self):
+    def test_cantilever_n2(self, monkeypatch):
         # v'''' = mu v, v(0) = v'(0) = 0, v''(1) = v'''(1) = 0: mu = x^4 with
         # 1 + cos x cosh x = 0.  The fundamental matrix grows like e^x, so
         # the determinant loses digits with every root: a large K must raise
@@ -438,15 +446,21 @@ class TestShooting:
                                 BC(3, 0, 1)])
         f = lambda x: np.cos(x) + 1.0 / np.cosh(x)
         exact = np.array([brentq(f, (k - 1) * np.pi, k * np.pi, xtol=1e-14)
-                          for k in range(1, 11)]) ** 4
+                          for k in range(1, 6)]) ** 4
+        windows = []
+
+        def counted(problem, zmax):
+            windows.append(zmax)
+            return _mesh(problem, zmax)
+
+        monkeypatch.setattr(spectrum, "_mesh", counted)
         res = eigenvalues_shooting(prob, 5)
-        np.testing.assert_allclose(res.mu, exact[:5], rtol=1e-10)
-        try:
-            res = eigenvalues_shooting(prob, 10)
-        except (StepFailure, MissedRoot):
-            return
-        rel = np.abs(res.mu - exact) / exact
-        assert (rel <= np.maximum(res.err, 1e-8)).all()
+        np.testing.assert_allclose(res.mu, exact, rtol=1e-10)
+        assert len(windows) == 1
+        # mu_8 is resolved only to about 1.6e-7: one mesh, then StepFailure
+        with pytest.raises(StepFailure):
+            eigenvalues_shooting(prob, 10)
+        assert len(windows) == 2
 
 
 class TestNystrom:
