@@ -12,7 +12,9 @@ Grammar (EBNF):
 
 Trees are plain tuples: ("num", v), ("var",), ("neg", x),
 ("bin", op, left, right), ("call", name, arg).  Tuple equality gives the
-structural round-trip property for free.
+structural round-trip property for free.  A tree is evaluated one way:
+compiled into a numpy lambda (`compile_callable`), which `evaluate` runs
+with numpy's divide and invalid flags raised.
 """
 
 from __future__ import annotations
@@ -156,46 +158,28 @@ def parse_expression(text):
 
 
 def evaluate(tree, t):
-    """Evaluate a tree at scalar or ndarray t; checks domain validity."""
+    """Evaluate a tree at scalar or ndarray t through its compiled form.
+
+    The one evaluator: `compile_callable(tree)` runs with numpy's divide and
+    invalid flags raised, so a division by zero, a log or sqrt outside its
+    domain or a negative base to a fractional power raises
+    EvaluationDomainError naming the flag; a value that overflows is caught
+    by the finiteness check.  Returns a float for scalar t, else a new array.
+    """
     t = np.asarray(t, dtype=float)
-    with np.errstate(all="ignore"):
-        out = _eval(tree, t)
+    try:
+        with np.errstate(divide="raise", invalid="raise", over="ignore",
+                         under="ignore"):
+            out = compile_callable(tree)(t)
+    except FloatingPointError as exc:
+        raise EvaluationDomainError(
+            f"expression left its domain: {exc}") from None
     out = np.broadcast_to(out, t.shape) if t.shape else out
     if not np.all(np.isfinite(out)):
         raise EvaluationDomainError("expression not finite on the requested points")
     if t.shape:
         return np.array(out, dtype=float)
     return float(out)
-
-
-def _eval(tree, t):
-    tag = tree[0]
-    if tag == "num":
-        return np.full_like(t, tree[1]) if t.shape else tree[1]
-    if tag == "var":
-        return t
-    if tag == "neg":
-        return -_eval(tree[1], t)
-    if tag == "call":
-        arg = _eval(tree[2], t)
-        if tree[1] == "log" and np.any(np.asarray(arg) <= 0):
-            raise EvaluationDomainError("log of non-positive value")
-        if tree[1] == "sqrt" and np.any(np.asarray(arg) < 0):
-            raise EvaluationDomainError("sqrt of negative value")
-        return FUNCTIONS[tree[1]](arg)
-    _, op, left, right = tree
-    a, b = _eval(left, t), _eval(right, t)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if np.any(np.asarray(b) == 0):
-            raise EvaluationDomainError("division by zero")
-        return a / b
-    return np.power(a, b)
 
 
 # precedence levels for the printer
@@ -240,31 +224,37 @@ def pretty(tree):
     return f"{ls} {op} {rs}" if op in "+-" else f"{ls}{op}{rs}"
 
 
-def _source(tree):
+def _source(tree, ns):
     kind = tree[0]
     if kind == "num":
-        return repr(tree[1])
+        # bound in the namespace as an np.float64 scalar, so a constant
+        # subtree such as 1/0 follows numpy's flags, not Python's errors
+        name = f"_n{len(ns)}"
+        ns[name] = np.float64(tree[1])
+        return name
     if kind == "var":
         return "t"
     if kind == "neg":
-        return f"(-{_source(tree[1])})"
+        return f"(-{_source(tree[1], ns)})"
     if kind == "bin":
         op = "**" if tree[1] == "^" else tree[1]
-        return f"({_source(tree[2])} {op} {_source(tree[3])})"
+        return f"({_source(tree[2], ns)} {op} {_source(tree[3], ns)})"
     if kind == "call":
-        return f"_{tree[1]}({_source(tree[2])})"
+        return f"_{tree[1]}({_source(tree[2], ns)})"
     raise ValueError(f"unknown node {tree!r}")
 
 
 def compile_callable(tree):
-    """Compile a tree into a fast numpy-backed callable t -> value.
+    """Compile a tree into a numpy-backed callable t -> value.
 
-    Unlike `evaluate`, the compiled form performs no domain checking
-    (invalid inputs propagate as nan/inf); validate once with `evaluate`
-    before using this in inner loops.
+    Every operation, constants included, is a numpy operation, so the
+    callable follows numpy's error flags.  It checks nothing itself:
+    `evaluate` runs it with the divide and invalid flags raised, and a
+    weight is validated that way on construction before its compiled form
+    goes into inner loops.
     """
     ns = {f"_{name}": fn for name, fn in FUNCTIONS.items()}
-    return eval(f"lambda t: {_source(tree)}", ns)  # noqa: S307 - own AST only
+    return eval(f"lambda t: {_source(tree, ns)}", ns)  # noqa: S307 - own AST
 
 
 def constant(value):

@@ -36,6 +36,9 @@ class Weight:
     psi0, psi1 : float
         Endpoint values psi(0), psi(1), evaluated from the expression (the
         comparison formulas depend only on these).
+
+    `from_tree` reads all three from the expression's compiled form, the
+    one that calls use, so ``w.samples`` equals ``w(WEIGHT_GRID.x)`` bitwise.
     """
 
     expr: tuple
@@ -62,8 +65,8 @@ class Weight:
 
     @cached_property
     def _fast(self):
-        # construction already validated the expression on the grid, so the
-        # uncheckd compiled form is safe for inner loops
+        # construction evaluated this form on the grid with numpy's divide
+        # and invalid flags raised, so inner loops may call it unchecked
         return _expr.compile_callable(self.expr)
 
     def __call__(self, t):
@@ -267,9 +270,7 @@ def normalize_weight(w, n):
     c = theta ** (-2 * n)
     if abs(c - 1.0) <= 1e-14:
         return w, 1.0
-    tree = _expr.scale(w.expr, c)
-    scaled = Weight(tree, c * np.asarray(w.samples), c * w.psi0, c * w.psi1)
-    return scaled, c
+    return Weight.from_tree(_expr.scale(w.expr, c)), c
 
 
 def require_equal_normalization(w1, w2, n):

@@ -220,26 +220,6 @@ def _propagate(problem, zetas, mesh):
             np.moveaxis(Y[1] / scale, -1, 0), logs[1])
 
 
-def fundamental_system(problem, zeta):
-    """Canonical solutions phi_j (phi_j^{(i)}(0) = delta_ij) of
-    L v = zeta^{2n} psi v, propagated across [0,1].
-
-    Returns (Y0, Y1) where Y0 is the identity initial data and
-    Y1[i, j] = phi_j^{(i)}(1).  Accepts a scalar or a 1-d array of zeta
-    values (leading batch axis in the result).
-    """
-    zetas = np.atleast_1d(np.asarray(zeta, dtype=float))
-    if (zetas < 0).any():
-        raise ValueError("zeta must be nonnegative")
-    Y1, _, log_growth = _propagate(problem, zetas,
-                                   _mesh(problem, zetas.max()))
-    Y1 = Y1 * np.exp(log_growth)[:, None, None]
-    Y0 = np.eye(Y1.shape[-1])
-    if np.ndim(zeta) == 0:
-        return Y0, Y1[0]
-    return np.broadcast_to(Y0, Y1.shape), Y1
-
-
 def _boundary_matrix(problem, Y1, w0):
     """Apply the boundary forms to the fundamental solutions.
 
@@ -261,21 +241,6 @@ def _boundary_matrix(problem, Y1, w0):
             terms.append(w0 * row if terms else row)
         M[:, nu, :] = sum(terms)
     return M
-
-
-def characteristic_function(problem, zeta):
-    """Boundary determinant F(zeta); its positive roots give mu = zeta^{2n}.
-
-    Evaluated from the Richardson-extrapolated fundamental matrix on a mesh
-    fixed by the largest zeta, rescaled by positive factors (which move no
-    roots).  Vectorized over a 1-d zeta array.
-    """
-    zetas = np.atleast_1d(np.asarray(zeta, dtype=float))
-    vals = _characteristic_batch(problem, zetas,
-                                 _mesh(problem, zetas.max()))[0]
-    if np.ndim(zeta) == 0:
-        return float(vals[0])
-    return vals
 
 
 def _characteristic_batch(problem, zetas, mesh):
@@ -572,7 +537,7 @@ def _orthonormalize(W):
     return W
 
 
-def _ritz_top(S, Q, K, blocks=_KRYLOV_BLOCKS):
+def _ritz_top(S, Q, K):
     """Top b Ritz pairs (theta descending, U) of symmetric S in the block
     Krylov space of the orthonormal n x b seed Q.
 
@@ -582,15 +547,15 @@ def _ritz_top(S, Q, K, blocks=_KRYLOV_BLOCKS):
     distance to the nearest Ritz value outside its cluster (neighbours
     closer than their residuals are one cluster, as are multiple
     eigenvalues), or until the basis spans the whole space, where
-    Rayleigh-Ritz is the dense solve.  NonConvergence after `blocks`
-    appended blocks.
+    Rayleigh-Ritz is the dense solve.  NonConvergence after
+    `_KRYLOV_BLOCKS` appended blocks.
     """
     n, b = Q.shape
     tol = 8 * np.finfo(float).eps
     # S is symmetric, so its Fortran view S.T goes to BLAS uncopied; the
     # basis is column-major, so its first m columns are contiguous and only
     # the pages it has reached are touched
-    basis = np.empty((n, min(n, (blocks + 1) * b)), order="F")
+    basis = np.empty((n, min(n, (_KRYLOV_BLOCKS + 1) * b)), order="F")
     images = np.empty_like(basis)
     basis[:, :b] = Q
     blas.dgemm(1.0, S.T, basis[:, :b], c=images[:, :b], overwrite_c=True)
@@ -614,7 +579,7 @@ def _ritz_top(S, Q, K, blocks=_KRYLOV_BLOCKS):
         if m == basis.shape[1]:
             raise NonConvergence(
                 f"the seeded solve on {n} nodes did not resolve the top {K} "
-                f"eigenvalues in {blocks} Krylov blocks")
+                f"eigenvalues in {_KRYLOV_BLOCKS} Krylov blocks")
         new = slice(m, min(m + b, basis.shape[1]))
         W = basis[:, new]
         W[:] = images[:, last][:, :W.shape[1]]

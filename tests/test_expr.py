@@ -75,6 +75,23 @@ def test_domain_errors():
         ev("1/(t - 0.5)", 0.5)
     with pytest.raises(EvaluationDomainError):
         ev("exp(1000)", 0.0)  # overflow -> non-finite
+    # numpy's flags name the cause, in the array and in constant subtrees
+    t = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(EvaluationDomainError, match="divide by zero"):
+        ev("exp(-1/t)", t)
+    with pytest.raises(EvaluationDomainError, match="invalid value"):
+        ev("t/t", 0.0)
+    with pytest.raises(EvaluationDomainError, match="invalid value"):
+        ev("(-8)^(1/3)", t)
+    with pytest.raises(EvaluationDomainError, match="divide by zero"):
+        ev("1/(0^(-1))", 0.5)  # the infinity is absorbed, the flag is not
+
+
+def test_domain_error_restores_numpy_error_state():
+    before = np.geterr()
+    with pytest.raises(EvaluationDomainError):
+        ev("log(t)", 0.0)
+    assert np.geterr() == before
 
 
 @pytest.mark.parametrize("text", [

@@ -1,13 +1,14 @@
 """Source hygiene: every name a greenball module imports is used, and imported
 at the top of the module rather than inside a function; every private
 module-level helper is referenced somewhere in the package, no module reads
-another object's private (``_name``) attributes, every public name has a
-caller outside the tests, every defaulted parameter is set by some call
-(and, in a private helper, left to its default by some call), and the
-Nystrom path keeps its dense linear algebra out of numpy's BLAS (no
-``@``, no ``np.linalg``), and the command line holds no boundary-condition
-data: it reads the family registry in ``kernels``, and ``smallball`` imports
-nothing from ``spectrum``; ``import greenball`` loads no ``scipy.special``.
+another object's private (``_name``) attributes, every public name (in
+``__all__``, or a module-level function or class) has a caller outside the
+tests, every defaulted parameter is set by some call (and, in a private
+helper, left to its default by some call), and the Nystrom path keeps its
+dense linear algebra out of numpy's BLAS (no ``@``, no ``np.linalg``), and
+the command line holds no boundary-condition data: it reads the family
+registry in ``kernels``, and ``smallball`` imports nothing from
+``spectrum``; ``import greenball`` loads no ``scipy.special``.
 
 A name counts as used when the module refers to it anywhere in its code
 (attribute chains such as ``np.linalg`` start at a plain name) or lists it in
@@ -199,6 +200,14 @@ def uncalled_public_names(exported, sources, texts):
                               for text in texts))
 
 
+def public_definitions(tree):
+    """Module-level functions and classes not named _x: methods, nested
+    definitions and constants are left out."""
+    return {node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
 def test_uncalled_public_name_scanner():
     exported = {"Model", "helper", "spare", "documented"}
     sources = {"a.py": ("def helper():\n    pass\ndef spare():\n    pass\n"
@@ -206,21 +215,33 @@ def test_uncalled_public_name_scanner():
                "demo.py": "import pkg\nprint(pkg.helper(), pkg.Model)\n"}
     readme = "Call `documented(x)`; spares are not spare_parts."
     assert uncalled_public_names(exported, sources, [readme]) == ["spare"]
+    # a public definition outside __all__ needs a caller too
+    module = ("LIMIT = 3\ndef entry():\n    return _inner()\n"
+              "def _inner():\n    pass\nclass Frame:\n"
+              "    def method(self):\n        pass\n"
+              "def only_tested():\n    pass\n")
+    defined = public_definitions(ast.parse(module))
+    assert defined == {"entry", "Frame", "only_tested"}
+    sources = {"b.py": module, "demo.py": "from b import entry, Frame\n"}
+    assert uncalled_public_names(defined, sources, []) == ["only_tested"]
 
 
 def test_public_names_have_a_caller():
-    """Every name in the package's __all__ is used by the package itself, a
+    """Every name in the package's __all__, and every public module-level
+    function and class of the package, is used by the package itself, a
     demo, the benchmark or the README; a name only the tests call is dead
     public code."""
-    exported = _exported(ast.parse((SRC / "__init__.py").read_text()))
     files = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    exported = _exported(ast.parse((SRC / "__init__.py").read_text()))
+    exported |= set().union(*(public_definitions(ast.parse(p.read_text()))
+                              for p in files))
     files += sorted((ROOT / "demos").glob("*.py"))
     files += sorted((ROOT / "perfbench").glob("*.py"))
     sources = {str(p): p.read_text() for p in files}
     texts = [(ROOT / "README.md").read_text()]
     uncalled = uncalled_public_names(exported, sources, texts)
-    assert not uncalled, ", ".join(f"{name} is in __all__ but has no caller"
-                                   for name in uncalled)
+    assert not uncalled, ", ".join(f"{name} is public but has no caller "
+                                   "outside the tests" for name in uncalled)
 
 
 def defaulted_parameters(tree):

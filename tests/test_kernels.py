@@ -221,11 +221,16 @@ def test_kernel_rejects_non_finite_samples():
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
 def test_non_finite_covariance_is_a_specification_error(capsys):
-    # sqrt of a negative lag: NaN kink coefficients, refused at sampling
-    assert main(["prob", "--process", "bogolyubov", "--omega", "1",
-                 "--covariance", "sqrt(t)", "-K", "5", "--eps", "0.3"]) == 2
-    assert "non-finite" in capsys.readouterr().err
+    # sqrt of a negative lag: NaN kink coefficients; a constant 1/0 or a
+    # negative base to a fractional power: numpy's inf and NaN, not Python's
+    # ZeroDivisionError or complex power.  All are refused at sampling
+    for covariance in ("sqrt(t)", "1/0+exp(-t)", "(-8)^(1/3)*exp(-t)"):
+        assert main(["prob", "--process", "bogolyubov", "--omega", "1",
+                     "--covariance", covariance, "-K", "5",
+                     "--eps", "0.3"]) == 2, covariance
+        assert "non-finite" in capsys.readouterr().err, covariance
 
 
 #: 131 panels of 8: the last row and column of tiles are partial

@@ -3,7 +3,7 @@ import pytest
 
 from greenball.errors import NormalizationMismatch
 from greenball.model import (BCClass, BoundaryCondition, BVProblem,
-                             OperatorSpec, Weight,
+                             WEIGHT_GRID, OperatorSpec, Weight,
                              classify_boundary_conditions,
                              normalization_integral, normalize_weight,
                              require_equal_normalization)
@@ -22,6 +22,15 @@ class TestWeight:
         assert w.psi0 == pytest.approx(16.0)
         assert w.psi1 == pytest.approx(0.0625)
         assert w(0.5) == pytest.approx(1.25 ** -4)
+
+    @pytest.mark.parametrize("text", ["1+t^2", "(1+t)^0.5", "1/(1+t)^2",
+                                      "(1+t)^(-1)", "(0.5+1.5*t)^(-4)"])
+    def test_samples_are_the_calls_bitwise(self, text):
+        # numpy's power takes fast paths for some exponents, so samples and
+        # calls agree to the bit only when both come from one evaluator
+        w = Weight.from_text(text)
+        assert np.array_equal(w.samples, w(WEIGHT_GRID.x))
+        assert (w.psi0, w.psi1) == (w(0.0), w(1.0))
 
     def test_positivity_enforced(self):
         with pytest.raises(ValueError):
@@ -51,6 +60,10 @@ class TestNormalization:
         assert c == pytest.approx(1 / 16, rel=1e-13)
         assert wn.psi0 == pytest.approx(1.0, rel=1e-13)
         assert normalization_integral(wn, 1) == pytest.approx(1.0, rel=1e-12)
+        # built from the scaled tree, which multiplies by c last
+        for w in (w, Weight.from_text("1+t^2")):
+            wn, c = normalize_weight(w, 1)
+            assert np.array_equal(wn.samples, c * w.samples)
 
     def test_normalize_already_normalized_is_identity(self):
         w = Weight.from_text("1")

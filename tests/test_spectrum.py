@@ -18,10 +18,9 @@ from greenball.quadrature import Grid, _kink_full_moments
 from greenball.spectrum import (_CELLS_PER_CHUNK, SpectrumResult,
                                 _characteristic_batch, _check_above_noise,
                                 _expm_cells, _guard, _mesh,
-                                _nystrom_matrix, _ritz_top,
-                                characteristic_function,
+                                _nystrom_matrix, _propagate, _ritz_top,
                                 eigenvalue_product, eigenvalues_shooting,
-                                fundamental_system, nystrom_eigenvalues)
+                                nystrom_eigenvalues)
 
 BC = BoundaryCondition
 UNIT = Weight.from_text("1")
@@ -80,14 +79,32 @@ def ou_kernel_values(g):
     return vals, odd
 
 
+def fundamental_system(problem, zeta):
+    """Y1[i, j] = phi_j^{(i)}(1) of the canonical solutions (phi_j^{(i)}(0)
+    = delta_ij), propagated on the mesh of the largest zeta; a leading
+    batch axis for array zeta."""
+    zs = np.atleast_1d(np.asarray(zeta, dtype=float))
+    Y1, _, log_growth = _propagate(problem, zs, _mesh(problem, zs.max()))
+    Y1 = Y1 * np.exp(log_growth)[:, None, None]
+    return Y1 if np.ndim(zeta) else Y1[0]
+
+
+def characteristic_function(problem, zeta):
+    """The extrapolated boundary determinant F on the mesh of the largest
+    zeta; its positive roots give mu = zeta^{2n}."""
+    zs = np.atleast_1d(np.asarray(zeta, dtype=float))
+    F = _characteristic_batch(problem, zs, _mesh(problem, zs.max()))[0]
+    return F if np.ndim(zeta) else float(F[0])
+
+
 class TestFundamentalSystem:
     def test_unit_weight_trig(self):
-        _, Y1 = fundamental_system(wiener(), np.pi)
+        Y1 = fundamental_system(wiener(), np.pi)
         assert Y1[0, 0] == pytest.approx(-1.0, abs=1e-11)
         assert Y1[0, 1] == pytest.approx(0.0, abs=1e-11)
 
     def test_zero_parameter_polynomials(self):
-        _, Y1 = fundamental_system(wiener(), 0.0)
+        Y1 = fundamental_system(wiener(), 0.0)
         # phi_j(t) = t^j / j!
         assert Y1[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert Y1[0, 1] == pytest.approx(1.0, abs=1e-12)
@@ -95,12 +112,12 @@ class TestFundamentalSystem:
 
     def test_constant_potential_cosh(self):
         prob = make_problem(1, [BC(0, 1, 0), BC(1, 0, 1)], p=(1.0,))
-        _, Y1 = fundamental_system(prob, 0.0)
+        Y1 = fundamental_system(prob, 0.0)
         assert Y1[0, 0] == pytest.approx(np.cosh(1), rel=1e-11)
         assert Y1[0, 1] == pytest.approx(np.sinh(1), rel=1e-11)
 
     def test_batched_shape(self):
-        _, Y1 = fundamental_system(wiener(), np.array([1.0, 2.0, 3.0]))
+        Y1 = fundamental_system(wiener(), np.array([1.0, 2.0, 3.0]))
         assert Y1.shape == (3, 2, 2)
         np.testing.assert_allclose(Y1[:, 0, 0], np.cos([1, 2, 3]), atol=1e-11)
 
@@ -636,21 +653,22 @@ class TestSeededNystrom:
         lam = 1.0 / nystrom_eigenvalues(kern, None, 13, grid=512).mu
         np.testing.assert_allclose(lam[1:13:2], lam[2:13:2], rtol=1e-12)
 
-    def test_guard_catches_a_missing_leading_mode(self):
+    def test_guard_catches_a_missing_leading_mode(self, monkeypatch):
         # a seed without the leading eigenvector, and no Krylov block to
         # bring it back: the Ritz values are lambda_2.. and converge, so
         # only the guard can tell
+        monkeypatch.setattr(spectrum, "_KRYLOV_BLOCKS", 0)
         K, g = 5, Grid.composite(256, 8)
         S = _nystrom_matrix(base_kernel("wiener"), g)
         lam, V = np.linalg.eigh(S)
         b = K + K // 4 + 8
-        theta, U = _ritz_top(S, V[:, -b - 1:-1], K, blocks=0)
+        theta, U = _ritz_top(S, V[:, -b - 1:-1], K)
         np.testing.assert_allclose(theta[:K], lam[-2:-K - 2:-1],
                                    rtol=1e-12)
         with pytest.raises(GridTooCoarse, match="missed an eigenvalue"):
             _guard(S.copy(), theta, U, K)
         # with the leading mode present the same guard passes
-        theta, U = _ritz_top(S, V[:, -b:], K, blocks=0)
+        theta, U = _ritz_top(S, V[:, -b:], K)
         _guard(S.copy(), theta, U, K)
 
     def test_exhausted_krylov_space_keeps_the_basis_orthonormal(self):
