@@ -10,8 +10,9 @@ Subcommands
     mc        Monte Carlo probabilities
     validate  end-to-end pipeline checks with a PASS/FAIL report
 
-Exit codes: 0 success, 2 specification/parse error, 3 numerical failure,
-4 normalization mismatch, 5 validation failure.  CSV output uses '.' decimal
+Exit codes: 0 success, 2 specification/parse error (an expression that
+leaves its domain included), 3 numerical failure, 4 normalization
+mismatch, 5 validation failure.  CSV output uses '.' decimal
 separator, ',' field separator, a header row, and 17 significant digits;
 JSON output additionally records method, tolerances, and module version.
 Identical configuration (including seed) produces byte-identical output.
@@ -25,14 +26,14 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
 
 from . import __version__
-from .errors import (ExpressionSyntaxError, GreenballError,
-                     NormalizationMismatch, NotNormalized, UnsupportedFamily)
+from .errors import (EvaluationDomainError, ExpressionSyntaxError,
+                     GreenballError, NormalizationMismatch, NotNormalized,
+                     UnsupportedFamily)
 from .kernels import (ProcessSpec, _canonical_family, _family_list,
                       apply_weight, base_kernel, build_process,
                       catalog_problem)
@@ -51,116 +52,56 @@ class CLIError(ValueError):
     """Configuration problem detected before any numerics ran."""
 
 
-@dataclass
-class RunConfig:
-    command: str
-    family: str = "wiener"
-    m: int = 0
-    betas: tuple = ()
-    centerings: int = 0
-    center_final: bool = False
-    level: int = None
-    n: int = None
-    omega: float = None
-    covariance: str = None
-    weight: str = "1"
-    weight2: str = None
-    eps: tuple = (0.1,)
-    K: int = 10
-    N: int = 10 ** 5
-    seed: int = 12345
-    grid: int = None
-    method: str = "saddlepoint"
-    table: bool = False
-    tol: float = 1e-2
-    output: str = None
-    fmt: str = "csv"
-
-    def __post_init__(self):
-        if self.K < 1:
-            raise CLIError("K must be >= 1")
-        if self.N < 1:
-            raise CLIError("N must be >= 1")
-        eps = tuple(float(e) for e in self.eps)
-        if not eps or not all(math.isfinite(e) and e > 0 for e in eps):
-            raise CLIError("eps must be one or more positive, finite values")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise CLIError("tol must be positive and finite")
-        self.eps = tuple(sorted(eps, reverse=True))
-        if self.covariance is not None:
-            spec = _process_spec(self)
-            if _canonical_family(spec.family) != "bogolyubov" or spec.m \
-                    or spec.centerings or spec.center_final:
-                raise CLIError("--covariance only applies to the plain "
-                               "Bogolyubov family")
-            if self.command in ("theta", "asympt"):
-                raise CLIError(f"{self.command} has no formula for a custom "
-                               "--covariance")
-
-
 # ---------------------------------------------------------------------------
 # config plumbing
 
 
-def _process_spec(cfg):
-    return ProcessSpec(cfg.family, m=cfg.m, betas=cfg.betas,
-                       centerings=cfg.centerings,
-                       center_final=cfg.center_final, level=cfg.level,
-                       n=cfg.n, omega=cfg.omega)
-
-
-def _catalog_problem(cfg, shooting=True):
-    """The configured `catalog_problem`, or None for a custom covariance and,
-    with shooting=True, for a periodic problem, which cannot be shot."""
-    if cfg.covariance is not None:
+def _catalog_problem(args):
+    """The configured `catalog_problem`, or None for a custom covariance and
+    for a periodic problem, which cannot be shot."""
+    if args.covariance is not None:
         return None
-    problem = catalog_problem(_process_spec(cfg), _weight_or_none(cfg.weight))
-    if shooting and problem is not None \
+    problem = catalog_problem(args.spec, args.psi)
+    if problem is not None \
             and classify_boundary_conditions(problem).tag == "periodic":
         return None
     return problem
 
 
-def _build_kernel(cfg, weighted=True):
-    if cfg.covariance is not None:
-        kern = base_kernel("bogolyubov", {"omega": cfg.omega,
-                                          "covariance": cfg.covariance})
+def _build_kernel(args):
+    if args.covariance is not None:
+        kern = base_kernel("bogolyubov", {"omega": args.omega,
+                                          "covariance": args.covariance})
     else:
-        kern = build_process(_process_spec(cfg))
-    if weighted and cfg.weight != "1":
-        kern = apply_weight(kern, Weight.from_text(cfg.weight))
-    return kern
+        kern = build_process(args.spec)
+    return kern if args.psi is None else apply_weight(kern, args.psi)
 
 
-def _nystrom_grid(cfg, K, floor=512):
-    return max(floor, 8 * K) if cfg.grid is None else cfg.grid
+def _nystrom_grid(args, K, floor=512):
+    return max(floor, 8 * K) if args.grid is None else args.grid
 
 
-def _eigenvalue_lambdas(cfg):
+def _eigenvalue_lambdas(args):
     """(lam descending, tail model, route) for the configured process."""
-    problem = _catalog_problem(cfg)
+    problem = _catalog_problem(args)
     if problem is not None:
-        res, half = eigenvalues_shooting(problem, cfg.K), 1
+        res, half = eigenvalues_shooting(problem, args.K), 1
     else:
-        kern = _build_kernel(cfg)
-        res = nystrom_eigenvalues(kern, None, cfg.K,
-                                  grid=_nystrom_grid(cfg, cfg.K))
+        kern = _build_kernel(args)
+        res = nystrom_eigenvalues(kern, None, args.K,
+                                  grid=_nystrom_grid(args, args.K))
         half = kern.half_order
     lam = 1.0 / np.asarray(res.mu)
     return lam, WeylTailModel.fitted(half, lam), res.method
-
-
-def _weight_or_none(text):
-    return None if text == "1" else Weight.from_text(text)
 
 
 # ---------------------------------------------------------------------------
 # output
 
 
-def _emit(cfg, columns, rows, meta):
-    if cfg.fmt == "json":
-        doc = {"command": cfg.command, "version": __version__}
+def _emit(args, columns, rows, meta):
+    if args.format == "json":
+        doc = {"command": args.command, "version": __version__}
         doc.update(meta)
         doc["columns"] = list(columns)
         doc["rows"] = [list(r) for r in rows]
@@ -172,8 +113,8 @@ def _emit(cfg, columns, rows, meta):
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
         text = buf.getvalue()
-    if cfg.output:
-        with open(cfg.output, "w") as fh:
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -189,41 +130,38 @@ def _fmt(v):
 # subcommands
 
 
-def cmd_eigs(cfg):
-    problem = _catalog_problem(cfg)
+def cmd_eigs(args):
+    problem = _catalog_problem(args)
     if problem is None:
         raise CLIError(
             "eigs needs a catalog family with a boundary-value formulation "
             f"({_family_list(shooting=True)}) and no transforms")
-    shoot = eigenvalues_shooting(problem, cfg.K)
-    kern = _build_kernel(cfg, weighted=False)
-    w = _weight_or_none(cfg.weight)
-    nys = nystrom_eigenvalues(kern, w, cfg.K,
-                              grid=_nystrom_grid(cfg, cfg.K, floor=1024))
+    shoot = eigenvalues_shooting(problem, args.K)
+    nys = nystrom_eigenvalues(_build_kernel(args), None, args.K,
+                              grid=_nystrom_grid(args, args.K, floor=1024))
     rows = []
-    for k in range(cfg.K):
+    for k in range(args.K):
         ms, mn = float(shoot.mu[k]), float(nys.mu[k])
         rows.append((k + 1, ms, mn, abs(ms - mn) / ms))
-    _emit(cfg, ("k", "mu_shooting", "mu_nystrom", "rel_diff"), rows,
-          {"method": "shooting+nystrom", "process": cfg.family,
-           "weight": cfg.weight,
+    _emit(args, ("k", "mu_shooting", "mu_nystrom", "rel_diff"), rows,
+          {"method": "shooting+nystrom", "process": args.process,
+           "weight": args.weight,
            "tolerances": {"grid_doubling": 1e-4}})
     return 0
 
 
-def cmd_theta(cfg):
-    problem = _catalog_problem(cfg, shooting=False)
+def cmd_theta(args):
+    problem = catalog_problem(args.spec, args.psi)
     if problem is None:
         raise CLIError("theta needs a catalog family "
                        f"({_family_list(problem=True)}) and no transforms")
-    w1 = Weight.from_text(cfg.weight)
+    w1, w2 = args.w1, args.w2
     rows = []
     t1m = abs(theta_det(ThetaInput.from_problem(problem, w1), -1))
     t1p = abs(theta_det(ThetaInput.from_problem(problem, w1), +1))
     rows.append(("abs_theta_minus_weight1", t1m, None))
     rows.append(("abs_theta_plus_weight1", t1p, None))
-    if cfg.weight2 is not None:
-        w2 = Weight.from_text(cfg.weight2)
+    if w2 is not None:
         t2m = abs(theta_det(ThetaInput.from_problem(problem, w2), -1))
         rows.append(("abs_theta_minus_weight2", t2m, None))
         res = ratio_limit(problem, w1, w2)
@@ -234,92 +172,90 @@ def cmd_theta(cfg):
             rows.append(("ratio_closed_form", closed.ratio, closed.route))
         except (GreenballError, ValueError):
             pass
-    _emit(cfg, ("quantity", "value", "note"), rows,
-          {"method": "boundary-determinants", "process": cfg.family,
-           "weights": [cfg.weight, cfg.weight2],
+    _emit(args, ("quantity", "value", "note"), rows,
+          {"method": "boundary-determinants", "process": args.process,
+           "weights": [args.weight, args.weight2],
            "tolerances": {}})
     return 0
 
 
-def cmd_compare(cfg):
-    if cfg.weight2 is None:
+def cmd_compare(args):
+    if args.weight2 is None:
         raise CLIError("compare needs two weights (--weight and --weight2)")
-    problem = _catalog_problem(cfg)
+    problem = _catalog_problem(args)
     if problem is None:
         raise CLIError("compare needs a catalog family "
                        f"({_family_list(shooting=True)}) and no transforms")
-    w1 = Weight.from_text(cfg.weight)
-    w2 = Weight.from_text(cfg.weight2)
-    limit = ratio_limit(problem, w1, w2)
-
-    spec = _process_spec(cfg)
-    s1, s2 = (eigenvalues_shooting(catalog_problem(spec, w), cfg.K)
-              for w in (w1, w2))
+    limit = ratio_limit(problem, args.w1, args.w2)
+    s1, s2 = (eigenvalues_shooting(catalog_problem(args.spec, w), args.K)
+              for w in (args.w1, args.w2))
     prod, perr = eigenvalue_product(s1, s2)
 
     rel = abs(prod - limit.product) / limit.product
-    status = "PASS" if rel <= cfg.tol else "FAIL"
+    status = "PASS" if rel <= args.tol else "FAIL"
     rows = [
         ("ratio_determinant", limit.ratio, None, None),
         ("product_determinant", limit.product, None, None),
         ("product_eigenvalues", prod, perr, None),
-        ("agreement_rel_diff", rel, cfg.tol, status),
+        ("agreement_rel_diff", rel, args.tol, status),
     ]
-    if cfg.table:
-        table = comparison_convergence(s1, s2, problem.n, cfg.eps)
+    if args.table:
+        table = comparison_convergence(s1, s2, problem.n, args.eps)
         for e, r in zip(table.eps, table.ratio):
             rows.append((f"prob_ratio_eps={e:g}", r, None, None))
         rows.append(("prob_ratio_limit", limit.ratio, None, None))
-    _emit(cfg, ("quantity", "value", "err", "status"), rows,
+    _emit(args, ("quantity", "value", "err", "status"), rows,
           {"method": "theta-determinant+eigenvalue-product",
-           "process": cfg.family, "weights": [cfg.weight, cfg.weight2],
-           "K": cfg.K, "tolerances": {"product_rel": cfg.tol}})
+           "process": args.process, "weights": [args.weight, args.weight2],
+           "K": args.K, "tolerances": {"product_rel": args.tol}})
     return 0 if status == "PASS" else 5
 
 
-def cmd_asympt(cfg):
-    spec = _process_spec(cfg)
-    form = process_asymptotic(spec, _weight_or_none(cfg.weight))
+def cmd_asympt(args):
+    form = process_asymptotic(args.spec, args.psi)
     rows = []
-    for e in cfg.eps:
+    for e in args.eps:
         rows.append((e, evaluate_asymptotic(form, e),
                      log_evaluate_asymptotic(form, e), form.C, form.gamma,
                      form.D, form.transform, form.order,
                      form.endpoint_correction))
-    _emit(cfg, ("eps", "value", "log_value", "C", "gamma", "D", "transform",
+    _emit(args, ("eps", "value", "log_value", "C", "gamma", "D", "transform",
                 "order", "endpoint_correction"), rows,
-          {"method": "closed-asymptotic", "process": cfg.family,
-           "label": form.label, "weight": cfg.weight, "tolerances": {}})
+          {"method": "closed-asymptotic", "process": args.process,
+           "label": form.label, "weight": args.weight, "tolerances": {}})
     return 0
 
 
-def cmd_prob(cfg):
-    lam, tail, route = _eigenvalue_lambdas(cfg)
+def cmd_prob(args):
+    lam, tail, route = _eigenvalue_lambdas(args)
     rows = []
-    for e in cfg.eps:
-        if cfg.method in ("saddlepoint", "both"):
+    for e in args.eps:
+        if args.method in ("saddlepoint", "both"):
             est = smallball_probability_exact(lam, e, tail=tail)
             rows.append((e, est.p, est.err, est.log_p, est.method))
-        if cfg.method in ("montecarlo", "both"):
-            est = monte_carlo_probability(lam, e, cfg.N, cfg.seed, tail=tail)
+        if args.method in ("montecarlo", "both"):
+            est = monte_carlo_probability(lam, e, args.N, args.seed,
+                                          tail=tail)
             rows.append((e, est.p, est.err, est.log_p, est.method))
-    _emit(cfg, ("eps", "p", "err", "log_p", "method"), rows,
-          {"method": cfg.method, "process": cfg.family, "weight": cfg.weight,
-           "K": cfg.K, "spectrum_route": route, "seed": cfg.seed,
+    _emit(args, ("eps", "p", "err", "log_p", "method"), rows,
+          {"method": args.method, "process": args.process,
+           "weight": args.weight,
+           "K": args.K, "spectrum_route": route, "seed": args.seed,
            "tolerances": {"inversion_rel": 1e-12}})
     return 0
 
 
-def cmd_mc(cfg):
-    lam, tail, route = _eigenvalue_lambdas(cfg)
+def cmd_mc(args):
+    lam, tail, route = _eigenvalue_lambdas(args)
     rows = []
-    for e in cfg.eps:
-        est = monte_carlo_probability(lam, e, cfg.N, cfg.seed, tail=tail)
-        rows.append((e, est.p, est.err, est.truncation_bias, cfg.N, cfg.seed))
-    _emit(cfg, ("eps", "p", "err", "truncation_bias", "N", "seed"), rows,
-          {"method": "montecarlo", "process": cfg.family,
-           "weight": cfg.weight, "K": cfg.K, "spectrum_route": route,
-           "seed": cfg.seed, "tolerances": {}})
+    for e in args.eps:
+        est = monte_carlo_probability(lam, e, args.N, args.seed, tail=tail)
+        rows.append((e, est.p, est.err, est.truncation_bias, args.N,
+                     args.seed))
+    _emit(args, ("eps", "p", "err", "truncation_bias", "N", "seed"), rows,
+          {"method": "montecarlo", "process": args.process,
+           "weight": args.weight, "K": args.K, "spectrum_route": route,
+           "seed": args.seed, "tolerances": {}})
     return 0
 
 
@@ -345,11 +281,10 @@ def _check(rows, name, ok, value, threshold):
     return ok
 
 
-def cmd_validate(cfg):
+def cmd_validate(args):
     rows = []
     all_ok = True
-    spec = _process_spec(cfg)
-    kern = _build_kernel(cfg)
+    kern = _build_kernel(args)
 
     # positive semidefiniteness of the discretized covariance
     g = Grid.composite(256, 8)
@@ -359,16 +294,15 @@ def cmd_validate(cfg):
     all_ok &= _check(rows, "kernel_psd", min_eig > -1e-10, min_eig, -1e-10)
 
     # spectral cross-check against the boundary-value route
-    problem = _catalog_problem(cfg)
+    problem = _catalog_problem(args)
     if problem is not None:
         shoot = eigenvalues_shooting(problem, 10)
-        nys = nystrom_eigenvalues(_build_kernel(cfg, weighted=False),
-                                  _weight_or_none(cfg.weight), 10, grid=1024)
+        nys = nystrom_eigenvalues(kern, None, 10, grid=1024)
         rel = float(np.max(np.abs(shoot.mu - nys.mu) / shoot.mu))
         all_ok &= _check(rows, "shooting_vs_nystrom", rel < 1e-6, rel, 1e-6)
 
     # first-order Matern must reproduce the exponential-covariance spectrum
-    if _canonical_family(cfg.family) == "matern" and cfg.n == 1:
+    if _canonical_family(args.process) == "matern" and args.n == 1:
         a = nystrom_eigenvalues(base_kernel("matern", {"n": 1}), None, 20,
                                 grid=256)
         b = nystrom_eigenvalues(base_kernel("ou"), None, 20, grid=256)
@@ -379,14 +313,14 @@ def cmd_validate(cfg):
     # closed asymptotic form vs exact distribution on the computed spectrum
     half = kern.half_order
     try:
-        form = process_asymptotic(spec, _weight_or_none(cfg.weight))
+        form = process_asymptotic(args.spec, args.psi)
     except (UnsupportedFamily, GreenballError):
         form = None
         rows.append(("asymptotic_vs_exact", "SKIP", None, None))
-    if form is not None and cfg.covariance is None and half <= 2:
+    if form is not None and args.covariance is None and half <= 2:
         K, eps_chk, tol = (60, 0.04, 0.06) if half == 1 else (20, 0.01, 0.12)
         res = nystrom_eigenvalues(kern, None, K,
-                                  grid=_nystrom_grid(cfg, K))
+                                  grid=_nystrom_grid(args, K))
         lam = 1.0 / np.asarray(res.mu)
         tail = WeylTailModel.fitted(half, lam)
         sad = smallball_probability_exact(lam, eps_chk, tail=tail)
@@ -397,16 +331,16 @@ def cmd_validate(cfg):
         # use the same truncated spectrum so the comparison is unbiased
         r = _radius_for_probability(lam)
         sadr = smallball_probability_exact(lam, r, tail=None)
-        mc = monte_carlo_probability(lam, r, cfg.N, cfg.seed)
+        mc = monte_carlo_probability(lam, r, args.N, args.seed)
         dev = abs(sadr.p - mc.p)
         all_ok &= _check(rows, "mc_vs_saddlepoint_3se", dev <= 3 * mc.err,
                          dev, 3 * mc.err)
     elif form is not None:
         rows.append(("asymptotic_vs_exact", "SKIP", None, None))
 
-    _emit(cfg, ("check", "status", "value", "threshold"), rows,
-          {"method": "validation-suite", "process": cfg.family,
-           "weight": cfg.weight, "seed": cfg.seed,
+    _emit(args, ("check", "status", "value", "threshold"), rows,
+          {"method": "validation-suite", "process": args.process,
+           "weight": args.weight, "seed": args.seed,
            "tolerances": {"spectra_rel": 1e-6, "psd_min_eig": -1e-10,
                           "mc_sigmas": 3.0}})
     return 0 if all_ok else 5
@@ -488,28 +422,53 @@ _DEFAULT_K = {"eigs": 10, "theta": 10, "compare": 200, "asympt": 10,
 
 
 def config_from_args(args):
-    betas = tuple(int(b) for b in args.betas.split(",") if b != "")
+    """Check the parsed arguments and complete them in place.
+
+    Adds K (the command's default if not given), eps (descending), the
+    ProcessSpec `spec`, the weights `w1` (always a Weight), `psi` (w1, or
+    None for "1") and `w2` (None without --weight2); each weight text is
+    parsed once, here.
+    """
+    if args.K is None:
+        args.K = _DEFAULT_K[args.command]
+    if args.K < 1:
+        raise CLIError("K must be >= 1")
+    if args.N < 1:
+        raise CLIError("N must be >= 1")
     if args.eps is not None:
-        eps = tuple(args.eps)
+        eps = args.eps
     elif args.eps_start is not None:
         if args.eps_stop is None or args.eps_count is None:
             raise CLIError("eps grid needs --eps-start, --eps-stop and "
                            "--eps-count together")
         space = np.geomspace if args.eps_log else np.linspace
-        eps = tuple(space(args.eps_start, args.eps_stop, args.eps_count))
+        eps = space(args.eps_start, args.eps_stop, args.eps_count)
     else:
         eps = (0.1,)
-    return RunConfig(
-        command=args.command, family=args.process, m=args.m, betas=betas,
+    eps = tuple(float(e) for e in eps)
+    if not eps or not all(math.isfinite(e) and e > 0 for e in eps):
+        raise CLIError("eps must be one or more positive, finite values")
+    args.eps = tuple(sorted(eps, reverse=True))
+    if hasattr(args, "tol") and not (math.isfinite(args.tol) and args.tol > 0):
+        raise CLIError("tol must be positive and finite")
+    args.spec = ProcessSpec(
+        args.process, m=args.m,
+        betas=tuple(int(b) for b in args.betas.split(",") if b != ""),
         centerings=args.centerings, center_final=args.center_final,
-        level=args.level, n=args.n, omega=args.omega,
-        covariance=args.covariance, weight=args.weight,
-        weight2=getattr(args, "weight2", None), eps=eps,
-        K=args.K if args.K is not None else _DEFAULT_K[args.command],
-        N=args.N, seed=args.seed, grid=args.grid,
-        method=getattr(args, "method", "saddlepoint"),
-        table=getattr(args, "table", False),
-        tol=getattr(args, "tol", 1e-2), output=args.output, fmt=args.format)
+        level=args.level, n=args.n, omega=args.omega)
+    if args.covariance is not None:
+        if _canonical_family(args.process) != "bogolyubov" or args.m \
+                or args.centerings or args.center_final:
+            raise CLIError("--covariance only applies to the plain "
+                           "Bogolyubov family")
+        if args.command in ("theta", "asympt"):
+            raise CLIError(f"{args.command} has no formula for a custom "
+                           "--covariance")
+    args.w1 = Weight.from_text(args.weight)
+    args.psi = None if args.weight == "1" else args.w1
+    weight2 = getattr(args, "weight2", None)
+    args.w2 = None if weight2 is None else Weight.from_text(weight2)
+    return args
 
 
 _DISPATCH = {"eigs": cmd_eigs, "theta": cmd_theta, "compare": cmd_compare,
@@ -521,12 +480,12 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        return _DISPATCH[cfg.command](cfg)
+        return _DISPATCH[args.command](config_from_args(args))
     except (NormalizationMismatch, NotNormalized) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (CLIError, UnsupportedFamily, ExpressionSyntaxError) as exc:
+    except (CLIError, UnsupportedFamily, ExpressionSyntaxError,
+            EvaluationDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GreenballError as exc:

@@ -12,9 +12,10 @@ Grammar (EBNF):
 
 Trees are plain tuples: ("num", v), ("var",), ("neg", x),
 ("bin", op, left, right), ("call", name, arg).  Tuple equality gives the
-structural round-trip property for free.  A tree is evaluated one way:
-compiled into a numpy lambda (`compile_callable`), which `evaluate` runs
-with numpy's divide and invalid flags raised.
+structural round-trip property for free.  A tree is evaluated one way,
+by `evaluate`: it compiles the tree into a numpy lambda (the private
+`_compile`) and runs it with numpy's divide and invalid flags raised, so
+every value the package reads from a user expression is checked.
 """
 
 from __future__ import annotations
@@ -160,17 +161,18 @@ def parse_expression(text):
 def evaluate(tree, t):
     """Evaluate a tree at scalar or ndarray t through its compiled form.
 
-    The one evaluator: `compile_callable(tree)` runs with numpy's divide and
-    invalid flags raised, so a division by zero, a log or sqrt outside its
-    domain or a negative base to a fractional power raises
-    EvaluationDomainError naming the flag; a value that overflows is caught
-    by the finiteness check.  Returns a float for scalar t, else a new array.
+    The one evaluator: the tree is compiled afresh at each call (`_compile`)
+    and run with numpy's divide and invalid flags raised, so a division by
+    zero, a log or sqrt outside its domain or a negative base to a
+    fractional power raises EvaluationDomainError naming the flag; a value
+    that overflows is caught by the finiteness check.  Returns a float for
+    scalar t, else a new array of t's shape.
     """
     t = np.asarray(t, dtype=float)
     try:
         with np.errstate(divide="raise", invalid="raise", over="ignore",
                          under="ignore"):
-            out = compile_callable(tree)(t)
+            out = _compile(tree)(t)
     except FloatingPointError as exc:
         raise EvaluationDomainError(
             f"expression left its domain: {exc}") from None
@@ -244,14 +246,12 @@ def _source(tree, ns):
     raise ValueError(f"unknown node {tree!r}")
 
 
-def compile_callable(tree):
+def _compile(tree):
     """Compile a tree into a numpy-backed callable t -> value.
 
     Every operation, constants included, is a numpy operation, so the
-    callable follows numpy's error flags.  It checks nothing itself:
-    `evaluate` runs it with the divide and invalid flags raised, and a
-    weight is validated that way on construction before its compiled form
-    goes into inner loops.
+    callable follows numpy's error flags.  It checks nothing itself; only
+    `evaluate` runs it, with the divide and invalid flags raised.
     """
     ns = {f"_{name}": fn for name, fn in FUNCTIONS.items()}
     return eval(f"lambda t: {_source(tree, ns)}", ns)  # noqa: S307 - own AST

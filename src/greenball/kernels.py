@@ -44,7 +44,7 @@ import numpy as np
 from scipy.linalg import blas, eigh, pinvh
 
 from .errors import SingularConditioning, UnsupportedFamily
-from .expr import compile_callable, constant, parse_expression, scale
+from .expr import constant, evaluate, parse_expression, scale
 from .model import (BoundaryCondition as BC, BVProblem, OperatorSpec, Weight,
                     classify_boundary_conditions)
 from .quadrature import Grid, integrate_cols, integrate_full, integrate_rows
@@ -293,16 +293,13 @@ def _bogolyubov_sampler(omega, covariance):
             return np.cosh(omega * (r - 0.5)) / s
 
         return lambda g: _radial_split(g, f, -0.5)
-    if isinstance(covariance, str):
-        fn = compile_callable(parse_expression(covariance))
-    elif callable(covariance):
-        fn = covariance
-    else:
+    if not isinstance(covariance, str):
         raise UnsupportedFamily(
-            "Bogolyubov covariance must be 'default', an expression in t "
-            "(the signed lag), or a callable")
+            "Bogolyubov covariance must be 'default' or an expression in t "
+            "(the signed lag)")
+    tree = parse_expression(covariance)
     h = 1e-6
-    f0, fp, fm = (float(fn(u)) for u in (0.0, h, -h))
+    f0, fp, fm = (evaluate(tree, u) for u in (0.0, h, -h))
     # a form even in the lag (written with abs) loses the kink coefficient,
     # its odd part; its one-sided slopes at 0 disagree
     right, left = (fp - f0) / h, (f0 - fm) / h
@@ -312,8 +309,7 @@ def _bogolyubov_sampler(omega, covariance):
             f"{right:.6g} and {left:.6g} at lag 0; write it in the signed "
             "lag t, for example exp(-t) rather than exp(-abs(t))")
     slope = (fp - fm) / (2.0 * h)
-    return lambda g: _radial_split(
-        g, lambda r: np.asarray(fn(r), dtype=float), slope)
+    return lambda g: _radial_split(g, lambda r: evaluate(tree, r), slope)
 
 
 #: canonical family -> (aliases, boundary-value problem or None).  A problem
@@ -375,7 +371,9 @@ def base_kernel(family, params=None, grid=None):
     Bogolyubov.  The Bogolyubov covariance defaults to the literature form
     cosh(omega(|t-s|-1/2)) / (2 omega sinh(omega/2)), an external input;
     pass covariance=None to disable it (raises UnsupportedFamily) or an
-    expression/callable in the signed lag to replace it.
+    expression in the signed lag t to replace it; the expression is
+    evaluated checked (`expr.evaluate`), so one that leaves its domain
+    raises EvaluationDomainError.
     """
     fam = _canonical_family(family)
     params = dict(params or {})

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -63,18 +62,10 @@ class Weight:
         return cls(tree, samples, _expr.evaluate(tree, 0.0),
                    _expr.evaluate(tree, 1.0))
 
-    @cached_property
-    def _fast(self):
-        # construction evaluated this form on the grid with numpy's divide
-        # and invalid flags raised, so inner loops may call it unchecked
-        return _expr.compile_callable(self.expr)
-
     def __call__(self, t):
-        """Evaluate the weight at arbitrary points."""
-        out = self._fast(t)
-        if np.ndim(out) == 0 and np.ndim(t) > 0:
-            return np.full(np.shape(t), float(out))
-        return out
+        """Evaluate the weight at arbitrary points (`expr.evaluate`: raises
+        EvaluationDomainError where the expression leaves its domain)."""
+        return _expr.evaluate(self.expr, t)
 
     @property
     def text(self):

@@ -14,6 +14,9 @@ import csv
 import io
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from greenball.smallball import (WeylTailModel, comparison_convergence,
 from greenball.spectrum import eigenvalues_shooting
 
 RATIO2 = "(0.5+1.5*t)^(-4)"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(args, capsys):
@@ -398,6 +402,33 @@ def test_validate_derived_chain(capsys):
 # config handling / exit codes / formats
 
 
+@pytest.mark.parametrize("argv", [
+    ["eigs", "--process", "bridge", "--weight", RATIO2, "-K", "5"],
+    ["compare", "--process", "wiener", "--weight", RATIO2, "--weight2", "1",
+     "-K", "20", "--tol", "0.05"],
+    ["theta", "--process", "wiener", "--weight", RATIO2, "--weight2", "1"],
+    ["validate", "--process", "wiener", "--weight", "1+t"],
+    ["prob", "--process", "matern", "-n", "1", "--weight", RATIO2, "-K",
+     "20"],
+], ids=lambda argv: argv[0])
+def test_each_weight_text_is_parsed_once(capsys, monkeypatch, argv):
+    # config_from_args parses --weight and --weight2; the commands reuse
+    # the Weights it made
+    texts = []
+    parse = Weight.from_text
+
+    def counted(cls, text):
+        texts.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(Weight, "from_text", classmethod(counted))
+    rc, _, err = run_cli(argv, capsys)
+    assert rc == 0, err
+    given = [argv[i + 1] for i, a in enumerate(argv)
+             if a in ("--weight", "--weight2")]
+    assert sorted(texts) == sorted(given)
+
+
 def test_unknown_family_exits_2(capsys):
     rc, _, err = run_cli(["asympt", "--process", "plaid"], capsys)
     assert rc == 2
@@ -414,6 +445,11 @@ def test_bad_expression_exits_2(capsys):
     rc, _, err = run_cli(["eigs", "--weight", "1+*2"], capsys)
     assert rc == 2
     assert err
+    # a weight that leaves its domain is a specification error too
+    rc, out, err = run_cli(["eigs", "--process", "wiener", "--weight",
+                            "log(t)+2", "-K", "3"], capsys)
+    assert rc == 2 and out == ""
+    assert "left its domain" in err
 
 
 def test_too_coarse_grid_exits_3(capsys):
@@ -473,6 +509,26 @@ def test_prob_single_eigenvalue_exits_2(capsys):
     assert rc == 2
     assert out == ""
     assert "at least 2 eigenvalues" in err
+
+
+def _readme_commands():
+    """argv of every `greenball ...` line in README's bash blocks, with the
+    backslash continuations joined and the comments dropped."""
+    commands = []
+    for block in re.findall(r"```bash\n(.*?)```", README.read_text(), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["greenball"]:
+                commands.append(argv[1:])
+    return commands
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_exits_0(capsys, argv):
+    # the documented commands and defaults do not fail
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 0, err
+    assert out
 
 
 def test_unknown_subcommand_raises_argparse_exit():

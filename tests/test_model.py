@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from greenball.errors import NormalizationMismatch
+from greenball.errors import EvaluationDomainError, NormalizationMismatch
 from greenball.model import (BCClass, BoundaryCondition, BVProblem,
                              WEIGHT_GRID, OperatorSpec, Weight,
                              classify_boundary_conditions,
@@ -31,6 +31,13 @@ class TestWeight:
         w = Weight.from_text(text)
         assert np.array_equal(w.samples, w(WEIGHT_GRID.x))
         assert (w.psi0, w.psi1) == (w(0.0), w(1.0))
+
+    def test_calls_are_checked(self):
+        # 0.3 is not a node of WEIGHT_GRID, so the weight builds; a call at
+        # its pole divides by zero and is refused, not returned as inf
+        w = Weight.from_text("1/(t-0.3)^2")
+        with pytest.raises(EvaluationDomainError, match="left its domain"):
+            w(np.array([0.3]))
 
     def test_positivity_enforced(self):
         with pytest.raises(ValueError):
