@@ -11,10 +11,9 @@ A `Kernel` is lazy: it wraps a sampler mapping a composite Gauss-Legendre
 grid to the kernel matrix on that grid together with the smooth coefficient
 of its |t-s| component (``odd``) on the diagonal panel blocks, which hold the
 derivative jump that quadrature integrates exactly there.  Nothing is
-sampled at construction; the matrices on the kernel's own grid (1024 nodes
-by default) are computed on first access and cached, and any other grid --
-the Nystrom solve and its grid-doubling check pick their own -- is sampled
-on demand.
+sampled at construction or kept afterwards: `Kernel.evaluate_on` samples
+whatever grid is asked for -- the kernel's own (1024 nodes by default), or
+the grids the Nystrom solve and its grid-doubling check pick.
 
 Transforms compose by closure: integrating or centering a kernel produces a
 new sampler that re-runs the whole chain from the base formula on whatever
@@ -27,10 +26,9 @@ catalog sample is bitwise symmetric -- by construction, or by one in-place
 A sample belongs to whoever asked for it, so one n x n buffer carries it
 through a chain: the base sampler fills it, and each transform -- and
 finally the Nystrom solve -- writes its result into the sample it was
-handed, a row block or a panel at a time.  A stage copies only a sample it
-may not write: a kernel's cached own-grid sample (``Kernel.values``), which
-is stored read-only, or a user sampler's read-only or Fortran-ordered
-array.
+handed, a row block or a panel at a time.  `evaluate_on` alone fixes the
+layout: it hands on a writable C-ordered float array, and copies a user
+sampler's read-only or Fortran-ordered one once.
 """
 
 from __future__ import annotations
@@ -116,17 +114,15 @@ class Kernel:
     ``symmetric`` marks a sampler whose values are symmetric by
     construction (the catalog bases and transforms).
 
-    `evaluate_on` is the only sampling path; ``values`` and ``odd`` are the
-    sample on ``grid``, computed on first access and cached read-only.  The
-    first sample of each kernel is checked to be finite and, unless
-    ``symmetric`` is set, symmetric to 1e-14, tile by tile.
+    `evaluate_on` is the only sampling path.  The first sample of each
+    kernel is checked to be finite and, unless ``symmetric`` is set,
+    symmetric to 1e-14, tile by tile.
 
-    Ownership: a sampler hands over the arrays it returns, and
-    `evaluate_on` hands them on uncopied -- except the cached sample, once
-    ``values`` or ``odd`` has been read.  The transforms and the Nystrom
-    solve overwrite a writable C-ordered ``values`` in place; a sampler
-    that keeps its arrays returns them read-only (or Fortran-ordered), and
-    they are copied once.
+    Ownership: a sampler hands over the arrays it returns.  `evaluate_on`
+    returns a fresh sample that the caller owns, with ``values`` a writable
+    C-ordered float array -- the sampler's own when it already is one, else
+    one copy of it -- which the transforms and the Nystrom solve overwrite
+    in place.  A sampler that keeps its arrays returns them read-only.
     """
 
     grid: Grid
@@ -140,33 +136,12 @@ class Kernel:
     def weighted(self):
         return self.weight is not None
 
-    @property
-    def values(self):
-        return self._cached()[0]
-
-    @property
-    def odd(self):
-        return self._cached()[1]
-
-    def _cached(self):
-        """The read-only sample on the kernel's own grid, sampled once."""
-        own = getattr(self, "_own", None)
-        if own is None:
-            values, odd = self.evaluate_on(self.grid)
-            own = _read_only(values), _read_only(odd)
-            object.__setattr__(self, "_own", own)
-        return own
-
     def evaluate_on(self, grid):
-        """(values, odd) of this kernel sampled on `grid`: the cached
-        read-only sample if `grid` is the kernel's own grid and ``values``
-        or ``odd`` has been read, else a fresh one that the caller owns."""
-        own = getattr(self, "_own", None)
-        if grid is self.grid and own is not None:
-            return own
+        """(values, odd) of this kernel sampled on `grid`, a fresh sample
+        that the caller owns; ``values`` is writable and C-ordered."""
         values, odd = self.sampler(grid)
+        v = np.require(values, float, "CW")
         if not getattr(self, "_checked", False):
-            v = np.asarray(values, dtype=float)
             # max and min propagate NaN: a finite bound means a finite v
             bound = 1e-14 * (max(float(v.max()), -float(v.min())) or 1.0)
             if not np.isfinite(bound) or not np.isfinite(
@@ -177,20 +152,11 @@ class Kernel:
                     for a, b in _tile_pairs(len(v))):
                 raise ValueError("kernel matrix is not symmetric to 1e-14")
             object.__setattr__(self, "_checked", True)
-        return values, odd
+        return v, odd
 
     def __repr__(self):  # the matrices are big; keep repr readable
         return (f"Kernel({self.label!r}, n={self.half_order}, "
                 f"grid={self.grid.n}, weighted={self.weighted})")
-
-
-def _read_only(a):
-    """A read-only view of array `a` (None stays None); `a` keeps its flags."""
-    if a is None:
-        return None
-    view = np.asarray(a).view()
-    view.setflags(write=False)
-    return view
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +417,6 @@ def center_kernel(k):
         r = integrate_full(g, v, o)
         # (r_i - c/2) + (r_j - c/2) is bitwise symmetric, so v minus it is
         s = r - 0.5 * g.integrate(r)
-        v = np.require(v, float, "CW")
         for rows in _row_blocks(g.n):
             v[rows] -= np.add.outer(s[rows], s)
         return v, o
@@ -495,7 +460,6 @@ def condition_kernel(k, cross, gram):
                 f"{(g.n, S.shape[0])}")
         # v -= C P C^T, written as v^T -= C (C P)^T in v's Fortran view:
         # one dgemm that writes into v
-        v = np.require(v, float, "CW")
         blas.dgemm(-1.0, C, np.einsum("ik,kl->il", C, P), 1.0, v.T,
                    trans_b=True, overwrite_c=True)
         return _symmetrize(v), o
@@ -521,7 +485,7 @@ def apply_weight(k, w):
         if o is not None:
             hb = half.reshape(g.panels, g.order)
             o = o * (hb[:, :, None] * hb[:, None, :])
-        return _scale_outer(np.require(v, float, "CW"), half), o
+        return _scale_outer(v, half), o
 
     return Kernel(k.grid, f"weight[{w.text}]({k.label})", k.half_order,
                   sample, weight=w, symmetric=True)
@@ -613,7 +577,7 @@ def _conditional_integrated_wiener(level, g):
 
 def build_process(spec, grid=None):
     """Kernel of the process described by a ProcessSpec (lazy: nothing is
-    sampled until its values are asked for)."""
+    sampled until `Kernel.evaluate_on` is called)."""
     g = _as_grid(grid)
     fam = _canonical_family(spec.family)
     if fam == "ciw":

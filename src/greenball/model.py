@@ -58,9 +58,22 @@ class Weight:
 
     @classmethod
     def from_tree(cls, tree):
+        """The weight of an expression tree.  ValueError unless the integrals
+        of psi and 1/psi on WEIGHT_GRID agree with those on its doubling to
+        1e-10 relative: a pole or zero between the nodes is not resolved."""
         samples = _expr.evaluate(tree, WEIGHT_GRID.x)
-        return cls(tree, samples, _expr.evaluate(tree, 0.0),
-                   _expr.evaluate(tree, 1.0))
+        w = cls(tree, samples, _expr.evaluate(tree, 0.0),
+                _expr.evaluate(tree, 1.0))
+        fine = WEIGHT_GRID.doubled()
+        f = _expr.evaluate(tree, fine.x)
+        for a, b in ((samples, f), (1.0 / samples, 1.0 / f)):
+            coarse, doubled = WEIGHT_GRID.integrate(a), fine.integrate(b)
+            if not abs(coarse - doubled) <= 1e-10 * abs(doubled):
+                raise ValueError(
+                    f"weight {w.text} is not resolved: its integrals on "
+                    f"{WEIGHT_GRID.n} and {fine.n} nodes differ by more "
+                    "than 1e-10 relative, as across a pole or a zero")
+        return w
 
     def __call__(self, t):
         """Evaluate the weight at arbitrary points (`expr.evaluate`: raises

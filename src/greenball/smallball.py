@@ -127,10 +127,16 @@ class AsymptoticForm:
 
 
 def log_evaluate_asymptotic(form, eps):
-    """log of the asymptotic value; finite even when the value underflows."""
+    """log of the asymptotic value; finite even when the value underflows.
+    ValueError for an eps so small that the log is not a finite double."""
     e = epsilon_transforms(eps, form.order)[_TRANSFORM_INDEX[form.transform]]
-    return (math.log(form.endpoint_correction) + math.log(form.C)
-            + form.gamma * math.log(e) - form.D / (2.0 * e * e))
+    logv = (math.log(form.endpoint_correction) + math.log(form.C)
+            + form.gamma * math.log(e) - form.D / (2.0 * e * e)
+            if e * e > 0.0 else -math.inf)
+    if not math.isfinite(logv):
+        raise ValueError(f"eps = {eps:g} is out of range: the log of the "
+                         "asymptotic value is not a finite double")
+    return logv
 
 
 def evaluate_asymptotic(form, eps):
@@ -696,14 +702,16 @@ def smallball_probability_exact(lams, r, tail=None):
     the end terms, but no less than the rounding of the finer sum), not
     that of the truncated spectrum or of the tail model.  InversionUnstable
     is raised when the sums have not settled before a step halving or
-    contour doubling would pass `_MAX_NODES` nodes.
+    contour doubling would pass `_MAX_NODES` nodes, and ValueError when r
+    or r^2 is not a positive finite double.
     """
+    q = r * r
+    if not (r > 0 and 0.0 < q < math.inf):
+        raise ValueError(f"eps = {r:g} is out of range: the radius and its "
+                         "square must be positive finite doubles")
     lam = _positive_spectrum(lams)
     if (np.diff(lam) > 0).any():
         raise ValueError("eigenvalues must be in descending order")
-    if not (math.isfinite(r) and r > 0):
-        raise ValueError("radius must be positive and finite")
-    q = r * r
 
     def cgf(s, k):  # k-th derivative of log L(s), head plus tail
         out = _log_laplace_sums(s, lam, k)
@@ -807,8 +815,6 @@ def _solve_tilt(q, cgf):
     roots of m(s) = q for a decreasing m > 0, m = -cgf' for the tilt and
     m = -cgf' + 1/s for the saddle, found by `_log_newton` from
     s = 1/(2q) and from the tilt (or from 1/q, a point left of the saddle)."""
-    if not q > 0:  # r^2 underflowed
-        raise TiltNotFound("tilt bracketing failed")
     start = 1.0 / q
     if q < -float(cgf(0.0, 1)):  # below the mean of Q
         sstar = _log_newton(q, lambda s: -float(cgf(s, 1)),

@@ -476,13 +476,12 @@ def _nystrom_matrix(kern, g):
     (sqrt(w_i) sqrt(w_j)) is as symmetric as the sample, and only the
     diagonal panel blocks, which the kink correction skews, are averaged.
 
-    S overwrites the sample when that is a writable C-ordered float array;
-    the kernel's cached own-grid sample (read-only) and any other layout
-    are copied once."""
+    S overwrites the sample, which `Kernel.evaluate_on` hands over writable
+    and C-ordered, so that S.T is the Fortran view LAPACK and BLAS work
+    in."""
     values, odd = kern.evaluate_on(g)
     sw = np.sqrt(g.w)
-    # C order, so that S.T is the Fortran view LAPACK and BLAS work in
-    S = _scale_outer(np.require(values, float, "CW"), sw)
+    S = _scale_outer(values, sw)
     if odd is not None:
         # exact |t-s| moments on the diagonal panels replace the plain rule
         P, q = g.panels, g.order

@@ -14,8 +14,11 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +116,17 @@ def test_theta_periodic_closed_form(capsys):
     vals = {r["quantity"]: float(r["value"]) for r in rows_of(out)}
     assert vals["ratio_closed_form"] == pytest.approx(
         vals["ratio_direct"], rel=1e-10)
+
+
+@pytest.mark.parametrize("weight", ["1/(t-0.3)^2", "(t-0.3)^2"])
+def test_theta_refuses_a_pole_or_zero_between_nodes(capsys, weight):
+    # positive on every weight-grid node, so it used to print a finite
+    # |theta_-| for a weight whose int psi^(1/2) diverges (the pole)
+    rc, out, err = run_cli(["theta", "--process", "wiener", "--weight",
+                            weight], capsys)
+    assert rc == 2
+    assert out == ""
+    assert "is not resolved" in err
 
 
 def test_theta_rejects_custom_covariance(capsys):
@@ -511,6 +525,31 @@ def test_prob_single_eigenvalue_exits_2(capsys):
     assert "at least 2 eigenvalues" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["asympt", "--process", "wiener", "--eps", "1e-170"],
+    ["asympt", "--process", "wiener", "--eps", "1e-160"],
+    ["prob", "--eps", "1e-300"],
+    ["prob", "--eps", "1e300"],
+    ["compare", "--weight2", "1", "-K", "10", "--table", "--eps", "1e-300"],
+], ids=" ".join)
+def test_eps_out_of_double_range_exits_2(capsys, argv):
+    # eps_n^2 or r^2 leaves the positive finite doubles: a specification
+    # error that names the eps, not a traceback or a failed tilt search
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: eps = {float(argv[-1]):g} is out of range")
+
+
+def test_asympt_small_eps_keeps_a_finite_log(capsys):
+    rc, out, _ = run_cli(["asympt", "--process", "wiener", "--eps", "1e-100"],
+                         capsys)
+    assert rc == 0
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert float(row["value"]) == 0.0
+    assert math.isfinite(float(row["log_value"]))
+
+
 def _readme_commands():
     """argv of every `greenball ...` line in README's bash blocks, with the
     backslash continuations joined and the comments dropped."""
@@ -529,6 +568,22 @@ def test_readme_command_exits_0(capsys, argv):
     rc, out, err = run_cli(argv, capsys)
     assert rc == 0, err
     assert out
+
+
+@pytest.mark.parametrize("block", range(2))
+def test_readme_python_block_exits_0(block):
+    # each ```python block of the README runs in a fresh interpreter on the
+    # source tree, with numerical warnings turned into errors
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 2
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(README.parent / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", blocks[block]],
+        cwd=README.parent, env=env, capture_output=True, text=True,
+        timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def test_unknown_subcommand_raises_argparse_exit():

@@ -10,6 +10,8 @@ Closed-form oracles used below (t <= s throughout; symmetrize for t > s):
   centered bridge        Kc(t,s) = min(t,s) - ts - t(1-t)/2 - s(1-s)/2 + 1/12
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -73,7 +75,8 @@ def _panel_constant(c, g=GRID):
 
 def _gram_min_eig(k):
     sw = np.sqrt(k.grid.w)
-    return np.linalg.eigvalsh(k.values * np.outer(sw, sw)).min()
+    v, _ = k.evaluate_on(k.grid)
+    return np.linalg.eigvalsh(v * np.outer(sw, sw)).min()
 
 
 # ---------------------------------------------------------------------------
@@ -84,13 +87,15 @@ def test_wiener_and_bridge_values():
     x = GRID.x
     kw = base_kernel("wiener", grid=GRID)
     kb = base_kernel("Bridge", grid=GRID)
-    assert np.array_equal(kw.values, np.minimum.outer(x, x))
-    assert np.array_equal(kb.values, np.minimum.outer(x, x) - np.outer(x, x))
+    vw, odd = kw.evaluate_on(GRID)
+    assert np.array_equal(vw, np.minimum.outer(x, x))
+    assert np.array_equal(kb.evaluate_on(GRID)[0],
+                          np.minimum.outer(x, x) - np.outer(x, x))
     # smooth + odd*|t-s| must reassemble the kernel on the diagonal panel
     # blocks, where odd is defined; for min the smooth part is (t+s)/2
-    assert kw.odd.shape == (GRID.panels, GRID.order, GRID.order)
+    assert odd.shape == (GRID.panels, GRID.order, GRID.order)
     xb = x.reshape(GRID.panels, GRID.order)
-    smooth = _diag_blocks(kw.values) - kw.odd * np.abs(_panel_lags())
+    smooth = _diag_blocks(vw) - odd * np.abs(_panel_lags())
     assert np.allclose(smooth, (xb[:, :, None] + xb[:, None, :]) / 2.0,
                        atol=1e-15)
     assert kw.half_order == 1 and kb.half_order == 1
@@ -100,53 +105,57 @@ def test_ou_decomposition():
     k = base_kernel("ornstein-uhlenbeck", grid=GRID)
     x = GRID.x
     u = x[:, None] - x[None, :]
-    assert np.allclose(k.values, np.exp(-np.abs(u)), rtol=1e-15, atol=0)
+    v, odd = k.evaluate_on(GRID)
+    assert np.allclose(v, np.exp(-np.abs(u)), rtol=1e-15, atol=0)
     # exp(-|u|) = cosh(u) - (sinh(u)/u)|u| on the diagonal panel blocks
     ub = _panel_lags()
-    smooth = _diag_blocks(k.values) - k.odd * np.abs(ub)
+    smooth = _diag_blocks(v) - odd * np.abs(ub)
     assert np.allclose(smooth, np.cosh(ub), rtol=0, atol=1e-15)
-    assert np.allclose(np.diagonal(k.odd, axis1=1, axis2=2), -1.0, atol=0)
+    assert np.allclose(np.diagonal(odd, axis1=1, axis2=2), -1.0, atol=0)
 
 
 def test_slepian_values():
     k = base_kernel("slepian", grid=GRID)
     u = np.abs(GRID.x[:, None] - GRID.x[None, :])
-    assert np.array_equal(k.values, 1.0 - u)
+    assert np.array_equal(k.evaluate_on(GRID)[0], 1.0 - u)
     # covariance of W(t+1)-W(t) vanishes at lag 1
     assert abs(1.0 - abs(0.0 - 1.0)) == 0.0
 
 
 def test_matern_1_equals_ou():
     km = base_kernel("matern", {"n": 1}, GRID)
-    ko = base_kernel("ou", grid=GRID)
-    assert np.allclose(km.values, ko.values, rtol=1e-15, atol=0)
-    assert np.allclose(km.odd, ko.odd, rtol=1e-13, atol=1e-13)
+    (vm, om), (vo, oo) = (k.evaluate_on(GRID)
+                          for k in (km, base_kernel("ou", grid=GRID)))
+    assert np.allclose(vm, vo, rtol=1e-15, atol=0)
+    assert np.allclose(om, oo, rtol=1e-13, atol=1e-13)
 
 
 def test_matern_2_formula_and_smoothness():
     k = base_kernel("matern", {"n": 2}, GRID)
     u = np.abs(GRID.x[:, None] - GRID.x[None, :])
-    assert np.allclose(k.values, np.exp(-u) * (1.0 + u), rtol=1e-14, atol=0)
+    v, odd = k.evaluate_on(GRID)
+    assert np.allclose(v, np.exp(-u) * (1.0 + u), rtol=1e-14, atol=0)
     # C^1 kernel: the |t-s| coefficient vanishes on the diagonal
-    assert np.allclose(np.diagonal(k.odd, axis1=1, axis2=2), 0.0,
+    assert np.allclose(np.diagonal(odd, axis1=1, axis2=2), 0.0,
                        atol=1e-15)
     assert k.half_order == 2
 
 
 def test_bogolyubov_default_and_custom():
     om = 1.7
-    k = base_kernel("bogolyubov", {"omega": om}, GRID)
-    assert np.allclose(np.diag(k.values),
+    v, odd = base_kernel("bogolyubov", {"omega": om}, GRID).evaluate_on(GRID)
+    assert np.allclose(np.diag(v),
                        np.cosh(om / 2) / (2 * om * np.sinh(om / 2)),
                        rtol=1e-15)
-    assert np.allclose(np.diagonal(k.odd, axis1=1, axis2=2), -0.5,
+    assert np.allclose(np.diagonal(odd, axis1=1, axis2=2), -0.5,
                        atol=1e-14)
     # a custom expression in the signed lag reproduces OU exactly
     kc = base_kernel("bogolyubov", {"omega": 1.0, "covariance": "exp(-t)"},
                      GRID)
-    ko = base_kernel("ou", grid=GRID)
-    assert np.allclose(kc.values, ko.values, rtol=1e-15, atol=0)
-    assert np.allclose(kc.odd, ko.odd, rtol=0, atol=1e-9)
+    (vc, oc), (vo, oo) = (k.evaluate_on(GRID)
+                          for k in (kc, base_kernel("ou", grid=GRID)))
+    assert np.allclose(vc, vo, rtol=1e-15, atol=0)
+    assert np.allclose(oc, oo, rtol=0, atol=1e-9)
     with pytest.raises(UnsupportedFamily):
         base_kernel("bogolyubov", {"omega": 1.0, "covariance": None}, GRID)
 
@@ -181,8 +190,6 @@ def test_kernel_symmetry_guard():
     # construction samples nothing; the first sample is checked
     with pytest.raises(ValueError):
         k.evaluate_on(GRID)
-    with pytest.raises(ValueError):
-        k.values
     # the check walks tiles against their mirrors: an asymmetry only in the
     # last, partial tile -- on the diagonal or off it -- is caught too, and
     # a symmetric matrix passes
@@ -256,64 +263,81 @@ def test_samples_are_bitwise_symmetric(kern):
         assert np.array_equal(odd, odd.transpose(0, 2, 1))
 
 
-@pytest.mark.parametrize("kern", [
-    apply_weight(base_kernel("bridge", grid=GRID), PSI_A),
-    build_process(ProcessSpec("ciw", level=1), GRID),
-], ids=repr)
-def test_nystrom_leaves_the_cached_sample_alone(kern):
-    values, odd = kern.values, kern.odd
-    before = values.copy(), None if odd is None else odd.copy()
-    nystrom_eigenvalues(kern, None, 5)
-    assert kern.values is values and kern.odd is odd
-    assert np.array_equal(values, before[0])
-    assert odd is None or np.array_equal(odd, before[1])
+def test_evaluate_on_hands_over_a_fresh_sample():
+    # no sample is kept: two calls on the kernel's own grid return two
+    # distinct arrays, each writable and C-ordered, that the caller owns
+    kern = apply_weight(base_kernel("bridge", grid=GRID), PSI_A)
+    (v1, o1), (v2, o2) = kern.evaluate_on(GRID), kern.evaluate_on(GRID)
+    assert v1 is not v2 and o1 is not o2
+    assert not np.shares_memory(v1, v2)
+    for v in (v1, v2):
+        assert v.flags.writeable and v.flags.c_contiguous
+    assert np.array_equal(v1, v2) and np.array_equal(o1, o2)
+
+
+def _fortran_read_only(v, o):
+    v, o = np.asfortranarray(v), np.asfortranarray(o)
+    v.setflags(write=False)
+    o.setflags(write=False)
+    return v, o
 
 
 def test_nystrom_reads_any_sample_layout():
-    # a user sampler may hand back Fortran-ordered, read-only arrays; the
-    # doubled-grid solve (off the kernel's own grid) must read them as is
+    # a user sampler may hand back Fortran-ordered, read-only arrays;
+    # `evaluate_on` copies them once into the layout the solve writes in
     bridge = base_kernel("bridge", grid=GRID)
-
-    def fortran(g):
-        v, o = bridge.evaluate_on(g)
-        v, o = np.asfortranarray(v), np.asfortranarray(o)
-        v.setflags(write=False)
-        o.setflags(write=False)
-        return v, o
-
-    kern = Kernel(GRID, "fortran(bridge)", 1, fortran)
-    assert not kern.evaluate_on(GRID.doubled())[0].flags.c_contiguous
+    kern = Kernel(GRID, "fortran(bridge)", 1,
+                  lambda g: _fortran_read_only(*bridge.evaluate_on(g)))
+    handed = kern.sampler(GRID.doubled())[0]
+    assert not handed.flags.c_contiguous and not handed.flags.writeable
+    values = kern.evaluate_on(GRID.doubled())[0]
+    assert values.flags.c_contiguous and values.flags.writeable
     got = nystrom_eigenvalues(kern, None, 8)
     want = nystrom_eigenvalues(bridge, None, 8)
     assert np.array_equal(got.mu, want.mu)
     assert np.array_equal(got.err, want.err)
 
 
+def _four_stages(base):
+    """integrate, center, condition and weight `base`, in that order."""
+    return apply_weight(condition_kernel(
+        center_kernel(integrate_kernel(base, 0)), lambda x: x,
+        np.array([[1.0]])), PSI_A)
+
+
 def test_stages_write_into_the_sample_they_are_handed():
-    # off the kernel's own grid a writable C-ordered sample is the buffer
-    # of the whole chain: integration, centering, conditioning and weight
-    # each return the array the sampler handed over, overwritten
-    fine = GRID.doubled()
+    # a writable C-ordered sample is the buffer of the whole chain, on the
+    # kernel's own grid and off it: integration, centering, conditioning
+    # and weight each return the array the sampler handed over, overwritten
     handed = []
 
     def sampler(g):
         handed.append(np.minimum.outer(g.x, g.x))
         return handed[-1], _panel_constant(-0.5, g)
 
-    base = Kernel(GRID, "wiener", 1, sampler)
-    kern = apply_weight(condition_kernel(
-        center_kernel(integrate_kernel(base, 0)), lambda x: x,
-        np.array([[1.0]])), PSI_A)
-    values, _ = kern.evaluate_on(fine)
-    assert values is handed[-1]
-    assert np.array_equal(values, values.T)
-    # the cached own-grid sample is read-only; a chain on top of it copies
-    # it once and leaves it as it was
-    own = base.values
-    before = own.copy()
-    assert not own.flags.writeable
-    kern.evaluate_on(GRID)
-    assert base.values is own and np.array_equal(own, before)
+    kern = _four_stages(Kernel(GRID, "wiener", 1, sampler))
+    for g in (GRID, GRID.doubled()):
+        values, _ = kern.evaluate_on(g)
+        assert values is handed[-1]
+        assert np.array_equal(values, values.T)
+
+
+def test_chain_copies_a_read_only_fortran_sample_once():
+    # the base kernel's `evaluate_on` copies the user's read-only Fortran
+    # sample; the four stages above it then work in that one copy, so the
+    # chain's peak holds one n x n matrix beyond the user's
+    g = Grid.composite(1024, 8)
+    sample = _fortran_read_only(np.minimum.outer(g.x, g.x),
+                                _panel_constant(-0.5, g))
+    kern = _four_stages(Kernel(GRID, "user", 1, lambda _: sample))
+    tracemalloc.start()
+    try:
+        values, _ = kern.evaluate_on(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not np.shares_memory(values, sample[0])
+    assert values.nbytes <= peak < 1.5 * values.nbytes, peak
 
 
 def test_catalog_kernels_are_symmetric_by_construction():
@@ -348,12 +372,12 @@ def test_build_process_samples_lazily(monkeypatch):
     monkeypatch.setattr(kernels, "_wiener_values", counted)
     k = build_process(ProcessSpec("wiener", m=2, betas=(0, 1)), GRID)
     assert calls == []
-    values = k.values
-    assert k.odd is None and k.evaluate_on(GRID)[0] is values
+    assert k.evaluate_on(GRID)[1] is None
     assert calls == [GRID.n]
+    # nothing is kept: every call samples its grid anew
     k.evaluate_on(GRID.doubled())
-    assert calls == [GRID.n, 2 * GRID.n]
-    assert k.values is values
+    k.evaluate_on(GRID)
+    assert calls == [GRID.n, 2 * GRID.n, GRID.n]
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +388,13 @@ def test_integrate_wiener_closed_form():
     k1 = integrate_kernel(base_kernel("wiener", grid=GRID), 0)
     expect = _sym_closed_form(_k1, GRID.x)
     # second-axis quadrature of the C^1 integrand leaves an O(h^3) residue
-    assert np.abs(k1.values - expect).max() < 5e-9
-    assert k1.odd is None
+    v, odd = k1.evaluate_on(GRID)
+    assert np.abs(v - expect).max() < 5e-9
+    assert odd is None
     assert k1.half_order == 2
     # total mass int int min = Var W_1(1) = 1/3
     kw = base_kernel("wiener", grid=GRID)
-    total = GRID.integrate(integrate_full(GRID, kw.values, kw.odd))
+    total = GRID.integrate(integrate_full(GRID, *kw.evaluate_on(GRID)))
     assert abs(total - 1.0 / 3.0) < 1e-14
 
 
@@ -377,7 +402,7 @@ def test_twice_integrated_closed_form():
     k2 = integrate_kernel(
         integrate_kernel(base_kernel("wiener", grid=GRID), 0), 0)
     expect = _sym_closed_form(_k2, GRID.x)
-    assert np.abs(k2.values - expect).max() < 5e-9
+    assert np.abs(k2.evaluate_on(GRID)[0] - expect).max() < 5e-9
     # brute-force double quadrature of the K1 closed form pins the
     # variance at (1,1) to 1/20
     k1c = _sym_closed_form(_k1, GRID.x)
@@ -388,17 +413,18 @@ def test_twice_integrated_closed_form():
 def test_integrate_from_one():
     k = integrate_kernel(base_kernel("wiener", grid=GRID), 1)
     expect = _sym_closed_form(_int_from_one, GRID.x)
-    assert np.abs(k.values - expect).max() < 5e-9
+    v, _ = k.evaluate_on(GRID)
+    assert np.abs(v - expect).max() < 5e-9
     # vanishes where the integration range is empty (t = 1); the nearest
     # node sits 1-x[-1] away and the kernel decays linearly there
-    assert np.abs(k.values[-1, :]).max() < 2.0 * (1.0 - GRID.x[-1])
+    assert np.abs(v[-1, :]).max() < 2.0 * (1.0 - GRID.x[-1])
     # Var at t = 0 is int int min = 1/3
-    assert abs(k.values[0, 0] - 1.0 / 3.0) < 1e-6
+    assert abs(v[0, 0] - 1.0 / 3.0) < 1e-6
 
 
 def test_integrate_vanishes_at_lower_limit():
     k = integrate_kernel(base_kernel("bridge", grid=GRID), 0)
-    assert np.abs(k.values[0, :]).max() < 1e-6
+    assert np.abs(k.evaluate_on(GRID)[0][0, :]).max() < 1e-6
     with pytest.raises(ValueError):
         integrate_kernel(base_kernel("wiener", grid=GRID), 2)
 
@@ -417,26 +443,27 @@ def test_recipe_resamples_on_other_grids():
 
 def test_center_bridge_annihilates_constants():
     c = center_kernel(base_kernel("bridge", grid=GRID))
-    rows = integrate_full(GRID, c.values, c.odd)
-    assert np.abs(rows).max() < 1e-10
+    v, odd = c.evaluate_on(GRID)
     expect = _sym_closed_form(_centered_bridge, GRID.x)
-    assert np.abs(c.values - expect).max() < 1e-13
+    assert np.abs(v - expect).max() < 1e-13
     # kink coefficient untouched by the rank-one smooth subtraction
-    assert c.odd is base_kernel("bridge", grid=GRID).odd \
-        or np.array_equal(c.odd, _panel_constant(-0.5))
+    assert np.array_equal(odd, _panel_constant(-0.5))
+    rows = integrate_full(GRID, v, odd)
+    assert np.abs(rows).max() < 1e-10
 
 
 def test_center_idempotent():
     c1 = center_kernel(base_kernel("bridge", grid=GRID))
     c2 = center_kernel(c1)
-    assert np.abs(c1.values - c2.values).max() < 1e-12
+    v1, v2 = (c.evaluate_on(GRID)[0] for c in (c1, c2))
+    assert np.abs(v1 - v2).max() < 1e-12
 
 
 def test_centered_bridge_variance_at_zero():
     # Kc(0,0) = int int (min - uv) = 1/3 - 1/4 = 1/12
     assert abs(_centered_bridge(0.0, 0.0) - 1.0 / 12.0) < 1e-15
     kb = base_kernel("bridge", grid=GRID)
-    total = GRID.integrate(integrate_full(GRID, kb.values, kb.odd))
+    total = GRID.integrate(integrate_full(GRID, *kb.evaluate_on(GRID)))
     assert abs(total - 1.0 / 12.0) < 1e-14
 
 
@@ -447,9 +474,10 @@ def test_centered_bridge_variance_at_zero():
 def test_condition_wiener_on_endpoint_gives_bridge():
     k = base_kernel("wiener", grid=GRID)
     cond = condition_kernel(k, lambda x: x, [[1.0]])
-    kb = base_kernel("bridge", grid=GRID)
-    assert np.abs(cond.values - kb.values).max() < 1e-12
-    assert cond.odd is k.odd or np.array_equal(cond.odd, k.odd)
+    (vc, oc), (vb, ob) = (c.evaluate_on(GRID)
+                          for c in (cond, base_kernel("bridge", grid=GRID)))
+    assert np.abs(vc - vb).max() < 1e-12
+    assert np.array_equal(oc, ob)
 
 
 def test_condition_on_grid_node_zeroes_row():
@@ -457,7 +485,7 @@ def test_condition_on_grid_node_zeroes_row():
     t0 = GRID.x[i0]
     k = base_kernel("wiener", grid=GRID)
     cond = condition_kernel(k, lambda x: np.minimum(x, t0), [[t0]])
-    assert np.abs(cond.values[i0, :]).max() < 1e-12
+    assert np.abs(cond.evaluate_on(GRID)[0][i0, :]).max() < 1e-12
 
 
 def test_conditional_integrated_wiener_level1_oracle():
@@ -467,10 +495,11 @@ def test_conditional_integrated_wiener_level1_oracle():
     cross = np.column_stack([x * x / 2.0, x * x / 2.0 - x ** 3 / 6.0])
     gram = np.array([[1.0, 0.5], [0.5, 1.0 / 3.0]])
     expect = k1 - cross @ np.linalg.solve(gram, cross.T)
-    assert np.abs(got.values - expect).max() < 1e-8
+    v, _ = got.evaluate_on(GRID)
+    assert np.abs(v - expect).max() < 1e-8
     assert _gram_min_eig(got) > -1e-10
     # pinned to zero at t = 1 together with its integral
-    assert got.values[-1, -1] < 1e-5
+    assert v[-1, -1] < 1e-5
     assert got.half_order == 2
 
 
@@ -478,7 +507,8 @@ def test_conditional_level0_is_bridge():
     got = build_process(ProcessSpec("ConditionalIntegratedWiener", level=0),
                         GRID)
     kb = base_kernel("bridge", grid=GRID)
-    assert np.abs(got.values - kb.values).max() < 1e-12
+    assert np.abs(got.evaluate_on(GRID)[0]
+                  - kb.evaluate_on(GRID)[0]).max() < 1e-12
 
 
 def test_singular_conditioning():
@@ -496,10 +526,12 @@ def test_apply_weight_identity_and_scaling():
     k = base_kernel("wiener", grid=GRID)
     w1 = Weight.from_text("1")
     w4 = Weight.from_text("4")
-    assert np.allclose(apply_weight(k, w1).values, k.values, rtol=0, atol=0)
+    v, odd = k.evaluate_on(GRID)
+    assert np.array_equal(apply_weight(k, w1).evaluate_on(GRID)[0], v)
     k4 = apply_weight(k, w4)
-    assert np.allclose(k4.values, 4.0 * k.values, rtol=1e-15)
-    assert np.allclose(k4.odd, 4.0 * k.odd, rtol=1e-15)
+    v4, odd4 = k4.evaluate_on(GRID)
+    assert np.allclose(v4, 4.0 * v, rtol=1e-15)
+    assert np.allclose(odd4, 4.0 * odd, rtol=1e-15)
     assert k4.weighted
 
 
@@ -543,10 +575,11 @@ def test_weight_is_terminal():
 
 def test_build_process_plain_families():
     kw = build_process(ProcessSpec("wiener"), GRID)
-    assert np.array_equal(kw.values, np.minimum.outer(GRID.x, GRID.x))
+    assert np.array_equal(kw.evaluate_on(GRID)[0],
+                          np.minimum.outer(GRID.x, GRID.x))
     k1 = build_process(ProcessSpec("wiener", m=1, betas=(1,)), GRID)
-    assert np.abs(k1.values - _sym_closed_form(_int_from_one, GRID.x)).max() \
-        < 5e-9
+    assert np.abs(k1.evaluate_on(GRID)[0]
+                  - _sym_closed_form(_int_from_one, GRID.x)).max() < 5e-9
 
 
 def test_build_process_centered_integrated_bridge():
@@ -558,7 +591,7 @@ def test_build_process_centered_integrated_bridge():
     A = integrate_rows(GRID, kc, _panel_constant(-0.5), lower=0)
     expect = integrate_rows(GRID, A.T, None, lower=0).T
     expect = 0.5 * (expect + expect.T)
-    assert np.abs(got.values - expect).max() < 1e-10
+    assert np.abs(got.evaluate_on(GRID)[0] - expect).max() < 1e-10
     assert _gram_min_eig(got) > -1e-10
     assert got.half_order == 2
 
@@ -566,7 +599,7 @@ def test_build_process_centered_integrated_bridge():
 def test_build_process_final_centering_annihilates():
     spec = ProcessSpec("bridge", centerings=2, center_final=True)
     got = build_process(spec, GRID)
-    rows = integrate_full(GRID, got.values, got.odd)
+    rows = integrate_full(GRID, *got.evaluate_on(GRID))
     assert np.abs(rows).max() < 1e-10
     assert _gram_min_eig(got) > -1e-10
     assert got.half_order == 3

@@ -33,11 +33,33 @@ class TestWeight:
         assert (w.psi0, w.psi1) == (w(0.0), w(1.0))
 
     def test_calls_are_checked(self):
-        # 0.3 is not a node of WEIGHT_GRID, so the weight builds; a call at
-        # its pole divides by zero and is refused, not returned as inf
-        w = Weight.from_text("1/(t-0.3)^2")
+        # the pole at t = 2 lies off [0,1], so the weight builds; a call at
+        # the pole divides by zero and is refused, not returned as inf
+        w = Weight.from_text("1/(t-2)^2")
         with pytest.raises(EvaluationDomainError, match="left its domain"):
-            w(np.array([0.3]))
+            w(np.array([2.0]))
+
+    @pytest.mark.parametrize("text", ["1/(t-0.3)^2", "(t-0.3)^2",
+                                      "1/abs(t-0.3)", "abs(t-0.3)",
+                                      "1/((t-0.3)^2+1e-8)"])
+    def test_unresolved_pole_or_zero_is_refused(self, text):
+        # positive on every node of WEIGHT_GRID, but int psi or int 1/psi
+        # moves by 40% or more when the grid is doubled
+        with pytest.raises(ValueError, match="is not resolved"):
+            Weight.from_text(text)
+
+    @pytest.mark.parametrize("text", [
+        "(0.5+1.5*t)^(-4)", "(0.45+1.7722222222222221*t)^(-4)", "1+t^2",
+        "exp(30*t)", "exp(-30*t)", "1+1000*exp(-((t-0.5)/0.007)^2)", "16"])
+    def test_resolved_weights_build(self, text):
+        # the README weights, psi_a at a = 0.45, steep exponentials, a narrow
+        # 1000x bump and a constant pass with a wide margin
+        w = Weight.from_text(text)
+        fine = WEIGHT_GRID.doubled()
+        f = w(fine.x)
+        for a, b in ((w.samples, f), (1.0 / w.samples, 1.0 / f)):
+            assert WEIGHT_GRID.integrate(a) == pytest.approx(
+                fine.integrate(b), rel=1e-12, abs=0)
 
     def test_positivity_enforced(self):
         with pytest.raises(ValueError):

@@ -20,6 +20,7 @@ Hand-derived reference values used below:
 
 import math
 import os
+import re
 import tracemalloc
 import warnings
 from itertools import product
@@ -297,6 +298,12 @@ def test_underflow_reports_log():
     assert evaluate_asymptotic(form, 0.005) == 0.0
     logv = log_evaluate_asymptotic(form, 0.005)
     assert np.isfinite(logv) and logv < -4000
+    # past that the log itself leaves the doubles: eps_n^2 underflows to 0
+    # at 1e-170, and D / (2 eps_n^2) overflows at 1e-160
+    for eps in (1e-160, 1e-170):
+        for fn in (evaluate_asymptotic, log_evaluate_asymptotic):
+            with pytest.raises(ValueError, match=f"eps = {eps:g} is out"):
+                fn(form, eps)
 
 
 def test_asymptotic_form_validation():
@@ -390,8 +397,13 @@ def test_tilt_bisection_stops_when_bracket_is_tight(r, tail):
 
 
 def test_tilt_failure_reported():
+    # r^2 = 1e-310 is a positive double, but the tilt lies past _S_MAX
     with pytest.raises(TiltNotFound):
-        smallball_probability_exact(np.array([1.0]), 1e-200)
+        smallball_probability_exact(np.array([1.0]), 1e-155)
+    # a radius whose square is 0 or inf is refused before any tilt search
+    for r in (1e-200, 1e300):
+        with pytest.raises(ValueError, match=re.escape(f"eps = {r:g} is")):
+            smallball_probability_exact(np.array([1.0]), r)
 
 
 def test_estimate_invariants():
