@@ -64,7 +64,8 @@ class NotNormalized(GreenballError):
 
 
 class TiltNotFound(GreenballError):
-    """No usable tilt/anchor point for the Laplace inversion."""
+    """The saddle point of the Laplace inversion lies outside the range of
+    abscissae it is searched for on."""
 
 
 class InversionUnstable(GreenballError):

@@ -12,12 +12,12 @@ Three ways to get at P(||X||_psi <= eps):
   of the eigenvalue sequence beyond the computed truncation.  log L and its
   first two s-derivatives come from one sum (`_log_laplace_sums`) over the
   computed eigenvalues plus `WeylTailModel.log_laplace(s, k)` for the
-  continuation; the tilt, the contour integrand and its end corrections all
-  read them through that pair.  The sum takes exact logs only of the terms
-  with |2 s lam_j| > 0.1 and one power series for the rest; the tilt is a
-  safeguarded Newton iteration in (log s, log m).  The continuation costs
-  the same at every s: a fixed block of model eigenvalues, then a
-  closed-form remainder;
+  continuation; the saddle point, the contour integrand and its end
+  corrections all read them through that pair.  log L itself takes exact
+  logs only up to one split index per call and one power series for the
+  rest; the saddle point is a safeguarded Newton iteration in
+  (log s, log m).  The continuation costs the same at every s: a fixed
+  block of model eigenvalues, then a closed-form remainder;
 * plain Monte Carlo over the same quadratic form.
 
 `comparison_convergence` tabulates P_1(eps)/P_2(eps) from two weights'
@@ -365,9 +365,11 @@ class ProbabilityEstimate:
     truncation_bias: float = 0.0
 
     def __post_init__(self):
-        if self.method in ("saddlepoint", "montecarlo") \
-                and not 0.0 <= self.p <= 1.0:
-            raise ValueError("probability out of [0, 1]")
+        if self.method in ("saddlepoint", "montecarlo"):
+            if not 0.0 <= self.p <= 1.0:
+                raise ValueError("probability out of [0, 1]")
+            if self.log_p is not None and self.log_p > 0.0:
+                raise ValueError("log probability above 0")
         if self.err < 0:
             raise ValueError("negative error")
 
@@ -526,23 +528,17 @@ class WeylTailModel:
 _OUTER_ENTRIES = 1 << 18
 
 #: terms with |2 s lam_j| <= _SPLIT are summed as one power series in
-#: u = 2 s lam_J0, G(u) = -(1/2) sum_p (-1)^{p+1} T_p u^p/p up to
-#: p = _SPLIT_TERMS + k for the k-th s-derivative; the first term dropped
-#: is below 0.1^17/18 (k = 0) and 19 * 0.1^18 (k = 2) of the leading one
+#: u = 2 s lam_J, G(u) = -(1/2) sum_p (-1)^{p+1} T_p u^p/p up to
+#: p = _SPLIT_TERMS; the first term dropped is below 0.1^17/18 of the
+#: leading one
 _SPLIT, _SPLIT_TERMS = 0.1, 17
 #: fewest terms, over all points of a call, the series must take over for
-#: the split to pay for its fixed cost (a few dozen numpy calls), so the
-#: scalar calls of the tilt and of the contour's end data take the exact
-#: sum unless K > 4096
+#: the split to pay for its fixed cost (a few dozen numpy calls), so a
+#: scalar s takes the exact sum unless K > 4096
 _SPLIT_MIN = 4096
-#: u^i coefficient of the k-th s-derivative of the series, over
-#: lam_J0^k T_{i+k}: G = -(1/2) sum_p (-1)^{p+1} T_p u^p/p differentiated k
-#: times in s (du/ds = 2 lam_J0); entry 0 of k = 0 multiplies T_0 := 0
-_SPLIT_FACTORS = tuple(
-    np.array([0.0 if i + k == 0 else
-              -0.5 * (-1.0) ** (i + k + 1) / (i + k) * 2.0 ** k
-              * math.perm(i + k, k) for i in range(_SPLIT_TERMS + 1)])
-    for k in range(3))
+#: u^p coefficient of G over T_p, p = 0.._SPLIT_TERMS (G(0) = 0)
+_SPLIT_FACTORS = np.array([0.0] + [-0.5 * (-1.0) ** (p + 1) / p
+                                   for p in range(1, _SPLIT_TERMS + 1)])
 
 
 def _power_series(u, c):
@@ -602,24 +598,17 @@ def _exact_log_sums(flat, lam, k):
     return np.concatenate(out)
 
 
-def _suffix_power_sums(lam, starts, P):
-    """T[b, p-1] = sum_{j >= J} (lam_j/lam_J)^p for p = 1..P at each J of
-    the ascending `starts` (all < K).  Normalized by lam_J, every term lies
-    in [0, 1] and T in [1, K - J]: nothing overflows, and terms that
-    underflow are below rounding of the j = J term.  One pass sums each
-    segment [J_b, J_{b+1}) against its own lam_{J_b}; the suffixes follow
-    from T_b = S_b + (lam_{J_{b+1}}/lam_{J_b})^p T_{b+1}."""
-    seg = np.diff(starts, append=lam.size)
-    ratio = lam[starts[0]:] / np.repeat(lam[starts], seg)
-    power = ratio.copy()
-    T = np.empty((starts.size, P))
-    for p in range(P):  # one power at a time: O(K) memory at any P
-        if p:
-            power *= ratio
-        T[:, p] = np.add.reduceat(power, starts - starts[0])
-    rho = (lam[starts[1:]] / lam[starts[:-1]])[:, None] ** np.arange(1, P + 1)
-    for b in range(starts.size - 2, -1, -1):
-        T[b] += rho[b] * T[b + 1]
+def _suffix_power_sums(lam, J, P):
+    """T[p] = sum_{j >= J} (lam_j/lam_J)^p for p = 0..P, J < K.  Normalized
+    by lam_J, every term lies in [0, 1] and T in [1, K - J]: nothing
+    overflows, and terms that underflow are below rounding of the j = J
+    term."""
+    ratio = lam[J:] / lam[J]
+    power = np.ones_like(ratio)
+    T = np.empty(P + 1)
+    for p in range(P + 1):  # one power at a time: O(K) memory at any P
+        T[p] = power.sum()
+        power *= ratio
     return T
 
 
@@ -627,51 +616,28 @@ def _log_laplace_sums(s, lam, k):
     """k-th s-derivative (k = 0, 1, 2) of -(1/2) sum_j log(1 + 2 s lam_j).
 
     s is a real or complex scalar or array; lam is positive and descending.
-    At each s the spectrum splits at J0, the first j with
-    |2 s lam_j| <= `_SPLIT`.  The terms j < J0 are summed exactly
-    (`_exact_log_sums`); the rest are one power series
-    -(1/2) sum_p (-1)^{p+1} T_p u^p/p in u = 2 s lam_J0 (and its
-    s-derivatives), with T_p = sum_{j>=J0} (lam_j/lam_J0)^p the normalized
-    suffix power sums, so a point costs J0 logs plus `_SPLIT_TERMS`
-    products instead of K logs.  The points are sorted by |s| (so by J0) and
-    cut into blocks whose largest J0 is at most twice (or 64 past) their
-    smallest; a block splits at its largest J0, where the series still
-    holds for every point, and its power sums come from one pass over the
-    spectrum per call (`_suffix_power_sums`).  Where the series would take
-    over fewer than `_SPLIT_MIN` terms in all (J0 = K at every point, or a
-    scalar s), the call is the exact sum alone, as before the split.
+    For k = 0 the spectrum splits at one index J per call, the first j with
+    |2 s lam_j| <= `_SPLIT` at every point, so at the largest |s|.  The
+    terms j < J are summed exactly (`_exact_log_sums`); the rest are one
+    power series -(1/2) sum_p (-1)^{p+1} T_p u^p/p in u = 2 s lam_J, with
+    T_p = sum_{j>=J} (lam_j/lam_J)^p the normalized suffix power sums
+    (`_suffix_power_sums`), so a point costs J logs plus `_SPLIT_TERMS`
+    products instead of K logs.  Where the series would take over fewer
+    than `_SPLIT_MIN` terms in all (J = K, or a scalar s), the call is the
+    exact sum alone, and so is every k = 1, 2 call: those are scalars (the
+    saddle point, sigma, the contour's end data and the tail model's mean).
     """
     s = np.asarray(s)
     flat = s.reshape(-1)
     K = lam.size
     with np.errstate(divide="ignore"):  # s = 0: every term is small
-        j0 = np.searchsorted(-lam, -(0.5 * _SPLIT) / np.abs(flat))
-    if K * flat.size - j0.sum() < _SPLIT_MIN:
+        J = int(np.searchsorted(-lam, -(0.5 * _SPLIT) / np.abs(flat).max()))
+    if k or J == K or (K - J) * flat.size < _SPLIT_MIN:
         return _exact_log_sums(flat, lam, k).reshape(s.shape)
-    order = np.argsort(j0, kind="stable")
-    j0 = j0[order]
-    blocks = []  # (first point, end point, split index J)
-    i = 0
-    while i < j0.size:
-        end = int(np.searchsorted(j0, max(2 * j0[i], j0[i] + 64),
-                                  side="right"))
-        blocks.append((i, end, int(j0[end - 1])))
-        i = end
-    if blocks[0][2] == K:  # one block, and its largest J0 is K
-        return _exact_log_sums(flat, lam, k).reshape(s.shape)
-    splits = np.array([J for _, _, J in blocks if J < K])
-    T = np.zeros((splits.size, _SPLIT_TERMS + k + 1))  # T_0, T_1, ...
-    T[:, 1:] = _suffix_power_sums(lam, splits, _SPLIT_TERMS + k)
-    coef = (lam[splits, None] ** k * _SPLIT_FACTORS[k]
-            * T[:, k:k + _SPLIT_TERMS + 1])
-    fs = flat[order]
-    out = np.empty(flat.shape, np.result_type(flat, float))
-    coef = iter(coef)
-    for i, end, J in blocks:
-        part = _exact_log_sums(fs[i:end], lam[:J], k) if J else 0.0
-        if J < K:
-            part = part + _power_series(2.0 * lam[J] * fs[i:end], next(coef))
-        out[order[i:end]] = part
+    coef = _SPLIT_FACTORS * _suffix_power_sums(lam, J, _SPLIT_TERMS)
+    out = _power_series(2.0 * lam[J] * flat, coef)
+    if J:
+        out = out + _exact_log_sums(flat, lam[:J], 0)
     return out.reshape(s.shape)
 
 
@@ -689,21 +655,23 @@ def smallball_probability_exact(lams, r, tail=None):
     """P(sum_j lam_j xi_j^2 <= r^2) by saddle-point Bromwich inversion.
 
     lams: positive eigenvalues in descending order; tail: optional
-    WeylTailModel continuing the sequence beyond len(lams).  The Laplace
-    transform prod(1+2 s lam_j)^{-1/2} (times the tail factor) is tilted to
-    the saddle of the integrand and integrated by trapezoid along the
-    vertical contour, with the truncated ends restored by integration by
+    WeylTailModel continuing the sequence beyond len(lams).  The integrand
+    e^{s r^2} L(s)/s, with L(s) = prod(1+2 s lam_j)^{-1/2} (times the tail
+    factor), is integrated by trapezoid along the vertical contour through
+    its saddle point, with the truncated ends restored by integration by
     parts; self-checks on step halving and end decay guard the result.
-    The abscissa is found by `_solve_tilt`, a few Newton steps per
-    equation.  Nested node sets let a step halving evaluate only the new odd
-    nodes and a contour doubling only the new stretch, and each node sums
-    exact logs only up to its split index (`_log_laplace_sums`).  `err`
-    bounds the quadrature error only (the gap between the last two sums and
-    the end terms, but no less than the rounding of the finer sum), not
-    that of the truncated spectrum or of the tail model.  InversionUnstable
-    is raised when the sums have not settled before a step halving or
-    contour doubling would pass `_MAX_NODES` nodes, and ValueError when r
-    or r^2 is not a positive finite double.
+    The abscissa is found by `_solve_tilt`, a few Newton steps from
+    s = 1/r^2.  Nested node sets let a step halving evaluate only the new
+    odd nodes and a contour doubling only the new stretch, and each batch of
+    nodes sums exact logs only up to one split index (`_log_laplace_sums`).
+    `err` bounds the quadrature error only (the gap between the last two
+    sums and the end terms, but no less than the rounding of the finer
+    sum), not that of the truncated spectrum or of the tail model.  log_p
+    is clipped at 0, so p = exp(log_p) <= 1.  InversionUnstable is raised
+    when the sums have not settled before a step halving or contour
+    doubling would pass `_MAX_NODES` nodes, TiltNotFound when the saddle
+    point lies outside [`_S_MIN`, `_S_MAX`], and ValueError when r or r^2
+    is not a positive finite double.
     """
     q = r * r
     if not (r > 0 and 0.0 < q < math.inf):
@@ -790,8 +758,8 @@ def smallball_probability_exact(lams, r, tail=None):
             "Bromwich trapezoid failed its self-checks (refinement did not "
             f"converge within {_MAX_NODES} nodes or the integral lost "
             "positivity)")
-    logp = g0 + math.log(total / math.pi)
-    p = min(math.exp(logp), 1.0)
+    logp = min(g0 + math.log(total / math.pi), 0.0)  # so p <= 1
+    p = math.exp(logp)
     return ProbabilityEstimate(p=p, err=p * rel_err, method="saddlepoint",
                                log_p=logp)
 
@@ -799,8 +767,8 @@ def smallball_probability_exact(lams, r, tail=None):
 #: most trapezoid nodes of one inversion, 8 MB of integrand values; the
 #: test suite reaches 20481 and the benchmark 10241
 _MAX_NODES = 1 << 20
-#: the tilt is searched for on [_S_MIN, _S_MAX]; past _S_MAX it is reported
-#: as not found
+#: the saddle point is searched for on [_S_MIN, _S_MAX]; outside it is
+#: reported as not found
 _S_MIN, _S_MAX = 1e-300, 1e280
 _ULP = np.finfo(float).eps
 #: largest Newton step in log s while the root is bracketed on one side only
@@ -808,25 +776,13 @@ _MAX_LOG_STEP = 30.0
 
 
 def _solve_tilt(q, cgf):
-    """Contour abscissa: the tilt solving q + cgf'(s) = 0 when it is well
-    separated from the s = 0 pole (s* >= 2 sigma), else the saddle of the
-    full integrand (q + cgf'(s) = 1/s), which always exists on s > 0.
-    cgf(s, k) is the k-th derivative of log L at a real scalar s.  Both are
-    roots of m(s) = q for a decreasing m > 0, m = -cgf' for the tilt and
-    m = -cgf' + 1/s for the saddle, found by `_log_newton` from
-    s = 1/(2q) and from the tilt (or from 1/q, a point left of the saddle)."""
-    start = 1.0 / q
-    if q < -float(cgf(0.0, 1)):  # below the mean of Q
-        sstar = _log_newton(q, lambda s: -float(cgf(s, 1)),
-                            lambda s: s * float(cgf(s, 2)), 0.5 / q)
-        curv = float(cgf(sstar, 2))
-        sigma = 1.0 / math.sqrt(curv) if curv > 0 else np.inf
-        if sstar >= 2.0 * sigma:
-            return sstar
-        start = sstar  # m(s*) + 1/s* > q: the saddle lies right of s*
-    # pole-anchored saddle of e^{sq} L(s)/s
+    """Contour abscissa: the saddle of the integrand e^{sq} L(s)/s, the root
+    of m(s) = 1/s - cgf'(s) = q, which always exists on s > 0 since m falls
+    from inf to 0.  cgf(s, k) is the k-th derivative of log L at a real
+    scalar s.  `_log_newton` finds it from s = 1/q, which lies left of the
+    root because m(s) > 1/s."""
     return _log_newton(q, lambda s: 1.0 / s - float(cgf(s, 1)),
-                       lambda s: s * float(cgf(s, 2)) + 1.0 / s, start)
+                       lambda s: s * float(cgf(s, 2)) + 1.0 / s, 1.0 / q)
 
 
 def _log_newton(q, m, dm, s):
@@ -847,7 +803,9 @@ def _log_newton(q, m, dm, s):
     last, push = math.inf, 2.0 * _ULP
     while True:
         if not _S_MIN <= s <= _S_MAX:
-            raise TiltNotFound("tilt bracketing failed")
+            raise TiltNotFound(
+                f"eps = {math.sqrt(q):g}: the saddle-point search passed "
+                f"out of [{_S_MIN:g}, {_S_MAX:g}] at s = {s:g}")
         v = m(s)
         if v == q:
             return s
@@ -990,15 +948,17 @@ def comparison_convergence(s1, s2, n, eps_values):
     two weights.  Each is continued by a Weyl-tail model calibrated on its
     last eigenvalue, with theta the normalization integral of the weight
     that was solved (its `theta_norm`), and probabilities come from the
-    saddle-point oracle.
+    saddle-point oracle.  The ratio is exp(log p1 - log p2), finite where
+    both p underflow to 0.
     """
     eps_values = np.asarray(sorted(eps_values, reverse=True), dtype=float)
-    p = np.empty((2, eps_values.size))
-    for row, res in zip(p, (s1, s2)):
+    logp = np.empty((2, eps_values.size))
+    for row, res in zip(logp, (s1, s2)):
         lam = 1.0 / np.asarray(res.mu)
         tail = WeylTailModel.calibrated(n, res.theta_norm, lam.size,
                                         float(lam[-1]))
-        row[:] = [smallball_probability_exact(lam, e, tail=tail).p
+        row[:] = [smallball_probability_exact(lam, e, tail=tail).log_p
                   for e in eps_values]
+    p = np.exp(logp)
     return ComparisonTable(eps=eps_values, p1=p[0], p2=p[1],
-                           ratio=p[0] / p[1])
+                           ratio=np.exp(logp[0] - logp[1]))

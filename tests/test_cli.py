@@ -207,6 +207,18 @@ def test_compare_convergence_table(capsys):
     assert float(limit[0]["value"]) == pytest.approx(2.0, abs=1e-8)
 
 
+def test_compare_table_ratio_survives_underflow(capsys):
+    # at eps = 0.01 both probabilities underflow to 0 (log p near -1254);
+    # the ratio comes from their logs, not from 0/0
+    rc, out, _ = run_cli(["compare", "--process", "wiener",
+                          "--weight", RATIO2, "--weight2", "1", "-K", "200",
+                          "--table", "--eps", "0.03", "0.02", "0.015",
+                          "0.01"], capsys)
+    assert rc == 0
+    table = {r["quantity"]: float(r["value"]) for r in rows_of(out)}
+    assert table["prob_ratio_eps=0.01"] == pytest.approx(2.00326, abs=1e-5)
+
+
 def test_compare_shoots_each_weight_once(capsys, monkeypatch):
     # the table reuses the spectra the product route computed: two shooting
     # solves, not four, and the same bytes as without the counter
@@ -362,6 +374,16 @@ def test_prob_err_keeps_a_rounding_floor(capsys):
     row = rows_of(out)[0]
     rel = float(row["err"]) / float(row["p"])
     assert np.finfo(float).eps <= rel <= 1e-8
+
+
+def test_prob_near_one_has_log_p_at_most_0(capsys):
+    # p is clipped at 1 where the inversion lands a few ulps above it, and
+    # log p with it, so that p = exp(log p)
+    rc, out, _ = run_cli(["prob", "--process", "wiener", "-K", "200",
+                          "--eps", "10"], capsys)
+    assert rc == 0
+    row = rows_of(out)[0]
+    assert float(row["p"]) == 1.0 and float(row["log_p"]) == 0.0
 
 
 def test_mc_deterministic_bytes(tmp_path):

@@ -8,7 +8,8 @@ helper, left to its default by some call), and the Nystrom path keeps its
 dense linear algebra out of numpy's BLAS (no ``@``, no ``np.linalg``), and
 the command line holds no boundary-condition data: it reads the family
 registry in ``kernels``, and ``smallball`` imports nothing from
-``spectrum``; ``import greenball`` loads no ``scipy.special``.
+``spectrum``; ``import greenball`` loads no ``scipy.special``; every
+identifier the README puts in backticks still names something.
 
 A name counts as used when the module refers to it anywhere in its code
 (attribute chains such as ``np.linalg`` start at a plain name) or lists it in
@@ -505,3 +506,73 @@ def test_import_leaves_scipy_special_out():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(SRC.parent)})
     assert out.stdout.strip() == "False"
+
+
+def code_names(sources):
+    """Every name that the Python `sources` define, bind, import, read or
+    spell as an identifier-like string constant (catalog families and
+    subcommands are strings in the code)."""
+    names = set()
+    for text in sources:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.keyword) and node.arg:
+                names.add(node.arg)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.arg):
+                names.add(node.arg)
+            elif isinstance(node, ast.alias):
+                names.update(node.name.split("."))
+                names.add(node.asname or node.name)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names.update(node.module.split("."))
+            elif (isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)
+                  and node.value.isidentifier()):
+                names.add(node.value)
+    return names
+
+
+def unknown_backticked_names(markdown, known):
+    """Sorted backticked identifiers of `markdown` (fenced blocks left out)
+    that are not in `known`; a dotted name such as `greenball.cli` or
+    `demo.py` is known when it is, or when each of its parts is."""
+    text = re.sub(r"```.*?```", "", markdown, flags=re.S)
+    spans = set(re.findall(r"`([A-Za-z_][\w.]*)`", text))
+    return sorted(s for s in spans if s not in known
+                  and not all(part in known for part in s.split(".")))
+
+
+def test_backticked_name_scanner():
+    known = code_names(["import numpy as np\nfrom .kernels import f\n"
+                        "def solve(lam, *, tol=1e-8):\n"
+                        "    return np.sort(lam), {'family': 'wiener'}\n"])
+    assert {"numpy", "np", "kernels", "f", "solve", "lam", "tol", "sort",
+            "family", "wiener"} <= known
+    readme = ("Call `solve` or `np.sort` on `wiener`, run `demo.py`;\n"
+              "`_gone_helper` and `np.gone` are stale, `1/(t-0.3)^2` is "
+              "no name.\n```python\nx = `_in_a_fence`\n```\n")
+    assert unknown_backticked_names(readme, known | {"demo.py"}) == [
+        "_gone_helper", "np.gone"]
+
+
+def test_readme_names_exist():
+    """A backticked identifier in the README names something in the code of
+    the package, the demos or the benchmark, a file or folder of the repo,
+    or a dependency that pyproject.toml declares: a paragraph rewritten
+    around a deleted helper fails here."""
+    sources = [p.read_text() for folder in ("src", "demos", "perfbench")
+               for p in sorted((ROOT / folder).rglob("*.py"))]
+    files = {p.name for p in ROOT.rglob("*") if not any(
+        part.startswith(".") for part in p.relative_to(ROOT).parts)}
+    declared = set(re.findall(r'"([A-Za-z_][\w-]*)\s*[<>=~!]',
+                              (ROOT / "pyproject.toml").read_text()))
+    unknown = unknown_backticked_names((ROOT / "README.md").read_text(),
+                                       code_names(sources) | files | declared)
+    assert not unknown, ", ".join(f"README.md names `{name}`, which nothing "
+                                  "in the repo defines" for name in unknown)

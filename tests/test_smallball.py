@@ -362,12 +362,12 @@ def test_exact_oracle_input_validation():
 @pytest.mark.parametrize("tail", [False, True], ids=["head", "tail"])
 @pytest.mark.parametrize("r", [0.05, 0.2, 0.5, 1.0])
 def test_tilt_bisection_stops_when_bracket_is_tight(r, tail):
-    # r = 0.05 returns the tilt, 0.2 and 0.5 solve for the tilt and then for
-    # the pole-anchored saddle, 1.0 (above the mean) for the saddle only.
-    # Newton steps shrink the bracket to 64 ulps, bisection to adjacent
-    # doubles, and s* ends it: the equation it solves changes sign within
-    # s* (1 +- 4 eps).  Each solve takes at most 30 transform evaluations
-    # (a bisection from the first double took about 115)
+    # every r solves for the pole-anchored saddle from s = 1/r^2, below and
+    # above the mean alike.  Newton steps shrink the bracket to 64 ulps,
+    # bisection to adjacent doubles, and s* ends it: the saddle equation
+    # changes sign within s* (1 +- 4 eps).  The solve takes at most 16
+    # transform evaluations (a bisection from the first double took about
+    # 115, a tilt solved first and the saddle from it up to 27)
     lam = wiener_lams(200)
     model = (WeylTailModel.calibrated(1, 1.0, 200, float(lam[-1]))
              if tail else None)
@@ -381,25 +381,23 @@ def test_tilt_bisection_stops_when_bracket_is_tight(r, tail):
     q = r * r
     sstar = _solve_tilt(q, cgf)
     used = len(calls)
-    mean = -float(cgf(0.0, 1))
-    curv = float(cgf(sstar, 2))
-    tilt = q < mean and sstar >= 2.0 / math.sqrt(curv)
-    assert tilt == (r == 0.05)
 
     def equation(s):  # negative left of the root, positive right of it
-        return q + float(cgf(s, 1)) - (0.0 if tilt else 1.0 / s)
+        return q + float(cgf(s, 1)) - 1.0 / s
 
     u = np.finfo(float).eps
     assert equation(sstar * (1 - 4 * u)) <= 0.0 < equation(sstar * (1 + 4 * u))
-    # the mean and the branch curvature come on top of the solves
-    solves = 1 if r in (0.05, 1.0) else 2
-    assert used <= 30 * solves + (2 if r < 1.0 else 0), used
+    assert used <= 16, used
 
 
 def test_tilt_failure_reported():
-    # r^2 = 1e-310 is a positive double, but the tilt lies past _S_MAX
-    with pytest.raises(TiltNotFound):
-        smallball_probability_exact(np.array([1.0]), 1e-155)
+    # r^2 = 1e-300 and 1e-310 are positive doubles, but the saddle point lies
+    # past _S_MAX; the message names the eps and the searched range
+    for r in (1e-150, 1e-155):
+        with pytest.raises(TiltNotFound, match=re.escape(
+                f"eps = {r:g}: the saddle-point search passed out of "
+                "[1e-300, 1e+280]")):
+            smallball_probability_exact(np.array([1.0]), r)
     # a radius whose square is 0 or inf is refused before any tilt search
     for r in (1e-200, 1e300):
         with pytest.raises(ValueError, match=re.escape(f"eps = {r:g} is")):
@@ -411,6 +409,9 @@ def test_estimate_invariants():
         ProbabilityEstimate(p=1.5, err=0.0, method="saddlepoint")
     with pytest.raises(ValueError):
         ProbabilityEstimate(p=0.5, err=-1.0, method="saddlepoint")
+    for method in ("saddlepoint", "montecarlo"):
+        with pytest.raises(ValueError, match="log probability"):
+            ProbabilityEstimate(p=1.0, err=0.0, method=method, log_p=1e-14)
     # asymptotic evaluations may legitimately exceed 1 outside their range
     ProbabilityEstimate(p=1.5, err=0.0, method="asymptotic")
 
@@ -591,11 +592,12 @@ def _exact_terms(s, lam, k):
 
 @pytest.mark.parametrize("K", [1, 32, 500])
 def test_split_sums_match_exact_terms(K, monkeypatch):
-    # exact logs for |2 s lam_j| > 0.1 plus one power series for the rest,
-    # forced at every call, against the correctly rounded sum of all K
-    # exact terms: within 4 eps of sum |terms| for k = 0, 1, 2, real and
-    # complex s from 1e-3 to 1e300, one point per call and all of a phase's
-    # points in one call (many split indices, one pass of power sums).  The
+    # exact logs for |2 s lam_j| > 0.1 at every point of a call plus one
+    # power series for the rest, forced at every call, against the correctly
+    # rounded sum of all K exact terms: within 4 eps of sum |terms| for
+    # k = 0, 1, 2, real and complex s from 1e-3 to 1e300, one point per call
+    # and all of a phase's points in one call (one split index per call, at
+    # the largest |s|, and one pass of power sums).  The
     # spectra decay like j^-2, j^-4 and j^-10 (lam_1/lam_K up to 1e27 at
     # K = 500); normalized power sums neither overflow nor lose the terms
     monkeypatch.setattr(smallball, "_SPLIT_MIN", 0)
@@ -635,10 +637,11 @@ def test_split_sums_keep_exact_path_where_nothing_is_small():
 
 
 def test_saddle_work_is_bounded_on_benchmark_inputs(monkeypatch):
-    # the benchmark's saddle-point set (as in the err test above): the tilt
-    # solves take at most 30 transform evaluations each (a bisection took
-    # about 115) and the sums evaluate about 5.2e6 exact terms (all-exact
-    # sums took 2.3e7); either sliding back fails here
+    # the benchmark's saddle-point set (as in the err test above): the
+    # saddle solves take at most 16 transform evaluations each (a bisection
+    # took about 115, a tilt solved before the saddle up to 27) and the sums
+    # evaluate about 5.3e6 exact terms (all-exact sums took 2.3e7); either
+    # sliding back fails here
     solves, terms = [], [0]
     solve_tilt, exact = smallball._solve_tilt, smallball._exact_log_sums
 
@@ -674,7 +677,7 @@ def test_saddle_work_is_bounded_on_benchmark_inputs(monkeypatch):
         p = smallball_probability_exact(lam, mid).p
         lo, hi = (mid, hi) if p < 1e-2 else (lo, mid)
     assert len(solves) == 64
-    assert max(solves) <= 30, max(solves)
+    assert max(solves) <= 16, max(solves)
     assert terms[0] <= 7e6, terms[0]
 
 
