@@ -642,12 +642,13 @@ def _log_laplace_sums(s, lam, k):
 
 
 def _positive_spectrum(lams):
-    """lams as a float array, checked to be 1-d, nonempty and positive."""
+    """lams as a float array, checked to be 1-d, nonempty, positive and
+    finite."""
     lam = np.asarray(lams, dtype=float)
     if lam.ndim != 1 or lam.size == 0:
         raise ValueError("need a nonempty 1-d eigenvalue array")
-    if (lam <= 0).any():
-        raise ValueError("eigenvalues must be positive")
+    if not (np.isfinite(lam) & (lam > 0)).all():  # NaN fails too
+        raise ValueError("eigenvalues must be positive and finite")
     return lam
 
 
@@ -658,12 +659,14 @@ def smallball_probability_exact(lams, r, tail=None):
     WeylTailModel continuing the sequence beyond len(lams).  The integrand
     e^{s r^2} L(s)/s, with L(s) = prod(1+2 s lam_j)^{-1/2} (times the tail
     factor), is integrated by trapezoid along the vertical contour through
-    its saddle point, with the truncated ends restored by integration by
-    parts; self-checks on step halving and end decay guard the result.
-    The abscissa is found by `_solve_tilt`, a few Newton steps from
-    s = 1/r^2.  Nested node sets let a step halving evaluate only the new
-    odd nodes and a contour doubling only the new stretch, and each batch of
-    nodes sums exact logs only up to one split index (`_log_laplace_sums`).
+    its saddle point, from step sigma/4 on |Im s| <= 40 sigma (sigma the
+    integrand's width there), with the truncated ends restored by
+    integration by parts; self-checks on step halving and end decay guard
+    the result.  The abscissa is found by `_solve_tilt`, a few Newton steps
+    from s = 1/r^2.  Nested node sets let a step halving evaluate only the
+    new odd nodes and a contour doubling only the new stretch, and each
+    batch of nodes sums exact logs only up to one split index
+    (`_log_laplace_sums`).
     `err` bounds the quadrature error only (the gap between the last two
     sums and the end terms, but no less than the rounding of the finer
     sum), not that of the truncated spectrum or of the tail model.  log_p
@@ -724,8 +727,11 @@ def smallball_probability_exact(lams, r, tail=None):
         S += -h * h / 12.0 * d1 + h ** 4 / 720.0 * d3
         return S + tail_int
 
-    h = sigma / 8.0  # T = 40 sigma below; node 0 is e^{Phi(0) - g0} = 1
-    vals, end = extend(np.ones(1), 320, h)
+    # trapezoid error on the Gaussian core e^{-u^2/(2 sigma^2)}: about
+    # e^{-2 pi^2 (sigma/h)^2}, e^{-32 pi^2} at h = sigma/4, which one
+    # halving confirms.  T = 40 sigma; node 0 is e^{Phi(0) - g0} = 1
+    h = sigma / 4.0
+    vals, end = extend(np.ones(1), 160, h)
     cand = quadrature(vals, h, end)
     total = None
     while True:  # each pass doubles the nodes or leaves the loop
@@ -765,7 +771,7 @@ def smallball_probability_exact(lams, r, tail=None):
 
 
 #: most trapezoid nodes of one inversion, 8 MB of integrand values; the
-#: test suite reaches 20481 and the benchmark 10241
+#: test suite reaches 20481 and the benchmark 5121
 _MAX_NODES = 1 << 20
 #: the saddle point is searched for on [_S_MIN, _S_MAX]; outside it is
 #: reported as not found
@@ -845,19 +851,18 @@ def _log_newton(q, m, dm, s):
 #: samples per Monte Carlo batch; each batch draws from its own spawned seed
 _MC_BATCH = 100_000
 
-#: eigenvalue columns of a batch's first Monte Carlo chunk; each later chunk
-#: is twice as wide
-_MC_FIRST_CHUNK = 8
-
 
 def _mc_chunks(K):
     """(lo, hi) column ranges of the Monte Carlo chunks over K eigenvalues:
-    `_MC_FIRST_CHUNK` wide, then doubling, capped at `_OUTER_ENTRIES` so one
-    row of a chunk always fits the buffer."""
-    lo, w = 0, _MC_FIRST_CHUNK
+    one column, then 1, 2, 4, ... columns, so chunk k ends at column 2^k and
+    a sample dropped after column c has drawn fewer than 2c normals; the
+    width is capped at `_OUTER_ENTRIES` so one row of a chunk always fits
+    the buffer."""
+    lo = 0
     while lo < K:
-        yield lo, min(lo + w, K)
-        lo, w = lo + w, min(2 * w, _OUTER_ENTRIES)
+        hi = min(lo + min(max(lo, 1), _OUTER_ENTRIES), K)
+        yield lo, hi
+        lo = hi
 
 
 def monte_carlo_probability(lams, eps, N, seed, tail=None):
@@ -868,8 +873,8 @@ def monte_carlo_probability(lams, eps, N, seed, tail=None):
     weighted chi-square sum, so no path construction is needed.  Batches of
     `_MC_BATCH` samples draw from seeds spawned off `seed` and run on a
     thread pool, one worker per available core.  A batch draws its normals
-    in chunks of eigenvalue columns, largest lam first: `_MC_FIRST_CHUNK`
-    columns, then twice as many each time.  After each chunk the samples
+    in chunks of eigenvalue columns, largest lam first: one column, then
+    1, 2, 4, ... columns (`_mc_chunks`).  After each chunk the samples
     whose partial sum exceeds eps^2 are dropped.  This early exit is exact:
     the terms are nonnegative and a rounded sum of nonnegative terms never
     decreases, so a dropped sample could never have become a hit, and the
@@ -886,8 +891,8 @@ def monte_carlo_probability(lams, eps, N, seed, tail=None):
     lam = _positive_spectrum(lams)
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError("radius must be positive and finite")
-    if N < 1:
-        raise ValueError("need at least one sample")
+    if not isinstance(N, (int, np.integer)) or N < 1:
+        raise ValueError("N, the number of samples, must be an integer >= 1")
     q = eps * eps
     lam = -np.sort(-lam)  # largest first: partial sums pass q soonest
     chunks = list(_mc_chunks(lam.size))

@@ -36,9 +36,9 @@ from greenball.kernels import ProcessSpec, base_kernel, build_process, \
     catalog_problem, center_kernel
 from greenball.model import Weight
 from greenball.smallball import (AsymptoticForm, ProbabilityEstimate,
-                                 WeylTailModel, _MC_BATCH, _SWITCH,
-                                 _exact_log_sums, _log_laplace_sums,
-                                 _solve_tilt,
+                                 WeylTailModel, _MC_BATCH,
+                                 _OUTER_ENTRIES, _SWITCH, _exact_log_sums,
+                                 _log_laplace_sums, _mc_chunks, _solve_tilt,
                                  comparison_convergence,
                                  constants, epsilon_transforms,
                                  evaluate_asymptotic, K_of, K_tilde_of,
@@ -359,6 +359,18 @@ def test_exact_oracle_input_validation():
             smallball_probability_exact(np.array([1.0, 0.5]), r)
 
 
+@pytest.mark.parametrize("lams", [[1.0, math.nan], [math.nan, 1.0],
+                                  [1.0, math.inf], [math.inf, 1.0],
+                                  [1.0, -math.inf]],
+                         ids=["nan-last", "nan-first", "inf-last",
+                              "inf-first", "minus-inf"])
+def test_exact_oracle_refuses_non_finite_eigenvalues(lams):
+    # NaN once reached the saddle search (TiltNotFound) and +inf the order
+    # check; both are input errors, named as such before any numerics
+    with pytest.raises(ValueError, match="positive and finite"):
+        smallball_probability_exact(np.array(lams), 1.0)
+
+
 @pytest.mark.parametrize("tail", [False, True], ids=["head", "tail"])
 @pytest.mark.parametrize("r", [0.05, 0.2, 0.5, 1.0])
 def test_tilt_bisection_stops_when_bracket_is_tight(r, tail):
@@ -640,8 +652,8 @@ def test_saddle_work_is_bounded_on_benchmark_inputs(monkeypatch):
     # the benchmark's saddle-point set (as in the err test above): the
     # saddle solves take at most 16 transform evaluations each (a bisection
     # took about 115, a tilt solved before the saddle up to 27) and the sums
-    # evaluate about 5.3e6 exact terms (all-exact sums took 2.3e7); either
-    # sliding back fails here
+    # evaluate about 3.1e6 exact terms (a trapezoid started at sigma/8 took
+    # 5.3e6, all-exact sums 2.3e7); any of these sliding back fails here
     solves, terms = [], [0]
     solve_tilt, exact = smallball._solve_tilt, smallball._exact_log_sums
 
@@ -678,7 +690,7 @@ def test_saddle_work_is_bounded_on_benchmark_inputs(monkeypatch):
         lo, hi = (mid, hi) if p < 1e-2 else (lo, mid)
     assert len(solves) == 64
     assert max(solves) <= 16, max(solves)
-    assert terms[0] <= 7e6, terms[0]
+    assert terms[0] <= 4e6, terms[0]
 
 
 # ---------------------------------------------------------------------------
@@ -930,35 +942,50 @@ def test_mc_truncation_bias_reported():
 @pytest.mark.parametrize("lams, eps, match", [
     ([], 0.5, "nonempty 1-d"),
     ([-1.0, 0.5], 0.5, "positive"),
+    ([1.0, math.nan], 0.5, "positive and finite"),
+    ([math.inf, 0.5], 0.5, "positive and finite"),
+    ([1.0, -math.inf], 0.5, "positive and finite"),
     ([[1.0, 0.5]], 0.5, "nonempty 1-d"),
     ([1.0, 0.5], 0.0, "radius"),
     ([1.0, 0.5], -1.0, "radius"),
     ([1.0, 0.5], math.nan, "radius"),
     ([1.0, 0.5], math.inf, "radius"),
     ([1.0, 0.5], -math.inf, "radius"),
-], ids=["empty", "negative", "2-d", "zero-eps", "negative-eps", "nan-eps",
-        "inf-eps", "minus-inf-eps"])
+], ids=["empty", "negative", "nan", "inf", "minus-inf", "2-d", "zero-eps",
+        "negative-eps", "nan-eps", "inf-eps", "minus-inf-eps"])
 def test_mc_input_validation(lams, eps, match):
     with pytest.raises(ValueError, match=match):
         monte_carlo_probability(np.array(lams), eps, 1000, seed=0)
 
 
+@pytest.mark.parametrize("N", [0, -5, 1e5, 100.0, 2.5, "1000", None])
+def test_mc_sample_count_must_be_an_integer(N):
+    # a float such as 1e5 is refused with the reason, not passed on to
+    # SeedSequence.spawn; numpy integers are counts too
+    with pytest.raises(ValueError, match="integer >= 1"):
+        monte_carlo_probability(np.array([1.0, 0.5]), 1.0, N, seed=0)
+    est = monte_carlo_probability(np.array([1.0, 0.5]), 1.0, np.int64(1000),
+                                  seed=0)
+    assert 0.0 < est.p < 1.0
+
+
 def _mc_hits_serial(lam, q, N, seed):
     """Hits of the one-thread loop that draws each batch's column chunks
-    whole: the 8 largest eigenvalues, then twice as many columns each time,
-    for the samples whose partial sum has not yet passed q."""
+    whole: the largest eigenvalue, then 1, 2, 4, ... columns, for the
+    samples whose partial sum has not yet passed q."""
     lam = np.sort(lam)[::-1].copy()
     hits, done = 0, 0
     for child in np.random.SeedSequence(seed).spawn(-(-N // _MC_BATCH)):
         rng = np.random.default_rng(child)
         b = min(_MC_BATCH, N - done)
         sums = np.zeros(b)
-        lo, w = 0, 8
+        lo = 0
         while lo < lam.size and sums.size:
-            xi = rng.standard_normal((sums.size, min(w, lam.size - lo)))
-            sums = sums + (xi * xi) @ lam[lo:lo + w]
+            hi = min(2 * lo if lo else 1, lam.size)
+            xi = rng.standard_normal((sums.size, hi - lo))
+            sums = sums + (xi * xi) @ lam[lo:hi]
             sums = sums[sums <= q]
-            lo, w = lo + w, 2 * w
+            lo = hi
         hits += sums.size
         done += b
     return hits
@@ -990,12 +1017,57 @@ def test_mc_eigenvalue_order_is_irrelevant():
     assert a.p == b.p
 
 
-def test_mc_short_spectrum_reads_one_row_major_draw():
-    # K <= 8: the first chunk is the whole batch drawn row by row, so p is
-    # that of the whole-batch estimator
-    est = monte_carlo_probability(np.array([1.0, 0.5]), 1.0, 10 ** 5,
-                                  seed=42)
-    assert est.p == 0.5031
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_mc_short_spectrum_matches_serial_reference(K):
+    # one, two and three columns: the chunks [0, 1), [1, 2) and [2, 3), the
+    # last one shorter than its doubling, each drawn as one chunk whole
+    lam = np.array([1.0, 0.5, 0.25])[:K]
+    est = monte_carlo_probability(lam, 1.0, 250_000, seed=42)
+    assert 0.0 < est.p < 1.0
+    assert est.p == _mc_hits_serial(lam, 1.0, 250_000, seed=42) / 250_000
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 8, 9, 200, (1 << 18) + 5,
+                               (1 << 20) + 3])
+def test_mc_chunks_tile_the_columns(K):
+    # widths 1, 1, 2, 4, ... from column 0 to K with no gap or overlap, all
+    # but the last at their doubled width, capped at _OUTER_ENTRIES
+    chunks = list(_mc_chunks(K))
+    assert chunks[0][0] == 0 and chunks[-1][1] == K
+    assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+    widths = [hi - lo for lo, hi in chunks]
+    want = [min(1 << max(i - 1, 0), _OUTER_ENTRIES)
+            for i in range(len(chunks))]
+    assert widths[:-1] == want[:-1]
+    assert 1 <= widths[-1] <= want[-1]
+
+
+def test_mc_draws_few_normals_at_small_p(monkeypatch):
+    # at p ~ 1e-2 on Wiener K = 200 most samples pass eps^2 within their
+    # first few columns; every normal drawn is counted through the batch's
+    # generator.  One column first keeps the mean below 5 normals per
+    # sample (the ideal, each sample dropped at its first column past eps^2,
+    # is about 3.7; 8 columns first cost 10.5)
+    lam = wiener_lams(200)
+    r = brentq(lambda x: smallball_probability_exact(lam, x).p - 1e-2,
+               0.1, 0.3, xtol=1e-12)
+    drawn = []
+    default_rng = np.random.default_rng
+
+    class Counting:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def standard_normal(self, *args, out=None, **kwargs):
+            x = self.rng.standard_normal(*args, out=out, **kwargs)
+            drawn.append(np.size(x))
+            return x
+
+    monkeypatch.setattr(np.random, "default_rng", Counting)
+    N = 2 * 10 ** 5
+    est = monte_carlo_probability(lam, r, N, seed=11)
+    assert abs(est.p - 1e-2) < 4.0 * est.err
+    assert sum(drawn) <= 5 * N, sum(drawn) / N
 
 
 def test_mc_extreme_radii():
