@@ -16,8 +16,8 @@ Three ways to get at P(||X||_psi <= eps):
   corrections all read them through that pair.  log L itself takes exact
   logs only up to one split index per call and one power series for the
   rest; the saddle point is a safeguarded Newton iteration in
-  (log s, log m).  The continuation costs the same at every s: a fixed
-  block of model eigenvalues, then a closed-form remainder;
+  (log s, log m).  The continuation is a closed-form remainder (after a
+  few model eigenvalues where K is small), costing each s what it needs;
 * plain Monte Carlo over the same quadratic form.
 
 `comparison_convergence` tabulates P_1(eps)/P_2(eps) from two weights'
@@ -38,6 +38,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .errors import (DegenerateTheta, InversionUnstable, NotNormalized,
                      TiltNotFound, UnsupportedFamily)
@@ -374,15 +375,15 @@ class ProbabilityEstimate:
             raise ValueError("negative error")
 
 
-#: model eigenvalues summed before the closed-form remainder; n >= 5 takes
+#: least Y, the first index of the closed-form remainder; n >= 5 takes
 #: ceil(6.4/sin(pi/4n)) (41 at n = 5) to keep Y sin(pi/4n) >= 6.4 as below
-_BLOCK = 32
+_Y_FLOOR = 32
 #: |2 s lam_Y| up to which the remainder is a power series of _SERIES terms;
 #: nearer s = 0 the root form's second derivative loses about
 #: (2n-1)(4n-1)/(2n) |2 s lam_Y|^{1/n-2} ulps (45 at 0.5 for n = 4)
 _SWITCH, _SERIES = 0.5, 60
-#: (2m, B_2m), m = 1..10: Stirling's series meets |z| = Y sin(pi/4n) = 6.4
-#: at n = 4, K = 0, where six terms would leave 1e-12
+#: (2m, B_2m), m = 1..10: Stirling's series meets |z| = Y sin(pi/4n) = 6.2
+#: at n = 4, Y = 32, where six terms would leave 1e-12
 _BERNOULLI = ((2, 1 / 6), (4, -1 / 30), (6, 1 / 42), (8, -1 / 30),
               (10, 5 / 66), (12, -691 / 2730), (14, 7 / 6),
               (16, -3617 / 510), (18, 43867 / 798), (20, -174611 / 330))
@@ -404,13 +405,14 @@ class WeylTailModel:
     """Continuation lam_j = (theta/(pi (j+delta)))^{2n} for j > K.
 
     `log_laplace(s, k)` is the k-th s-derivative of its share of the
-    log-Laplace transform, -(1/2) sum_{j>K} log(1 + 2 s lam_j), in the same
-    work at every s; the model is immutable.  It sums a block of `_BLOCK`
-    model eigenvalues (more for n >= 5); with Y = K + 1 + delta + block and
+    log-Laplace transform, -(1/2) sum_{j>K} log(1 + 2 s lam_j); the model is
+    immutable.  Model eigenvalues are summed only while Y = K + 1 + delta is
+    below `_Y_FLOOR` (more for n >= 5), to lift Y to it; with
     c = 2 s (theta/pi)^{2n} the rest, G = sum_{i>=0} log(1 + c/(Y+i)^{2n}),
-    is in closed form.  Where |u| = |2 s lam_Y| <= `_SWITCH` (s = 0, the
-    mean, included) it is the power series sum_p (-1)^{p+1} t_p u^p/p,
-    t_p = S_p/lam_Y^p = `_scaled_zeta`(2np, Y).  Elsewhere it is
+    is in closed form, by the forms its points need.  Where |u| =
+    |2 s lam_Y| <= `_SWITCH` (s = 0, the mean, included) it is the power
+    series sum_p (-1)^{p+1} t_p u^p/p, t_p = S_p/lam_Y^p =
+    `_scaled_zeta`(2np, Y), to the terms u needs.  Elsewhere it is
     sum_k [log Gamma(Y) - log Gamma(Y - rho_k)] over the 2n roots
     rho_k = c^{1/2n} e^{i pi (2k+1)/2n} of x^{2n} = -c, which sum to zero,
     by Stirling's series.  For Re s > 0 no rho_k lies on [Y, inf), so G is
@@ -425,8 +427,9 @@ class WeylTailModel:
         self.theta = theta
         self.delta = delta
         self.K = K
-        block = (_BLOCK if n <= 4
+        floor = (_Y_FLOOR if n <= 4
                  else math.ceil(6.4 / math.sin(math.pi / (4 * n))))
+        block = max(0, math.ceil(floor - (K + 1 + delta)))
         j = np.arange(K + 1, K + 1 + block)
         self._block = (theta / (np.pi * (j + delta))) ** (2 * n)
         self._Y = K + 1 + delta + block
@@ -437,7 +440,7 @@ class WeylTailModel:
         # power-series coefficients in u of G and its first two
         # s-derivatives (du/ds = 2 lam_Y)
         self._coef = tuple((2.0 * self._lam_Y) ** k
-                           * np.polynomial.polynomial.polyder(coef, k)
+                           * npoly.polyder(coef, k)
                            for k in range(3))
         self._roots = np.exp(1j * np.pi * (2 * np.arange(2 * n) + 1) / (2 * n))
 
@@ -481,13 +484,16 @@ class WeylTailModel:
         array with Re s > 0, or s = 0."""
         s = np.asarray(s)
         flat = s.reshape(-1)
-        u = 2.0 * flat * self._lam_Y
+        u = flat * (2.0 * self._lam_Y)
         near = np.abs(u) <= _SWITCH
         rem = np.empty(flat.shape, dtype=np.result_type(flat, float))
-        rem[near] = self._series(u[near], k)
-        rem[~near] = self._stirling(flat[~near], k)
-        return (_log_laplace_sums(s, self._block, k)
-                - 0.5 * rem.reshape(s.shape))
+        for part, form, x in ((near, self._series, u),
+                              (~near, self._stirling, flat)):
+            if part.any():  # each form on its own points, if it has any
+                rem[part] = form(x[part], k)
+        rem = -0.5 * rem.reshape(s.shape)
+        return (rem + _log_laplace_sums(s, self._block, k) if self._block.size
+                else rem)
 
     def _series(self, u, k):
         """k-th s-derivative of G by its power series in u
@@ -505,17 +511,18 @@ class WeylTailModel:
         rho = Y * np.multiply.outer((2.0 * s * self._lam_Y) ** (1.0 / n2),
                                     self._roots)
         z, L = Y - rho, np.log1p(-rho / Y)
+        m, b = np.array(_BERNOULLI).T  # 2m and B_2m
+        w = (1 / z) ** 2  # the Bernoulli sums are Horner's rule in 1/z^2
         if k == 0:
-            out = (rho - Y + 0.5) * L + sum(
-                b / (m * (m - 1)) * (Y ** (1 - m) - z ** (1 - m))
-                for m, b in _BERNOULLI)
-        else:
-            out = rho * (L - 0.5 / z
-                         - sum(b / m * z ** -m for m, b in _BERNOULLI))
+            c = b / (m * (m - 1))
+            out = (rho - Y + 0.5) * L + (npoly.polyval(Y ** -2.0, c) / Y
+                                         - npoly.polyval(w, c) / z)
+        else:  # one factor of 2ns at a time: (2ns)^2 can overflow
+            d = n2 * s[:, None]
+            out = rho * (L - 0.5 / z - w * npoly.polyval(w, b / m)) / d
             if k == 2:
-                out = (1 - n2) * out - rho ** 2 * (1 / z + 0.5 / z ** 2 + sum(
-                    b * z ** -(m + 1) for m, b in _BERNOULLI))
-            out = out / (n2 * s[:, None]) ** k
+                out = ((1 - n2) * out - rho * (rho / z) * (
+                    1 + 0.5 / z + w * npoly.polyval(w, b)) / d) / d
         out = out.sum(axis=-1)
         return out.real if np.isrealobj(s) else out
 
@@ -536,28 +543,26 @@ _SPLIT, _SPLIT_TERMS = 0.1, 17
 #: the split to pay for its fixed cost (a few dozen numpy calls), so a
 #: scalar s takes the exact sum unless K > 4096
 _SPLIT_MIN = 4096
+#: |u| <= 1/2 up to which sum_{q>D} (q+1)|u|^q <= 4(D+2)|u|^{D+1} <= 2^-56
+_REACH = (2.0 ** -58 / np.arange(2, 66)) ** (1.0 / np.arange(1, 65))
 #: u^p coefficient of G over T_p, p = 0.._SPLIT_TERMS (G(0) = 0)
 _SPLIT_FACTORS = np.array([0.0] + [-0.5 * (-1.0) ** (p + 1) / p
                                    for p in range(1, _SPLIT_TERMS + 1)])
 
 
 def _power_series(u, c):
-    """sum_p c_p u^p for each u: the powers u^0, u^1, ... come from one
-    cumulative product, so a scalar u costs a few numpy calls rather than
-    one per term; the terms are summed from the highest power down, the
-    order Horner's rule adds them in.  Chunked so that the power table stays
-    within `_OUTER_ENTRIES` entries."""
+    """sum_p c_p u^p for each |u| <= 1/2 by Horner's rule from the highest
+    power that u needs: for c_m the first nonzero coefficient (m = 0 or 1)
+    and |c_p| <= (p-m+1)|c_m| (every series here), the terms past u^{m+D}
+    are below 2^-56 |c_m u^m| where |u| <= `_REACH`[D].  A point carries 0
+    until its own degree, so it gives the same bits alone and in a batch."""
     u = np.asarray(u)
     flat = u.reshape(-1)
-    out = np.empty(flat.shape, np.result_type(u, float))
-    step = max(1, _OUTER_ENTRIES // c.size)
-    for i in range(0, flat.size, step):
-        terms = np.empty((flat[i:i + step].size, c.size), out.dtype)
-        terms[:, 0] = 1.0
-        terms[:, 1:] = flat[i:i + step, None]
-        np.cumprod(terms, axis=-1, out=terms)
-        terms *= c
-        out[i:i + step] = terms[:, ::-1].sum(axis=-1)
+    m = int(c[0] == 0)
+    deg = m + np.searchsorted(_REACH[:c.size - 1 - m], np.abs(flat))
+    low, out = deg.min(initial=c.size), 0.0
+    for p in range(deg.max(initial=0), -1, -1):
+        out = out * flat + (c[p] if p <= low else np.where(deg >= p, c[p], 0))
     return out.reshape(u.shape)
 
 
@@ -622,10 +627,10 @@ def _log_laplace_sums(s, lam, k):
     power series -(1/2) sum_p (-1)^{p+1} T_p u^p/p in u = 2 s lam_J, with
     T_p = sum_{j>=J} (lam_j/lam_J)^p the normalized suffix power sums
     (`_suffix_power_sums`), so a point costs J logs plus `_SPLIT_TERMS`
-    products instead of K logs.  Where the series would take over fewer
-    than `_SPLIT_MIN` terms in all (J = K, or a scalar s), the call is the
-    exact sum alone, and so is every k = 1, 2 call: those are scalars (the
-    saddle point, sigma, the contour's end data and the tail model's mean).
+    Horner steps or fewer instead of K logs.  Where the series would take
+    over fewer than `_SPLIT_MIN` terms in all (J = K, or a scalar s), the
+    call is the exact sum alone, and so is every k = 1, 2 call: those are
+    scalars (the saddle point, sigma, the contour's end data, the tail mean).
     """
     s = np.asarray(s)
     flat = s.reshape(-1)

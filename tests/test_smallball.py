@@ -652,8 +652,9 @@ def test_saddle_work_is_bounded_on_benchmark_inputs(monkeypatch):
     # the benchmark's saddle-point set (as in the err test above): the
     # saddle solves take at most 16 transform evaluations each (a bisection
     # took about 115, a tilt solved before the saddle up to 27) and the sums
-    # evaluate about 3.1e6 exact terms (a trapezoid started at sigma/8 took
-    # 5.3e6, all-exact sums 2.3e7); any of these sliding back fails here
+    # evaluate about 3.02e6 exact terms (3.06e6 when every tail call summed
+    # a block of 32 model eigenvalues, 5.3e6 with a trapezoid started at
+    # sigma/8, 2.3e7 all-exact); any of these sliding back fails here
     solves, terms = [], [0]
     solve_tilt, exact = smallball._solve_tilt, smallball._exact_log_sums
 
@@ -690,7 +691,7 @@ def test_saddle_work_is_bounded_on_benchmark_inputs(monkeypatch):
         lo, hi = (mid, hi) if p < 1e-2 else (lo, mid)
     assert len(solves) == 64
     assert max(solves) <= 16, max(solves)
-    assert terms[0] <= 4e6, terms[0]
+    assert terms[0] <= 3.03e6, terms[0]
 
 
 # ---------------------------------------------------------------------------
@@ -760,6 +761,105 @@ def test_tail_series_matches_horner():
             got = tail._series(u, k)
             assert (np.abs(got - want) <= 2e-16 * size).all(), (n, K, k)
             assert tail._series(u[2], k) == got[2]
+
+
+def _split_series_coefficients():
+    """The head's split-series coefficients (`_log_laplace_sums`) on spectra
+    decaying like j^-2, j^-4 and j^-10, K = 500, split at J = 0, 10, 200."""
+    j = np.arange(1, 501)
+    return [smallball._SPLIT_FACTORS * smallball._suffix_power_sums(
+                (1.0 / (math.pi * (j - 0.5))) ** power, J,
+                smallball._SPLIT_TERMS)
+            for power in (2, 4, 10) for J in (0, 10, 200)]
+
+
+def test_truncated_series_match_full_degree():
+    """Each point's Horner sum stops at the degree its |u| needs; from |u| =
+    1e-12 to _SWITCH, real and at the phases above, that is within
+    2e-16 sum |c_p u^p| of the full-degree polyval, for the tail's
+    coefficients (n = 1..4, k = 0, 1, 2) and the head's split series, and
+    every point alone gives the bits it gives in the mixed-degree batch."""
+    mags = np.geomspace(1e-12, _SWITCH, 40)
+    phases = np.exp(1j * np.array([0.0, 0.4, 0.8, 1.2, 1.5]))
+    coefs = _split_series_coefficients()
+    for n, (K, delta) in product((1, 2, 3, 4),
+                                 ((0, 0.3), (50, -0.5), (2000, 0.25))):
+        coefs += WeylTailModel(n, 1.0, delta, K)._coef
+    for c in coefs:
+        for u in (mags, np.outer(mags, phases).ravel()):
+            want = np.polynomial.polynomial.polyval(u, c)
+            size = np.abs(u[:, None]) ** np.arange(c.size) @ np.abs(c)
+            got = smallball._power_series(u, c)
+            assert (np.abs(got - want) <= 2e-16 * size).all()
+            assert all(smallball._power_series(x, c) == g
+                       for x, g in zip(u, got))
+    # the degrees differ: |u| = 1e-4 never reads past u^7 of the tail's 61
+    # terms, alone or next to a point that needs them all
+    c = WeylTailModel(1, 1.0, -0.5, 500)._coef[0].copy()
+    full = smallball._power_series(np.array([1e-4, 0.4j]), c)
+    c[8:] = np.nan
+    with np.errstate(invalid="ignore"):
+        cut = smallball._power_series(np.array([1e-4, 0.4j]), c)
+    assert cut[0] == full[0] == smallball._power_series(1e-4, c)
+    assert np.isnan(cut[1])
+
+
+def test_tail_block_only_lifts_y_to_the_floor():
+    """Model eigenvalues are summed only while K + 1 + delta is below the
+    floor (32 for n <= 4, 41 at n = 5); past it the tail is the closed
+    form alone, and a block-free and a padded model describe the same
+    eigenvalues."""
+    for n, delta, K in ((1, -0.5, 32), (4, 0.0, 31), (5, 0.0, 40),
+                        (1, -0.5, 500)):
+        tail = WeylTailModel(n, 1.0, delta, K)
+        assert tail._block.size == 0 and tail._Y == K + 1 + delta, (n, K)
+    short = WeylTailModel(1, 1.0, -0.5, 30)
+    assert short._block.size == 2 and short._Y == 32.5
+    # the two padded eigenvalues plus the K = 32 tail are the K = 30 tail
+    lam = wiener_lams(32)[30:]
+    far = WeylTailModel(1, 1.0, -0.5, 32)
+    for s in (0.5, 40.0, 3e4 + 2e5j, 1e9):
+        for k in (0, 1, 2):
+            want = far.log_laplace(s, k) + _log_laplace_sums(s, lam, k)
+            assert abs(short.log_laplace(s, k) - want) <= \
+                1e-15 * abs(want), (s, k)
+
+
+def test_tail_runs_only_the_forms_its_points_need(monkeypatch):
+    """A batch whose points all lie on one side of |2 s lam_Y| = _SWITCH
+    never calls the other form; a batch across it calls each once."""
+    calls = {"_series": 0, "_stirling": 0}
+    for name in calls:
+        form = getattr(WeylTailModel, name)
+
+        def counted(self, x, k, name=name, form=form):
+            calls[name] += 1
+            return form(self, x, k)
+        monkeypatch.setattr(WeylTailModel, name, counted)
+    tail = WeylTailModel(1, 1.0, -0.5, 200)
+    edge = _SWITCH / (2.0 * tail._lam_Y)
+    for s, want in (([0.5 * edge, 0.9 * edge + 1j * edge / 3], (1, 0)),
+                    ([2.0 * edge, 1e3 * edge * (1 + 1j)], (0, 1)),
+                    ([0.5 * edge, 2.0 * edge], (1, 1)),
+                    (0.5 * edge, (1, 0)), (3.0 * edge, (0, 1))):
+        for k in (0, 1, 2):
+            calls.update(_series=0, _stirling=0)
+            tail.log_laplace(np.array(s), k)
+            assert (calls["_series"], calls["_stirling"]) == want, (s, k)
+
+
+def test_tail_model_is_finite_far_out():
+    """Stirling's series at |s| = 1e40 ... 1e280, real and s(1 + i), for
+    k = 0, 1, 2: finite, with no overflow on the way (the suite turns a
+    RuntimeWarning into an error), with and without a block."""
+    mags = 10.0 ** np.arange(40, 281, 20)
+    for n, delta, K in ((1, -0.5, 0), (2, 0.3, 10), (4, 0.0, 500)):
+        tail = WeylTailModel(n, 1.0, delta, K)
+        for s in (mags, mags * (1 + 1j)):
+            for k in (0, 1, 2):
+                got = tail.log_laplace(s, k)
+                assert np.isfinite(got).all(), (n, K, k)
+                assert all(np.isfinite(tail.log_laplace(x, k)) for x in s)
 
 
 def test_tail_model_derivatives_consistent():
