@@ -13,11 +13,11 @@ Three ways to get at P(||X||_psi <= eps):
   first two s-derivatives come from one sum (`_log_laplace_sums`) over the
   computed eigenvalues plus `WeylTailModel.log_laplace(s, k)` for the
   continuation; the saddle point, the contour integrand and its end
-  corrections all read them through that pair.  log L itself takes exact
-  logs only up to one split index per call and one power series for the
-  rest; the saddle point is a safeguarded Newton iteration in
-  (log s, log m).  The continuation is a closed-form remainder (after a
-  few model eigenvalues where K is small), costing each s what it needs;
+  corrections all read them through that pair.  A batch sums exact terms
+  up to one split index and one power series (`_log_series`) past it; the
+  saddle point is a safeguarded Newton iteration in (log s, log m).  The
+  continuation is a closed-form remainder (after a few model eigenvalues
+  where K is small), also by `_log_series` near s = 0;
 * plain Monte Carlo over the same quadratic form.
 
 `comparison_convergence` tabulates P_1(eps)/P_2(eps) from two weights'
@@ -401,6 +401,17 @@ def _scaled_zeta(p, y):
     return float(np.sum((y / (y + np.arange(m))) ** p) + (y / z) ** p * em)
 
 
+def _log_series(T, lam_ref, k):
+    """Coefficients in u = 2 s lam_ref of the k-th s-derivative of sum_j
+    log(1 + 2 s lam_j) = sum_p (-1)^{p+1} T_p u^p/p, from the power sums
+    T[p-1] = T_p = sum_j (lam_j/lam_ref)^p, p = 1..P (du/ds = 2 lam_ref)."""
+    c = np.concatenate(([0.0], T / np.arange(1, len(T) + 1)))
+    c[2::2] *= -1.0
+    for _ in range(k):  # polyder's steps, without its checks and copies
+        c = c[1:] * np.arange(1, c.size)
+    return (2.0 * lam_ref) ** k * c
+
+
 class WeylTailModel:
     """Continuation lam_j = (theta/(pi (j+delta)))^{2n} for j > K.
 
@@ -411,8 +422,8 @@ class WeylTailModel:
     c = 2 s (theta/pi)^{2n} the rest, G = sum_{i>=0} log(1 + c/(Y+i)^{2n}),
     is in closed form, by the forms its points need.  Where |u| =
     |2 s lam_Y| <= `_SWITCH` (s = 0, the mean, included) it is the power
-    series sum_p (-1)^{p+1} t_p u^p/p, t_p = S_p/lam_Y^p =
-    `_scaled_zeta`(2np, Y), to the terms u needs.  Elsewhere it is
+    series (`_log_series`) in the sums `_scaled_zeta`(2np, Y) of
+    (lam_j/lam_Y)^p, to the terms u needs.  Elsewhere it is
     sum_k [log Gamma(Y) - log Gamma(Y - rho_k)] over the 2n roots
     rho_k = c^{1/2n} e^{i pi (2k+1)/2n} of x^{2n} = -c, which sum to zero,
     by Stirling's series.  For Re s > 0 no rho_k lies on [Y, inf), so G is
@@ -434,14 +445,8 @@ class WeylTailModel:
         self._block = (theta / (np.pi * (j + delta))) ** (2 * n)
         self._Y = K + 1 + delta + block
         self._lam_Y = (theta / (math.pi * self._Y)) ** (2 * n)
-        p = np.arange(1, _SERIES + 1)  # G's coefficients of u^0, u^1, ...
-        t = np.array([_scaled_zeta(2 * n * q, self._Y) for q in p])
-        coef = np.concatenate(([0.0], (-1.0) ** (p + 1) * t / p))
-        # power-series coefficients in u of G and its first two
-        # s-derivatives (du/ds = 2 lam_Y)
-        self._coef = tuple((2.0 * self._lam_Y) ** k
-                           * npoly.polyder(coef, k)
-                           for k in range(3))
+        t = [_scaled_zeta(2 * n * q, self._Y) for q in range(1, _SERIES + 1)]
+        self._coef = tuple(_log_series(t, self._lam_Y, k) for k in range(3))
         self._roots = np.exp(1j * np.pi * (2 * np.arange(2 * n) + 1) / (2 * n))
 
     @classmethod
@@ -496,8 +501,7 @@ class WeylTailModel:
                 else rem)
 
     def _series(self, u, k):
-        """k-th s-derivative of G by its power series in u
-        (`_power_series`)."""
+        """k-th s-derivative of G by its power series (`_power_series`)."""
         return _power_series(u, self._coef[k])
 
     def _stirling(self, s, k):
@@ -534,20 +538,10 @@ class WeylTailModel:
 #: raise the allocator's mmap threshold for later solves
 _OUTER_ENTRIES = 1 << 18
 
-#: terms with |2 s lam_j| <= _SPLIT are summed as one power series in
-#: u = 2 s lam_J, G(u) = -(1/2) sum_p (-1)^{p+1} T_p u^p/p up to
-#: p = _SPLIT_TERMS; the first term dropped is below 0.1^17/18 of the
-#: leading one
-_SPLIT, _SPLIT_TERMS = 0.1, 17
-#: fewest terms, over all points of a call, the series must take over for
-#: the split to pay for its fixed cost (a few dozen numpy calls), so a
-#: scalar s takes the exact sum unless K > 4096
-_SPLIT_MIN = 4096
+#: |2 s lam_j| up to which a batch's terms are one series (`_log_laplace_sums`)
+_SPLIT = 0.1
 #: |u| <= 1/2 up to which sum_{q>D} (q+1)|u|^q <= 4(D+2)|u|^{D+1} <= 2^-56
 _REACH = (2.0 ** -58 / np.arange(2, 66)) ** (1.0 / np.arange(1, 65))
-#: u^p coefficient of G over T_p, p = 0.._SPLIT_TERMS (G(0) = 0)
-_SPLIT_FACTORS = np.array([0.0] + [-0.5 * (-1.0) ** (p + 1) / p
-                                   for p in range(1, _SPLIT_TERMS + 1)])
 
 
 def _power_series(u, c):
@@ -604,14 +598,12 @@ def _exact_log_sums(flat, lam, k):
 
 
 def _suffix_power_sums(lam, J, P):
-    """T[p] = sum_{j >= J} (lam_j/lam_J)^p for p = 0..P, J < K.  Normalized
-    by lam_J, every term lies in [0, 1] and T in [1, K - J]: nothing
-    overflows, and terms that underflow are below rounding of the j = J
-    term."""
+    """T[p-1] = sum_{j >= J} (lam_j/lam_J)^p, p = 1..P, J < K: normalized,
+    every term lies in [0, 1] and T in [1, K - J], so nothing overflows, and
+    terms that underflow are below rounding of the j = J term."""
     ratio = lam[J:] / lam[J]
-    power = np.ones_like(ratio)
-    T = np.empty(P + 1)
-    for p in range(P + 1):  # one power at a time: O(K) memory at any P
+    T, power = np.empty(P), ratio.copy()
+    for p in range(P):  # one power at a time: O(K) memory at any P
         T[p] = power.sum()
         power *= ratio
     return T
@@ -621,28 +613,25 @@ def _log_laplace_sums(s, lam, k):
     """k-th s-derivative (k = 0, 1, 2) of -(1/2) sum_j log(1 + 2 s lam_j).
 
     s is a real or complex scalar or array; lam is positive and descending.
-    For k = 0 the spectrum splits at one index J per call, the first j with
-    |2 s lam_j| <= `_SPLIT` at every point, so at the largest |s|.  The
-    terms j < J are summed exactly (`_exact_log_sums`); the rest are one
-    power series -(1/2) sum_p (-1)^{p+1} T_p u^p/p in u = 2 s lam_J, with
-    T_p = sum_{j>=J} (lam_j/lam_J)^p the normalized suffix power sums
-    (`_suffix_power_sums`), so a point costs J logs plus `_SPLIT_TERMS`
-    Horner steps or fewer instead of K logs.  Where the series would take
-    over fewer than `_SPLIT_MIN` terms in all (J = K, or a scalar s), the
-    call is the exact sum alone, and so is every k = 1, 2 call: those are
-    scalars (the saddle point, sigma, the contour's end data, the tail mean).
+    A batch of points splits the spectrum at one index J, the first j with
+    |2 s lam_j| <= `_SPLIT` at every point.  The terms j < J are summed
+    exactly (`_exact_log_sums`), the rest as one power series in
+    u = 2 s lam_J (`_log_series` of `_suffix_power_sums`) to the degree
+    that `_REACH` gives the largest |u|: J terms and at most 20 Horner
+    steps a point instead of K terms.  A single s takes the exact sum.
     """
     s = np.asarray(s)
     flat = s.reshape(-1)
-    K = lam.size
-    with np.errstate(divide="ignore"):  # s = 0: every term is small
-        J = int(np.searchsorted(-lam, -(0.5 * _SPLIT) / np.abs(flat).max()))
-    if k or J == K or (K - J) * flat.size < _SPLIT_MIN:
+    top = np.abs(flat).max()
+    J = int(np.searchsorted(-top * lam, -0.5 * _SPLIT))  # lam descends
+    if flat.size == 1 or J == lam.size:
         return _exact_log_sums(flat, lam, k).reshape(s.shape)
-    coef = _SPLIT_FACTORS * _suffix_power_sums(lam, J, _SPLIT_TERMS)
-    out = _power_series(2.0 * lam[J] * flat, coef)
+    # power sums: the degree _power_series reads at the largest |u|, plus k
+    P = max(k, 1) + int(np.searchsorted(_REACH, 2.0 * lam[J] * top))
+    T = _suffix_power_sums(lam, J, P)
+    out = _power_series(2.0 * lam[J] * flat, -0.5 * _log_series(T, lam[J], k))
     if J:
-        out = out + _exact_log_sums(flat, lam[:J], 0)
+        out = out + _exact_log_sums(flat, lam[:J], k)
     return out.reshape(s.shape)
 
 
@@ -679,8 +668,10 @@ def smallball_probability_exact(lams, r, tail=None):
     when the sums have not settled before a step halving or contour
     doubling would pass `_MAX_NODES` nodes, TiltNotFound when the saddle
     point lies outside [`_S_MIN`, `_S_MAX`], and ValueError when r or r^2
-    is not a positive finite double.
+    is not a positive finite double or the doubles cannot resolve the
+    integrand at the saddle point: its log to within 1, or its width.
     """
+    r = float(r)  # scalar products below may overflow: silently, as floats
     q = r * r
     if not (r > 0 and 0.0 < q < math.inf):
         raise ValueError(f"eps = {r:g} is out of range: the radius and its "
@@ -702,7 +693,12 @@ def smallball_probability_exact(lams, r, tail=None):
         return s * q + cgf(s, 0) - np.log(s)
 
     g0 = float(np.real(log_integrand(0.0)))  # Phi(0) is real
-    sigma = 1.0 / math.sqrt(float(cgf(sstar, 2)) + 1.0 / sstar ** 2)
+    s2 = sstar * sstar  # 1/sigma^2 = cgf''(s*) + 1/s*^2; no product raises
+    width = float(cgf(sstar, 2)) + (1.0 / s2 if s2 else math.inf)
+    if math.ulp(g0) > 1.0 or not 0.0 < width < math.inf:
+        raise ValueError(f"eps = {r:g} is out of range: the doubles do not "
+                         "resolve the integrand at the saddle point")
+    sigma = 1.0 / math.sqrt(width)
 
     def end_data(T, G):
         """Tail restoration and end-derivative data at the truncation point
@@ -714,10 +710,11 @@ def smallball_probability_exact(lams, r, tail=None):
         contributes nothing because the integrand is even there).
         """
         sT = sstar + 1j * T
-        p1v = 1j * (q + cgf(sT, 1) - 1.0 / sT)
-        p2v = -(cgf(sT, 2) + 1.0 / sT ** 2)
-        tail_int = (-G / p1v * (1.0 + p2v / p1v ** 2)).real
-        tail_err = abs(G) * abs(p2v) ** 2 / abs(p1v) ** 5 * 3.0
+        inv = 1.0 / sT  # ratios, not powers: sT^2 and Phi'^5 can leave range
+        p1v = 1j * (q + cgf(sT, 1) - inv)
+        p2v = -(cgf(sT, 2) + inv * inv)
+        tail_int = (-G / p1v * (1.0 + p2v / p1v / p1v)).real
+        tail_err = 3.0 * abs(G / p1v) * abs(p2v / p1v / p1v) ** 2
         d1 = (p1v * G).real
         d3 = ((p1v ** 3 + 3.0 * p1v * p2v) * G).real
         return tail_int, tail_err, d1, d3
@@ -729,7 +726,7 @@ def smallball_probability_exact(lams, r, tail=None):
     def quadrature(vals, h, end):  # trapezoid over u = 0, h, ..., T
         tail_int, _, d1, d3 = end
         S = h * (vals.sum() - 0.5 * vals[0] - 0.5 * vals[-1])
-        S += -h * h / 12.0 * d1 + h ** 4 / 720.0 * d3
+        S += h * (h * (h * (h * d3) / 720.0 - d1 / 12.0))  # h^4 can overflow
         return S + tail_int
 
     # trapezoid error on the Gaussian core e^{-u^2/(2 sigma^2)}: about
@@ -805,8 +802,9 @@ def _log_newton(q, m, dm, s):
     midpoint, and so is one that does not halve the step before it.  Until
     both ends are known a step is at most a factor e^`_MAX_LOG_STEP`.  A
     step below 1e-10 has converged to rounding, so it is pushed 2 ulps on
-    (twice as far each time it does not cross) to land past the root; once
-    the bracket spans at most 64 ulps it is bisected, with no derivative.
+    (twice as far each time it does not cross, within the same bounds) to
+    land past the root; once the bracket spans at most 64 ulps it is
+    bisected, with no derivative.
     The slope is re-evaluated only while steps exceed 1e-4.  The search
     stops when lo and hi are adjacent doubles and returns hi; outside
     [`_S_MIN`, `_S_MAX`] it raises TiltNotFound."""
@@ -838,14 +836,15 @@ def _log_newton(q, m, dm, s):
         if not abs(step) <= _MAX_LOG_STEP:  # a flat m, or no derivative
             step = way * _MAX_LOG_STEP
         if abs(step) < 1e-10 or step * way <= 0.0:
-            t = s * math.exp(way * (abs(step) + push))
+            t = s * math.exp(way * min(abs(step) + push, _MAX_LOG_STEP))
             push *= 2.0  # a push that does not cross the root doubles
+            inside = lo < t < hi
         else:
             t = s * math.exp(step)
-            if lo > 0.0 and hi < math.inf and not (
-                    lo < t < hi and abs(step) <= 0.5 * last):
-                t = lo * math.sqrt(hi / lo)
-                step = math.log(t / s)
+            inside = lo < t < hi and abs(step) <= 0.5 * last
+        if lo > 0.0 and hi < math.inf and not inside:
+            t = lo * math.sqrt(hi / lo)
+            step = math.log(t / s)
         s, last = t, abs(step)
 
 

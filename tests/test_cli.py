@@ -553,10 +553,17 @@ def test_prob_single_eigenvalue_exits_2(capsys):
     ["prob", "--eps", "1e-300"],
     ["prob", "--eps", "1e300"],
     ["compare", "--weight2", "1", "-K", "10", "--table", "--eps", "1e-300"],
+    ["prob", "--process", "wiener", "--eps", "1e-20"],
+    ["prob", "--process", "wiener", "--eps", "1e-40"],
+    ["prob", "--process", "wiener", "--eps", "1e-60"],
+    ["prob", "--process", "bridge", "--eps", "1e-30"],
+    ["compare", "--process", "ou", "--weight", "(0.5+1.5*t)^(-4)",
+     "--weight2", "1", "-K", "5", "--table", "--eps", "1e-30"],
 ], ids=" ".join)
 def test_eps_out_of_double_range_exits_2(capsys, argv):
-    # eps_n^2 or r^2 leaves the positive finite doubles: a specification
-    # error that names the eps, not a traceback or a failed tilt search
+    # eps_n^2 or r^2 leaves the positive finite doubles, or the doubles do
+    # not resolve the integrand at the saddle point: a specification error
+    # that names the eps, not a traceback or a failed tilt search
     rc, out, err = run_cli(argv, capsys)
     assert rc == 2
     assert out == ""

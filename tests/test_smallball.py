@@ -30,8 +30,9 @@ import pytest
 from scipy.optimize import brentq
 
 import greenball.smallball as smallball
-from greenball.errors import (DegenerateTheta, InversionUnstable,
-                              NotNormalized, TiltNotFound, UnsupportedFamily)
+from greenball.errors import (DegenerateTheta, GreenballError,
+                              InversionUnstable, NotNormalized, TiltNotFound,
+                              UnsupportedFamily)
 from greenball.kernels import ProcessSpec, base_kernel, build_process, \
     catalog_problem, center_kernel
 from greenball.model import Weight
@@ -416,6 +417,33 @@ def test_tilt_failure_reported():
             smallball_probability_exact(np.array([1.0]), r)
 
 
+def test_tiny_eps_ends_in_an_estimate_or_a_typed_error():
+    """eps from 1e-20 to 1e-150 on Wiener K = 200 with its fitted tail and
+    on the bare bridge K = 200: each call returns an estimate or raises
+    GreenballError or ValueError, with no warning on the way (the suite
+    turns a RuntimeWarning into an error).  The bare bridge is a finite sum
+    of 200 weighted chi-squares, whose law at such radii is the volume of
+    its ellipsoid, P = r^K prod (2 lam_j)^{-1/2} / Gamma(K/2 + 1); its
+    estimates match that to 1e-12 in log p."""
+    K = 200
+    wiener, bridge = wiener_lams(K), bridge_lams(K)
+    law = (-0.5 * math.fsum(np.log(2.0 * bridge)) - math.lgamma(K / 2 + 1))
+    found = 0
+    for lam, tail in ((wiener, WeylTailModel.fitted(1, wiener)),
+                      (bridge, None)):
+        for eps in np.geomspace(1e-20, 1e-150, 27):
+            try:
+                est = smallball_probability_exact(lam, eps, tail=tail)
+            except (GreenballError, ValueError):
+                continue
+            assert isinstance(est, ProbabilityEstimate)
+            if tail is None:
+                want = K * math.log(eps) + law
+                assert abs(est.log_p - want) <= 1e-12 * abs(want), eps
+                found += 1
+    assert found >= 12, found  # every bridge eps down to 1e-75
+
+
 def test_estimate_invariants():
     with pytest.raises(ValueError):
         ProbabilityEstimate(p=1.5, err=0.0, method="saddlepoint")
@@ -605,14 +633,19 @@ def _exact_terms(s, lam, k):
 @pytest.mark.parametrize("K", [1, 32, 500])
 def test_split_sums_match_exact_terms(K, monkeypatch):
     # exact logs for |2 s lam_j| > 0.1 at every point of a call plus one
-    # power series for the rest, forced at every call, against the correctly
-    # rounded sum of all K exact terms: within 4 eps of sum |terms| for
-    # k = 0, 1, 2, real and complex s from 1e-3 to 1e300, one point per call
-    # and all of a phase's points in one call (one split index per call, at
-    # the largest |s|, and one pass of power sums).  The
-    # spectra decay like j^-2, j^-4 and j^-10 (lam_1/lam_K up to 1e27 at
-    # K = 500); normalized power sums neither overflow nor lose the terms
-    monkeypatch.setattr(smallball, "_SPLIT_MIN", 0)
+    # power series for the rest, against the correctly rounded sum of all K
+    # exact terms: within 4 eps of sum |terms| for k = 0, 1, 2, real and
+    # complex s from 1e-3 to 1e300.  Each prefix of the ascending points is
+    # one call (one split index, at its largest |s|, and one pass of power
+    # sums), so small points ride in batches split at every J; a single
+    # point is the exact sum bit for bit.  The spectra decay like j^-2, j^-4
+    # and j^-10 (lam_1/lam_K up to 1e27 at K = 500); normalized power sums
+    # neither overflow nor lose the terms
+    series = []
+    suffix = smallball._suffix_power_sums
+    monkeypatch.setattr(smallball, "_suffix_power_sums",
+                        lambda lam, J, P: series.append(J) or
+                        suffix(lam, J, P))
     j = np.arange(1, K + 1)
     mags = np.geomspace(1e-3, 1e300, 61)
     eps = np.finfo(float).eps
@@ -621,17 +654,25 @@ def test_split_sums_match_exact_terms(K, monkeypatch):
         for phase in (0.0, 0.3, 1.2, 1.5):
             s = mags * np.exp(1j * phase) if phase else mags
             for k in (0, 1, 2):
-                together = _log_laplace_sums(s, lam, k)
-                for si, got in zip(s, together):
+                want, size = [], []
+                for si in s:
                     terms = _exact_terms(si, lam, k)
-                    alone = _log_laplace_sums(si, lam, k)
-                    size = np.abs(terms).sum()
-                    want = (complex(math.fsum(terms.real),
-                                    math.fsum(terms.imag))
-                            if np.iscomplexobj(terms) else math.fsum(terms))
-                    for value in (got, alone):
-                        assert abs(value - want) <= 4 * eps * size, \
-                            (power, phase, k, si)
+                    size.append(np.abs(terms).sum())
+                    want.append(complex(math.fsum(terms.real),
+                                        math.fsum(terms.imag))
+                                if np.iscomplexobj(terms)
+                                else math.fsum(terms))
+                want, size = np.array(want), np.array(size)
+                for i, si in enumerate(s):
+                    got = _log_laplace_sums(s[:i + 1], lam, k)
+                    assert (np.abs(got - want[:i + 1])
+                            <= 4 * eps * size[:i + 1]).all(), \
+                        (power, phase, k, si)
+                    assert _log_laplace_sums(si, lam, k) == \
+                        _exact_log_sums(s[i:i + 1], lam, k)[0]
+                if K > 1:  # the series took part, for this k too
+                    assert series, (power, phase, k)
+                series.clear()
 
 
 def test_split_sums_keep_exact_path_where_nothing_is_small():
@@ -765,12 +806,32 @@ def test_tail_series_matches_horner():
 
 def _split_series_coefficients():
     """The head's split-series coefficients (`_log_laplace_sums`) on spectra
-    decaying like j^-2, j^-4 and j^-10, K = 500, split at J = 0, 10, 200."""
+    decaying like j^-2, j^-4 and j^-10, K = 500, split at J = 0, 10, 200,
+    for k = 0, 1, 2, with the 19 powers that |u| = 0.1 reads."""
     j = np.arange(1, 501)
-    return [smallball._SPLIT_FACTORS * smallball._suffix_power_sums(
-                (1.0 / (math.pi * (j - 0.5))) ** power, J,
-                smallball._SPLIT_TERMS)
-            for power in (2, 4, 10) for J in (0, 10, 200)]
+    out = []
+    for power, J in product((2, 4, 10), (0, 10, 200)):
+        lam = (1.0 / (math.pi * (j - 0.5))) ** power
+        T = smallball._suffix_power_sums(lam, J, 19)
+        out += [-0.5 * smallball._log_series(T, lam[J], k) for k in range(3)]
+    return out
+
+
+def test_split_series_takes_the_powers_its_points_read(monkeypatch):
+    """A batch whose largest |u| = |2 s lam_J| is at most 1e-3 needs no
+    power sum past T_8 (`_REACH`), so it computes at most 8 of them, for
+    k = 0, 1, 2 alike; whether a call splits does not depend on k."""
+    sums = []
+    suffix = smallball._suffix_power_sums
+    monkeypatch.setattr(smallball, "_suffix_power_sums",
+                        lambda lam, J, P: sums.append(P) or
+                        suffix(lam, J, P))
+    lam = wiener_lams(500)
+    s = 1e-3 / (2.0 * lam[0]) * np.exp(1j * np.linspace(0.0, 1.5, 20))
+    for x in (s, 0.01 * s, s.real):
+        for k in (0, 1, 2):
+            _log_laplace_sums(x, lam, k)
+    assert len(sums) == 9 and max(sums) <= 8, sums
 
 
 def test_truncated_series_match_full_degree():
