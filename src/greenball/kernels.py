@@ -13,7 +13,10 @@ of its |t-s| component (``odd``) on the diagonal panel blocks, which hold the
 derivative jump that quadrature integrates exactly there.  Nothing is
 sampled at construction or kept afterwards: `Kernel.evaluate_on` samples
 whatever grid is asked for -- the kernel's own (1024 nodes by default), or
-the grids the Nystrom solve and its grid-doubling check pick.
+the grids the Nystrom solve and its grid-doubling check pick.  A base
+kernel, weighted or not, also carries generators privately: the columns
+u, v with G(t, s) = u(t) . v(s) for t <= s, a Green function's
+semiseparable form, which the Nystrom solve uses in place of the matrix.
 
 Transforms compose by closure: integrating or centering a kernel produces a
 new sampler that re-runs the whole chain from the base formula on whatever
@@ -39,6 +42,7 @@ from math import comb, factorial
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 from scipy.linalg import blas, eigh, pinvh
 
 from .errors import SingularConditioning, UnsupportedFamily
@@ -181,20 +185,21 @@ def _lags(g):
 
 
 def _radial_split(g, f, diag_slope):
-    """Sample f(|t-s|) together with its |t-s| kink coefficient.
-
-    f must accept signed arguments (analytic extension of the radial
-    profile); the coefficient is (f(u) - f(-u)) / (2u) with the supplied
-    limit on the diagonal.  f is applied elementwise, a row block at a
-    time, in the buffer of the lags.
+    """Sample f(|t-s|), f applied elementwise a row block at a time in the
+    buffer of the lags, together with its kink coefficient (`_radial_odd`).
     """
     values = _lags(g)
     for r in _row_blocks(g.n):
         values[r] = f(values[r])
+    return values, _radial_odd(g, f, diag_slope)
+
+
+def _radial_odd(g, f, diag_slope):
+    """The |t-s| kink coefficient (f(u) - f(-u)) / (2u) of f(|t-s|), f
+    extended to signed lags, with the supplied limit on the diagonal."""
     u = _panel_lags(g)
     den = np.where(u == 0.0, 1.0, 2.0 * u)
-    odd = np.where(u == 0.0, diag_slope, (f(u) - f(-u)) / den)
-    return values, odd
+    return np.where(u == 0.0, diag_slope, (f(u) - f(-u)) / den)
 
 
 def _wiener_values(g):
@@ -213,10 +218,13 @@ def _bridge_values(g):
 def _ou_values(g):
     values = _lags(g)
     np.exp(np.negative(values, out=values), out=values)
+    return values, _ou_odd(g)
+
+
+def _ou_odd(g):
     u = _panel_lags(g)
     den = np.where(u == 0.0, 1.0, u)
-    odd = np.where(u == 0.0, -1.0, -np.sinh(u) / den)
-    return values, odd
+    return np.where(u == 0.0, -1.0, -np.sinh(u) / den)
 
 
 def _slepian_values(g):
@@ -244,7 +252,16 @@ def _matern_sampler(n):
         return np.multiply(e, out, out=e)
 
     slope = c * ((coef[1] if n > 1 else 0.0) - coef[0])
-    return lambda g: _radial_split(g, f, slope)
+    shifted = [[comb(i + j, j) * coef[i + j] for i in range(n - j)]
+               for j in range(n)]
+
+    def generators(g):  # poly(s - t) = sum_j s^j sum_i shifted[j][i] (-t)^i
+        x, e = g.x, c * np.exp(g.x)
+        return ([e * npoly.polyval(-x, a) for a in shifted],
+                [np.exp(-x) * x ** j for j in range(n)],
+                _radial_odd(g, f, slope))
+
+    return (lambda g: _radial_split(g, f, slope)), generators
 
 
 def _bogolyubov_sampler(omega, covariance):
@@ -258,7 +275,13 @@ def _bogolyubov_sampler(omega, covariance):
         def f(r):
             return np.cosh(omega * (r - 0.5)) / s
 
-        return lambda g: _radial_split(g, f, -0.5)
+        def generators(g):  # two positive terms, normal doubles to omega 700
+            x, e, m = g.x, np.exp(omega * g.x), np.exp(omega * (g.x - 0.5))
+            return ((1.0 / e, e), (m / (2 * s), 1.0 / (2 * s * m)),
+                    _radial_odd(g, f, -0.5))
+
+        return ((lambda g: _radial_split(g, f, -0.5)),
+                generators if omega <= 700 else None)
     if not isinstance(covariance, str):
         raise UnsupportedFamily(
             "Bogolyubov covariance must be 'default' or an expression in t "
@@ -275,7 +298,32 @@ def _bogolyubov_sampler(omega, covariance):
             f"{right:.6g} and {left:.6g} at lag 0; write it in the signed "
             "lag t, for example exp(-t) rather than exp(-abs(t))")
     slope = (fp - fm) / (2.0 * h)
-    return lambda g: _radial_split(g, lambda r: evaluate(tree, r), slope)
+    return lambda g: _radial_split(g, lambda r: evaluate(tree, r), slope), None
+
+
+#: generators: the grid g -> (u, v, odd), u and v the columns (arrays on
+#: the nodes, or constants) with G(t, s) = u(t) . v(s) for t <= s, odd the
+#: kink coefficient
+_GENERATORS = {
+    "wiener": lambda g: ((g.x,), (1.0,), _panel_constant(g, -0.5)),
+    "bridge": lambda g: ((g.x,), (1.0 - g.x,), _panel_constant(g, -0.5)),
+    "ou": lambda g: ((np.exp(g.x),), (np.exp(-g.x),), _ou_odd(g)),
+    "slepian": lambda g: ((1.0 + g.x, 1.0), (1.0, -g.x),
+                          _panel_constant(g, -1.0)),
+}
+
+
+def _carrying(k, generators):
+    """`k`, carrying `generators` (as in `_GENERATORS`, or None) privately
+    for `_generators_on`; no transform but `apply_weight` passes them on."""
+    object.__setattr__(k, "_generators", generators)
+    return k
+
+
+def _generators_on(k, g):
+    """(u, v, odd) of `k` on the grid g, weighted where `k` is, or None."""
+    generators = getattr(k, "_generators", None)
+    return generators and generators(g)
 
 
 #: canonical family -> (aliases, boundary-value problem or None).  A problem
@@ -352,22 +400,25 @@ def base_kernel(family, params=None, grid=None):
         n = int(params.pop("n"))
         if n < 1:
             raise ValueError("Matern order n must be >= 1")
-        sampler, label, half = _matern_sampler(n), f"matern({n})", n
+        sampler, generators = _matern_sampler(n)
+        label, half = f"matern({n})", n
     elif fam == "bogolyubov":
         omega = float(params.pop("omega"))
         if not omega > 0:
             raise ValueError("Bogolyubov omega must be positive")
         cov = params.pop("covariance", "default")
-        sampler = _bogolyubov_sampler(omega, cov)
+        sampler, generators = _bogolyubov_sampler(omega, cov)
         label, half = f"bogolyubov({omega:g})", 1
     else:
         sampler = {"wiener": _wiener_values, "bridge": _bridge_values,
                    "ou": _ou_values, "slepian": _slepian_values}[fam]
+        generators = _GENERATORS[fam]
         label, half = {"ou": "ornstein-uhlenbeck"}.get(fam, fam), 1
     if params:
         raise ValueError(f"unused parameters for family {fam}: "
                          f"{sorted(params)}")
-    return Kernel(g, label, half, sampler, symmetric=True)
+    return _carrying(Kernel(g, label, half, sampler, symmetric=True),
+                     generators)
 
 
 # ---------------------------------------------------------------------------
@@ -479,16 +530,26 @@ def apply_weight(k, w):
         raise ValueError("kernel is already weighted; apply_weight is "
                          "terminal and cannot be repeated")
 
-    def sample(g):
-        v, o = k.evaluate_on(g)
+    def weigh(g, o):  # sqrt(psi) on the nodes, and o scaled by it
         half = np.sqrt(np.asarray(w(g.x), dtype=float))
         if o is not None:
             hb = half.reshape(g.panels, g.order)
             o = o * (hb[:, :, None] * hb[:, None, :])
+        return half, o
+
+    def sample(g):
+        v, o = k.evaluate_on(g)
+        half, o = weigh(g, o)
         return _scale_outer(v, half), o
 
-    return Kernel(k.grid, f"weight[{w.text}]({k.label})", k.half_order,
-                  sample, weight=w, symmetric=True)
+    def generators(g):
+        u, v, o = _generators_on(k, g)
+        half, o = weigh(g, o)
+        return [c * half for c in u], [c * half for c in v], o
+
+    return _carrying(Kernel(k.grid, f"weight[{w.text}]({k.label})",
+                            k.half_order, sample, weight=w, symmetric=True),
+                     getattr(k, "_generators", None) and generators)
 
 
 # ---------------------------------------------------------------------------

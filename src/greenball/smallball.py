@@ -700,24 +700,39 @@ def smallball_probability_exact(lams, r, tail=None):
                          "resolve the integrand at the saddle point")
     sigma = 1.0 / math.sqrt(width)
 
+    # 2 sigma times the tail's mean, sum lam_j over j > K
+    mean = 0.0 if tail is None else -2.0 * sigma * float(
+        tail.log_laplace(0.0, 1))
+
     def end_data(T, G):
         """Tail restoration and end-derivative data at the truncation point
-        T, where G = e^{Phi(T) - g0}.
+        T, where G = e^{Phi(T) - g0}, from a_k = sigma^k Phi^(k)(T), which
+        stay in range where Phi' may not.
 
-        tail_int: int_T^inf e^Phi du ~ -G(T)/Phi'(T) (1 + Phi''/Phi'^2);
-        d1/d3: first/third u-derivatives of Re e^Phi at T, which feed the
-        Euler-Maclaurin end corrections of the trapezoid (the u = 0 end
-        contributes nothing because the integrand is even there).
+        tail_int: int_T^inf e^Phi du by parts, -G/Phi' (1 + Phi''/Phi'^2 -
+        Phi'''/Phi'^3 + 3 Phi''^2/Phi'^4), less the tail model's share of
+        Phi'''; tail_err: |G/Phi'| times that share plus the next terms, all
+        bounded through `ratio` (the tail's ratios lie below the last one);
+        d1/d3: sigma^(k-1) times the k = 1/3 u-derivatives of Re e^Phi at
+        T, for the Euler-Maclaurin end corrections of the trapezoid (the
+        u = 0 end contributes nothing because the integrand is even there).
         """
         sT = sstar + 1j * T
-        inv = 1.0 / sT  # ratios, not powers: sT^2 and Phi'^5 can leave range
-        p1v = 1j * (q + cgf(sT, 1) - inv)
-        p2v = -(cgf(sT, 2) + inv * inv)
-        tail_int = (-G / p1v * (1.0 + p2v / p1v / p1v)).real
-        tail_err = 3.0 * abs(G / p1v) * abs(p2v / p1v / p1v) ** 2
-        d1 = (p1v * G).real
-        d3 = ((p1v ** 3 + 3.0 * p1v * p2v) * G).real
-        return tail_int, tail_err, d1, d3
+        inv = sigma / sT  # ratios, not powers: sT^2 and Phi'^5 can leave range
+        ratio = 2.0 * sigma * lam / (1.0 + 2.0 * sT * lam)
+        last = abs(ratio[-1])
+        a1 = 1j * (sigma * (q + cgf(sT, 1)) - inv)
+        a2 = -(sigma * sigma * cgf(sT, 2) + inv * inv)
+        a3 = 1j * (np.sum(ratio ** 3) + 2.0 * inv ** 3)
+        a4 = 3.0 * (np.sum(np.abs(ratio) ** 4) + last ** 3 * mean) + 6.0 * abs(
+            inv) ** 4
+        rho, c3 = a2 / a1 / a1, a3 / a1 ** 3
+        tail_int = (-sigma * G / a1 * (1.0 + rho - c3 + 3.0 * rho * rho)).real
+        tail_err = abs(sigma * G / a1) * (
+            last ** 2 * mean / abs(a1) ** 3 + a4 / abs(a1) ** 4
+            + 10.0 * abs(rho * c3) + 15.0 * abs(rho) ** 3)
+        return (tail_int, tail_err, (a1 * G).real,
+                ((a1 * a1 + 3.0 * a2) * a1 * G).real)
 
     def extend(vals, n, h):  # vals on to u = n h, and the end data there
         G = np.exp(log_integrand(np.arange(vals.size, n + 1) * h) - g0)
@@ -726,7 +741,8 @@ def smallball_probability_exact(lams, r, tail=None):
     def quadrature(vals, h, end):  # trapezoid over u = 0, h, ..., T
         tail_int, _, d1, d3 = end
         S = h * (vals.sum() - 0.5 * vals[0] - 0.5 * vals[-1])
-        S += h * (h * (h * (h * d3) / 720.0 - d1 / 12.0))  # h^4 can overflow
+        step = h / sigma  # h^2 Phi' = h step a_1, h^4 Phi'^3 = h step^3 a_1^3
+        S += h * step * (step * step * d3 / 720.0 - d1 / 12.0)
         return S + tail_int
 
     # trapezoid error on the Gaussian core e^{-u^2/(2 sigma^2)}: about

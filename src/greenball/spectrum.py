@@ -16,14 +16,19 @@ the weighted kernel on composite Gauss-Legendre grids with an exact
 correction for the |t-s| kink.  One dense eigensolve runs on the coarsest
 grid with at least 8K nodes; the requested grid and its doubling get block
 Krylov Rayleigh-Ritz solves seeded with the previous grid's interpolated
-eigenvectors, each certified by a Cholesky factorization.  Its dense
-linear algebra runs in scipy's BLAS/LAPACK only: numpy's wheel bundles a
-second OpenBLAS, whose thread pool would fight scipy's for the cores.
+eigenvectors, each certified by a guard.  A catalog base kernel keeps its
+matrix there in semiseparable form (a Green function is u(t).v(s) on
+t < s), with O(n) products and an exact eigenvalue count as its guard;
+any other kernel is assembled densely and certified by a Cholesky
+factorization.  The dense linear algebra runs in scipy's BLAS/LAPACK
+only: numpy's wheel bundles a second OpenBLAS, whose thread pool would
+fight scipy's for the cores.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import comb, factorial
 
 import numpy as np
@@ -32,7 +37,7 @@ from scipy.linalg import blas, eigh, lapack, qr
 
 from .errors import (GridTooCoarse, MissedRoot, NonConvergence,
                      NormalizationMismatch, StepFailure)
-from .kernels import _scale_outer, apply_weight
+from .kernels import _generators_on, _scale_outer, apply_weight
 from .model import WEIGHT_GRID, normalization_integral
 from .quadrature import (Grid, _kink_full_moments, _lagrange_coefficients,
                          _panel_rule)
@@ -406,8 +411,11 @@ def nystrom_eigenvalues(kern, w, K, grid=None):
     grid with >= 8K nodes, or on `grid` if that has over half its nodes.
     `grid` and then its doubling get a block Krylov Rayleigh-Ritz solve
     seeded with the previous grid's interpolated eigenfunctions
-    (`_ritz_top`, NonConvergence if it does not settle), and a Cholesky
-    guard (`_guard`) proves that it missed no eigenvalue above its top K.
+    (`_ritz_top`, NonConvergence if it does not settle), and a guard proves
+    that it missed no eigenvalue above its top K: for a catalog base kernel
+    with generators, which is never assembled there, an exact count of the
+    eigenvalues above the guard's sigma (`_count_guard`), else a Cholesky
+    factorization of the deflated matrix (`_guard`).
     The doubled grid's are returned; `err` is their relative gap to those
     on `grid`, at least the rounding floor 8 eps lambda_1/lambda_k, and
     GridTooCoarse is raised when that gap exceeds 1e-4 or a guard fails.
@@ -438,8 +446,8 @@ def nystrom_eigenvalues(kern, w, K, grid=None):
         # exists, so they do not add to the solve's peak memory
         seed = _interpolated_seed(V, src, dst)
         del V
-        S = _nystrom_matrix(kern, dst)
-        lam, V = _ritz_top(S, seed, K)
+        product, guard = _nystrom_operator(kern, dst)
+        lam, V = _ritz_top(product, seed, K)
         _check_above_noise(lam[:K])
         if dst is fine:
             rel = np.abs(prev - lam[:K]) / np.abs(lam[:K])
@@ -447,8 +455,8 @@ def nystrom_eigenvalues(kern, w, K, grid=None):
                 raise GridTooCoarse(
                     f"grid-doubling moved an eigenvalue by {rel.max():.2e} "
                     "relative (> 1e-4); increase the grid")
-        _guard(S, lam, V, K)  # consumes S
-        del S, seed
+        guard(lam, V, K)
+        del product, guard, seed
         src = dst
     lam = lam[:K]
     theta = (1.0 if kern.weight is None
@@ -471,6 +479,22 @@ def _check_above_noise(lam):
             "(nonpositive Nystrom eigenvalue); increase the grid")
 
 
+def _nystrom_operator(kern, g):
+    """(product, guard) of the Nystrom matrix S of `kern` on `g`:
+    product(X, out) writes S X into the Fortran-ordered `out`, and
+    guard(theta, U, K) checks the Ritz pairs (theta, U) of S.  A kernel with
+    generators keeps S semiseparable (`_count_guard`); any other has it
+    assembled, and `_guard` consumes it."""
+    parts = _semiseparable(kern, g)
+    if parts is not None:
+        return (partial(_semiseparable_product, *parts),
+                lambda theta, U, K: _count_guard(*parts, theta, K))
+    S = _nystrom_matrix(kern, g)
+    # S is symmetric, so its Fortran view S.T goes to BLAS uncopied
+    return (lambda X, out: blas.dgemm(1.0, S.T, X, c=out, overwrite_c=True),
+            partial(_guard, S))
+
+
 def _nystrom_matrix(kern, g):
     """The symmetric Nystrom matrix of `kern` on `g`: S = G(x_i, x_j)
     (sqrt(w_i) sqrt(w_j)) is as symmetric as the sample, and only the
@@ -480,18 +504,55 @@ def _nystrom_matrix(kern, g):
     and C-ordered, so that S.T is the Fortran view LAPACK and BLAS work
     in."""
     values, odd = kern.evaluate_on(g)
-    sw = np.sqrt(g.w)
-    S = _scale_outer(values, sw)
+    S = _scale_outer(values, np.sqrt(g.w))
     if odd is not None:
-        # exact |t-s| moments on the diagonal panels replace the plain rule
-        P, q = g.panels, g.order
-        p = np.arange(P)
-        swb = sw.reshape(P, q)
-        corr = odd * (g.h ** 2 * _kink_full_moments(q))
-        D = S.reshape(P, q, P, q)[p, :, p]
-        D += swb[:, :, None] * corr / swb[:, None, :]
-        S.reshape(P, q, P, q)[p, :, p] = 0.5 * (D + D.transpose(0, 2, 1))
+        p = np.arange(g.panels)
+        blocks = S.reshape(g.panels, g.order, g.panels, g.order)
+        blocks[p, :, p] = _kink_blocks(g, blocks[p, :, p], odd)
     return S
+
+
+def _kink_blocks(g, D, odd):
+    """The diagonal panel blocks D of a Nystrom matrix, overwritten with the
+    exact |t-s| moments of the kink coefficient `odd` in place of the plain
+    rule, averaged with their transposes (the correction skews them)."""
+    sw = np.sqrt(g.w).reshape(g.panels, g.order)
+    corr = odd * (g.h ** 2 * _kink_full_moments(g.order))
+    D += sw[:, :, None] * corr / sw[:, None, :]
+    return 0.5 * (D + D.transpose(0, 2, 1))
+
+
+def _semiseparable(kern, g):
+    """The Nystrom matrix of `kern` on `g` as (D, U, V), or None if `kern`
+    has no generators u, v finite on `g`: U = d u and V = d v, d = sqrt(w
+    psi), shaped (panels, order, r), give S_ij = U_i . V_j for x_i in an
+    earlier panel than x_j, and D the kink-corrected diagonal blocks."""
+    gens = _generators_on(kern, g)
+    if gens is None:
+        return None
+    u, v, odd = gens
+    sw = np.sqrt(g.w)
+    U, V = (np.stack([sw * c for c in cols], 1).reshape(g.panels, g.order, -1)
+            for cols in (u, v))
+    if not (np.isfinite(U).all() and np.isfinite(V).all()):
+        return None
+    # G(x_i, x_j) = u(x_i) . v(x_j) for i <= j, mirrored below the diagonal
+    D = np.triu(np.einsum("pir,pjr->pij", U, V))
+    D += np.triu(D, 1).transpose(0, 2, 1)
+    return _kink_blocks(g, D, odd), U, V
+
+
+def _semiseparable_product(D, U, V, X, out):
+    """out <- S X for S = (D, U, V) of `_semiseparable`: the diagonal
+    blocks, and the earlier and later panels through cumulative sums of the
+    panel moments U_p^T X_p and V_p^T X_p, O(n (order + r) b) work."""
+    P, q = U.shape[:2]
+    X, Y = X.reshape(P, q, -1), out.reshape(P, q, -1)  # views
+    before = np.cumsum(np.einsum("pir,pib->prb", U[:-1], X[:-1]), axis=0)
+    after = np.cumsum(np.einsum("pir,pib->prb", V[:0:-1], X[:0:-1]), axis=0)
+    np.einsum("pij,pjb->pib", D, X, out=Y)
+    Y[1:] += np.einsum("pir,prb->pib", V[1:], before)
+    Y[:-1] += np.einsum("pir,prb->pib", U[:-1], after[::-1])
 
 
 def _interpolated_seed(V, coarse, fine):
@@ -536,9 +597,10 @@ def _orthonormalize(W):
     return W
 
 
-def _ritz_top(S, Q, K):
-    """Top b Ritz pairs (theta descending, U) of symmetric S in the block
-    Krylov space of the orthonormal n x b seed Q.
+def _ritz_top(product, Q, K):
+    """Top b Ritz pairs (theta descending, U) of a symmetric S in the block
+    Krylov space of the orthonormal n x b seed Q, where product(X, out)
+    writes S X into the Fortran-ordered `out`.
 
     Blocks S Q_j, orthogonalized twice against the basis, are appended
     until each of the top K Ritz pairs has an error bound
@@ -551,13 +613,12 @@ def _ritz_top(S, Q, K):
     """
     n, b = Q.shape
     tol = 8 * np.finfo(float).eps
-    # S is symmetric, so its Fortran view S.T goes to BLAS uncopied; the
-    # basis is column-major, so its first m columns are contiguous and only
-    # the pages it has reached are touched
+    # the basis is column-major, so its first m columns are contiguous and
+    # only the pages it has reached are touched
     basis = np.empty((n, min(n, (_KRYLOV_BLOCKS + 1) * b)), order="F")
     images = np.empty_like(basis)
     basis[:, :b] = Q
-    blas.dgemm(1.0, S.T, basis[:, :b], c=images[:, :b], overwrite_c=True)
+    product(basis[:, :b], images[:, :b])
     m, last = b, slice(0, b)
     while True:
         Qm, SQm = basis[:, :m], images[:, :m]
@@ -588,7 +649,7 @@ def _ritz_top(S, Q, K):
             blas.dgemm(-1.0, Qm, blas.dgemm(1.0, Qm, W, trans_a=True),
                        beta=1.0, c=W, overwrite_c=True)
             _orthonormalize(W)
-        blas.dgemm(1.0, S.T, W, c=images[:, new], overwrite_c=True)
+        product(W, images[:, new])
         m, last = new.stop, new
 
 
@@ -632,6 +693,33 @@ def _guard(S, theta, U, K):
             f"the seeded solve on {S.shape[0]} nodes missed an eigenvalue "
             f"above {sigma:.3e} (guard factorization failed at column "
             f"{info}); increase the grid")
+
+
+def _count_guard(D, U, V, theta, K):
+    """GridTooCoarse unless S = (D, U, V) of `_semiseparable` has exactly
+    as many eigenvalues above sigma, the midpoint of theta_K and theta_b, as
+    the Ritz values theta (descending).  They are the negative eigenvalues
+    of sigma I - S, which Haynsworth's inertia additivity sums over its
+    Schur complements on successive panels: with Phi the r x r carry of the
+    panels eliminated, A_p = sigma I - D_p - V_p Phi V_p^T is
+    eigendecomposed by LAPACK and Phi += W_p^T A_p^-1 W_p, W_p = U_p +
+    V_p Phi; O(n (order + r)^2) work."""
+    sigma = 0.5 * (theta[K - 1] + theta[-1])
+    phi, shift = np.zeros((U.shape[2],) * 2), sigma * np.eye(U.shape[1])
+    above = 0
+    for Dp, Up, Vp in zip(D, U, V):
+        Vphi = blas.dgemm(1.0, Vp, phi)
+        a, Z, _ = lapack.dsyev(blas.dgemm(-1.0, Vphi, Vp, 1.0, shift - Dp,
+                                          trans_b=True))
+        Y = blas.dgemm(1.0, Z, Up + Vphi, trans_a=True)  # Z^T W_p
+        phi += blas.dgemm(1.0, Y / a[:, None], Y, trans_a=True)
+        above += np.count_nonzero(a < 0)
+    t = np.count_nonzero(theta > sigma)
+    if above != t or not np.isfinite(phi).all():
+        raise GridTooCoarse(
+            f"the seeded solve on {U.shape[0] * U.shape[1]} nodes missed an "
+            f"eigenvalue above {sigma:.3e} (the matrix has {above} there, "
+            f"the Ritz values {t}); increase the grid")
 
 
 def eigenvalue_product(s1, s2):

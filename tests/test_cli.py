@@ -570,6 +570,17 @@ def test_eps_out_of_double_range_exits_2(capsys, argv):
     assert err.startswith(f"error: eps = {float(argv[-1]):g} is out of range")
 
 
+def test_huge_eps_gives_p_one_within_err(capsys):
+    # sigma ~ 1e-120 and Phi' ~ 1e121 at the contour's end: the end data
+    # are carried in units of sigma, so nothing overflows (the suite turns
+    # a RuntimeWarning into an error) and p = 1 to within err
+    rc, out, _ = run_cli(["prob", "--process", "wiener", "--eps", "1e60"],
+                         capsys)
+    assert rc == 0
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert abs(1.0 - float(row["p"])) <= float(row["err"])
+
+
 def test_asympt_small_eps_keeps_a_finite_log(capsys):
     rc, out, _ = run_cli(["asympt", "--process", "wiener", "--eps", "1e-100"],
                          capsys)

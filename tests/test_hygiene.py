@@ -409,28 +409,45 @@ def test_private_defaults_are_left_to_some_call():
 #: thread pool spins against scipy's for the cores.  Kernel assembly and
 #: both integrators are on it
 NYSTROM_PATH = {
-    "spectrum.py": ("nystrom_eigenvalues", "_nystrom_matrix",
-                    "_interpolated_seed", "_orthonormalize", "_ritz_top",
-                    "_guard"),
+    "spectrum.py": ("nystrom_eigenvalues", "_nystrom_operator",
+                    "_nystrom_matrix", "_kink_blocks", "_semiseparable",
+                    "_semiseparable_product", "_interpolated_seed",
+                    "_orthonormalize", "_ritz_top", "_guard", "_count_guard"),
     "quadrature.py": ("integrate_full", "integrate_rows", "integrate_cols"),
     "kernels.py": ("integrate_kernel", "center_kernel", "condition_kernel",
-                   "apply_weight"),
+                   "apply_weight", "_generators_on"),
 }
+
+#: numpy functions that hand a product to numpy's BLAS
+NUMPY_PRODUCTS = ("dot", "matmul", "inner", "vdot", "tensordot")
 
 
 def numpy_blas_uses(source, functions):
-    """(line, function, what) of every `@` (or `@=`) and every `np.linalg`
-    attribute in the named module-level functions, nested code included."""
+    """(line, function, what) of every `@` (or `@=`), `np.linalg`
+    attribute, numpy product function (`NUMPY_PRODUCTS`), `.dot(` method
+    call and `einsum` with an `optimize` keyword (which contracts through
+    tensordot) in the named module-level functions, nested code included."""
     found = []
     for node in ast.parse(source).body:
         if isinstance(node, ast.FunctionDef) and node.name in functions:
             for sub in ast.walk(node):
+                numpy = (isinstance(sub, ast.Attribute)
+                         and isinstance(sub.value, ast.Name)
+                         and sub.value.id in ("np", "numpy"))
                 if isinstance(getattr(sub, "op", None), ast.MatMult):
                     found.append((sub.lineno, node.name, "@"))
-                elif (isinstance(sub, ast.Attribute) and sub.attr == "linalg"
-                      and isinstance(sub.value, ast.Name)
-                      and sub.value.id in ("np", "numpy")):
-                    found.append((sub.lineno, node.name, "np.linalg"))
+                elif numpy and sub.attr in ("linalg",) + NUMPY_PRODUCTS:
+                    found.append((sub.lineno, node.name, f"np.{sub.attr}"))
+                elif not isinstance(sub, ast.Call):
+                    continue
+                elif (isinstance(sub.func, ast.Attribute)
+                      and sub.func.attr == "dot"
+                      and ast.unparse(sub.func.value) not in ("np", "numpy")):
+                    found.append((sub.lineno, node.name, ".dot("))
+                elif (getattr(sub.func, "attr", getattr(sub.func, "id", None))
+                      == "einsum" and any(k.arg == "optimize"
+                                          for k in sub.keywords)):
+                    found.append((sub.lineno, node.name, "einsum optimize"))
     return sorted(found)
 
 
@@ -439,9 +456,19 @@ def test_numpy_blas_scanner():
               "def f(a, b):\n    c = a @ b\n    c @= b\n"
               "    def g():\n        return np.linalg.qr(a)[0]\n"
               "    return g, np.einsum('ij->j', c)\n"
-              "def other(a):\n    return a @ np.linalg.inv(a)\n")
+              "def other(a):\n    return a @ np.linalg.inv(a)\n"
+              "def h(a, b):\n    x = np.dot(a, b)\n"
+              "    y = np.matmul(a, b)\n    z = np.inner(a, b)\n"
+              "    v = numpy.vdot(a, b)\n    w = np.tensordot(a, b, 1)\n"
+              "    m = a.T.dot(b)\n"
+              "    e = np.einsum('ij,jk->ik', a, b, optimize=True)\n"
+              "    return np.einsum('ij,jk->ik', a, b), x, y, z, v, w, m, e\n")
     assert numpy_blas_uses(source, {"f"}) == [(3, "f", "@"), (4, "f", "@"),
                                               (6, "f", "np.linalg")]
+    assert numpy_blas_uses(source, {"h"}) == [
+        (11, "h", "np.dot"), (12, "h", "np.matmul"), (13, "h", "np.inner"),
+        (14, "h", "np.vdot"), (15, "h", "np.tensordot"), (16, "h", ".dot("),
+        (17, "h", "einsum optimize")]
 
 
 @pytest.mark.parametrize("module", sorted(NYSTROM_PATH))

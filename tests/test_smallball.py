@@ -444,6 +444,22 @@ def test_tiny_eps_ends_in_an_estimate_or_a_typed_error():
     assert found >= 12, found  # every bridge eps down to 1e-75
 
 
+@pytest.mark.parametrize("r", [1e3, 1e10, 1e40])
+@pytest.mark.parametrize("with_tail", [False, True], ids=["bare", "tail"])
+def test_err_bounds_the_error_near_the_pole(r, with_tail):
+    """At radii far above the mean the saddle point s* ~ 1/r^2 sits next to
+    the pole of 1/s at 0, and the integrand decays only like 1/u along the
+    contour: there the Phi^(3)/Phi'^3 term of the restored end is as large
+    as the Phi''^2/Phi'^4 one.  Wiener K = 200 has 1 - p below 1e-300 at
+    these radii, so |1 - p| is the error, which err must bound (it read
+    6.3e-13 against an err of 1.7e-14 when the restoration stopped at
+    Phi'')."""
+    lam = wiener_lams(200)
+    tail = WeylTailModel.fitted(1, lam) if with_tail else None
+    est = smallball_probability_exact(lam, r, tail=tail)
+    assert abs(1.0 - est.p) <= est.err, (1.0 - est.p, est.err)
+
+
 def test_estimate_invariants():
     with pytest.raises(ValueError):
         ProbabilityEstimate(p=1.5, err=0.0, method="saddlepoint")

@@ -1,10 +1,11 @@
 import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
-from scipy.linalg import expm
+from scipy.linalg import blas, expm
 from scipy.optimize import brentq
 
 from greenball import spectrum
@@ -557,6 +558,12 @@ def _dense_top(kern, g, K):
     return np.linalg.eigvalsh(0.5 * (S + S.T))[::-1][:K]
 
 
+def _dense(S):
+    """The product of `_ritz_top` for a dense symmetric S: one dgemm into
+    the Fortran-ordered output."""
+    return lambda X, out: blas.dgemm(1.0, S.T, X, c=out, overwrite_c=True)
+
+
 PSI_HALF = "(0.5+1.5*t)^(-4)"
 
 
@@ -604,9 +611,9 @@ class TestSeededNystrom:
         w = None if weight is None else Weight.from_text(weight)
         ritz = {}
 
-        def recorded(S, Q, K, *args):
-            out = _ritz_top(S, Q, K, *args)
-            ritz[S.shape[0]] = out[0][:K]
+        def recorded(product, Q, K, *args):
+            out = _ritz_top(product, Q, K, *args)
+            ritz[Q.shape[0]] = out[0][:K]
             return out
 
         monkeypatch.setattr(spectrum, "_ritz_top", recorded)
@@ -662,13 +669,13 @@ class TestSeededNystrom:
         S = _nystrom_matrix(base_kernel("wiener"), g)
         lam, V = np.linalg.eigh(S)
         b = K + K // 4 + 8
-        theta, U = _ritz_top(S, V[:, -b - 1:-1], K)
+        theta, U = _ritz_top(_dense(S), V[:, -b - 1:-1], K)
         np.testing.assert_allclose(theta[:K], lam[-2:-K - 2:-1],
                                    rtol=1e-12)
         with pytest.raises(GridTooCoarse, match="missed an eigenvalue"):
             _guard(S.copy(), theta, U, K)
         # with the leading mode present the same guard passes
-        theta, U = _ritz_top(S, V[:, -b:], K)
+        theta, U = _ritz_top(_dense(S), V[:, -b:], K)
         _guard(S.copy(), theta, U, K)
 
     def test_exhausted_krylov_space_keeps_the_basis_orthonormal(self):
@@ -685,7 +692,7 @@ class TestSeededNystrom:
         S = (Q * lam) @ Q.T
         S = 0.5 * (S + S.T)
         seed = np.linalg.qr(rng.standard_normal((n, K + 8)))[0]
-        theta, U = _ritz_top(S, seed, K)
+        theta, U = _ritz_top(_dense(S), seed, K)
         np.testing.assert_allclose(theta[:K], lam[:K], rtol=0,
                                    atol=8 * np.finfo(float).eps)
         assert np.abs(U.T @ U - np.eye(U.shape[1])).max() <= 1e-13
@@ -699,7 +706,7 @@ class TestSeededNystrom:
         S = (Q * np.linspace(1.0, 0.9, n)) @ Q.T
         seed = np.linalg.qr(rng.standard_normal((n, K + 8)))[0]
         with pytest.raises(NonConvergence, match="8 Krylov blocks"):
-            _ritz_top(S, seed, K)
+            _ritz_top(_dense(S), seed, K)
 
     @staticmethod
     def _peak_mib(kern, weight, K):
@@ -715,9 +722,17 @@ class TestSeededNystrom:
         # each sample of the doubled grid (n = 2048) lives in one 32 MiB
         # buffer, which the base formula fills and the sqrt(w) similarity
         # overwrites; the Krylov workspace adds about 6 MiB.  Building S
-        # beside the sample peaked at 65 MiB
-        peak = self._peak_mib(base_kernel("ou"), None, 10)[1]
+        # beside the sample peaked at 65 MiB.  A copy of the kernel carries
+        # no generators, so it is assembled densely
+        peak = self._peak_mib(dataclasses.replace(base_kernel("ou")), None,
+                              10)[1]
         assert peak < 44, peak
+
+    def test_semiseparable_peak_memory(self):
+        # the generators keep the doubled grid's n x n matrix (32 MiB) from
+        # ever existing: the Krylov workspace (about 6 MiB) is the peak
+        peak = self._peak_mib(base_kernel("ou"), None, 10)[1]
+        assert peak < 8, peak
 
     @pytest.mark.parametrize("make, weight", [
         (lambda: build_process(ProcessSpec("wiener", m=1, betas=(0,))), None),
@@ -741,8 +756,9 @@ class TestSeededNystrom:
         # (n = 2048) beside the Krylov workspace of K = 40 (about 17 MiB),
         # where whole-matrix temporaries peaked at 96 MiB and
         # c * exp(-r) * polyval(r, coef) at about 160 MiB; the eigenvalues
-        # are those of that expression
-        kern = base_kernel("matern", {"n": 2})
+        # are those of that expression.  A copy carries no generators, so
+        # it takes the dense path, which samples the kernel
+        kern = dataclasses.replace(base_kernel("matern", {"n": 2}))
         got, peak = self._peak_mib(kern, None, 40)
         assert peak <= 56, peak
 
@@ -753,6 +769,109 @@ class TestSeededNystrom:
             kern, sampler=lambda g: _radial_split(g, profile, 0.0))
         want = nystrom_eigenvalues(ref, None, 40, grid=1024).mu
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+BASE_FAMILIES = {
+    "wiener": lambda: base_kernel("wiener"),
+    "bridge": lambda: base_kernel("bridge"),
+    "ou": lambda: base_kernel("ou"),
+    "slepian": lambda: base_kernel("slepian"),
+    "matern2": lambda: base_kernel("matern", {"n": 2}),
+    "bogolyubov3": lambda: base_kernel("bogolyubov", {"omega": 3.0}),
+}
+
+
+def _base_kernel(family, weight):
+    kern = BASE_FAMILIES[family]()
+    return kern if weight is None else apply_weight(
+        kern, Weight.from_text(weight))
+
+
+class TestSemiseparable:
+    """A catalog base kernel, weighted or not, keeps its Nystrom matrix in
+    semiseparable form: products and the eigenvalue count it offers must be
+    those of the dense matrix (`_nystrom_matrix` of a copy, which carries
+    no generators)."""
+
+    @pytest.mark.parametrize("n", [256, 512, 2048])
+    @pytest.mark.parametrize("weight", [None, PSI_HALF], ids=["1", "psi"])
+    @pytest.mark.parametrize("family", sorted(BASE_FAMILIES))
+    def test_count_matches_the_dense_inertia(self, family, weight, n):
+        kern, g = _base_kernel(family, weight), Grid.composite(n, 8)
+        parts = spectrum._semiseparable(kern, g)
+        lam = np.linalg.eigvalsh(_nystrom_matrix(dataclasses.replace(kern),
+                                                 g))[::-1]
+        top = lam[:120]
+        # distinct: apart by more than the 8 eps lambda_1 the dense solve
+        # resolves (the Bogolyubov pairs are double eigenvalues)
+        apart = np.flatnonzero(-np.diff(top) > 8 * np.finfo(float).eps
+                               * top[0])
+        assert apart.size >= 50, apart.size
+        for j in apart:
+            # sigma = (top_j + top_j+1)/2, with j + 1 Ritz values above it:
+            # the guard passes exactly when it counts j + 1 eigenvalues
+            theta = np.append(top[:j + 1], top[j + 1])
+            spectrum._count_guard(*parts, theta, j + 1)
+        # one Ritz value short of them, it raises
+        with pytest.raises(GridTooCoarse, match="missed an eigenvalue"):
+            spectrum._count_guard(*parts, theta[1:], j)
+
+    @pytest.mark.parametrize("n", [512, 2048])
+    @pytest.mark.parametrize("weight", [None, PSI_HALF], ids=["1", "psi"])
+    @pytest.mark.parametrize("family", sorted(BASE_FAMILIES))
+    def test_product_matches_the_dense_product(self, family, weight, n):
+        kern, g = _base_kernel(family, weight), Grid.composite(n, 8)
+        S = _nystrom_matrix(dataclasses.replace(kern), g)
+        X = np.asfortranarray(
+            np.random.default_rng(5).standard_normal((n, 20)))
+        # the product writes into the columns of a larger Fortran array, as
+        # the Krylov solve's images
+        images = np.zeros((n, 40), order="F")
+        spectrum._semiseparable_product(*spectrum._semiseparable(kern, g),
+                                        X, images[:, 10:30])
+        want = blas.dgemm(1.0, S.T, X)
+        scale = (np.abs(S) @ np.abs(X)).max()
+        gap = np.abs(images[:, 10:30] - want).max()
+        assert gap <= 4 * np.finfo(float).eps * scale, gap / scale
+        assert not images[:, :10].any() and not images[:, 30:].any()
+
+    def test_large_omega_takes_the_dense_path(self):
+        # past omega = 700 the generators e^{omega t} and e^{-omega (s -
+        # 1/2)}/(4 omega sinh(omega/2)) leave the normal doubles; the dense
+        # formula does not
+        g = Grid.composite(64, 8)
+        for omega, dense in ((700.0, False), (701.0, True), (1000.0, True)):
+            kern = base_kernel("bogolyubov", {"omega": omega})
+            parts = spectrum._semiseparable(kern, g)
+            assert (parts is None) == dense, omega
+            if parts is not None:
+                assert all(np.isfinite(a).all() for a in parts)
+
+    def test_transforms_drop_the_generators(self):
+        g = Grid.composite(64, 8)
+        for spec in (ProcessSpec("wiener", m=1, betas=(0,)),
+                     ProcessSpec("bridge", center_final=True),
+                     ProcessSpec("ciw", level=1)):
+            assert spectrum._semiseparable(build_process(spec), g) is None
+        assert spectrum._semiseparable(build_process(ProcessSpec("ou")),
+                                       g) is not None
+
+    def test_count_guard_catches_a_missing_leading_mode(self, monkeypatch):
+        # as the dense guard's test: a seed without the leading eigenvector
+        # and no Krylov block to bring it back
+        monkeypatch.setattr(spectrum, "_KRYLOV_BLOCKS", 0)
+        K, g = 5, Grid.composite(256, 8)
+        kern = base_kernel("wiener")
+        parts = spectrum._semiseparable(kern, g)
+        product = functools.partial(spectrum._semiseparable_product, *parts)
+        lam, V = np.linalg.eigh(_nystrom_matrix(kern, g))
+        b = K + K // 4 + 8
+        theta, U = _ritz_top(product, V[:, -b - 1:-1], K)
+        np.testing.assert_allclose(theta[:K], lam[-2:-K - 2:-1], rtol=1e-12)
+        with pytest.raises(GridTooCoarse, match="missed an eigenvalue"):
+            spectrum._count_guard(*parts, theta, K)
+        theta, U = _ritz_top(product, V[:, -b:], K)
+        spectrum._count_guard(*parts, theta, K)
 
 
 class TestEigenvalueProduct:
