@@ -13,37 +13,47 @@ of its |t-s| component (``odd``) on the diagonal panel blocks, which hold the
 derivative jump that quadrature integrates exactly there.  Nothing is
 sampled at construction or kept afterwards: `Kernel.evaluate_on` samples
 whatever grid is asked for -- the kernel's own (1024 nodes by default), or
-the grids the Nystrom solve and its grid-doubling check pick.  A base
+the grids the Nystrom solve and its grid-doubling check pick.  A catalog
 kernel, weighted or not, also carries generators privately: the columns
 u, v with G(t, s) = u(t) . v(s) for t <= s, a Green function's
 semiseparable form, which the Nystrom solve uses in place of the matrix.
 
-Transforms compose by closure: integrating or centering a kernel produces a
-new sampler that re-runs the whole chain from the base formula on whatever
-grid is requested.  The constructors validate their arguments eagerly.
+Transforms pass the generators on: integration adds one column to each
+side (up to half order 3), centering two (of a kernel of half order 1)
+and conditioning on q functionals q, all computed from smooth columns on
+the grid asked for, and columns a transform makes dependent are folded
+into their partners.  The columns of u are integrated from 0 and those
+of v from 1, so that their products stay of the kernel's size
+(`_row_integrals`).  A transformed kernel with generators is sampled
+from them, by one dgemm.  A kernel without them (a user's, a custom
+Bogolyubov covariance, omega > 700, and the transforms past those limits)
+composes by closure: integrating or centering it produces a new sampler
+that re-runs the whole chain from the base formula on whatever grid is
+requested.  The constructors validate their arguments eagerly.
 Weighting is terminal -- every other transform refuses a weighted kernel,
 which enforces the "weight applied last" rule at the API level.  Every
 catalog sample is bitwise symmetric -- by construction, or by one in-place
 `_symmetrize` after integrating or conditioning.
 
 A sample belongs to whoever asked for it, so one n x n buffer carries it
-through a chain: the base sampler fills it, and each transform -- and
-finally the Nystrom solve -- writes its result into the sample it was
-handed, a row block or a panel at a time.  `evaluate_on` alone fixes the
-layout: it hands on a writable C-ordered float array, and copies a user
-sampler's read-only or Fortran-ordered one once.
+through a chain: the base sampler (or the generators' dgemm) fills it, and
+each transform -- and finally the Nystrom solve -- writes its result into
+the sample it was handed, a row block or a panel at a time.  `evaluate_on`
+alone fixes the layout: it hands on a writable C-ordered float array, and
+copies a user sampler's read-only or Fortran-ordered one once.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import partial
 from math import comb, factorial
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.linalg import blas, eigh, pinvh
+from scipy.linalg import blas, eigh, pinvh, qr, solve_triangular
 
 from .errors import SingularConditioning, UnsupportedFamily
 from .expr import constant, evaluate, parse_expression, scale
@@ -55,6 +65,11 @@ DEFAULT_GRID = Grid.composite(1024, 8)
 
 #: condition-number ceiling for the conditioning Gram matrix
 CONDITION_LIMIT = 1e12
+#: a generator column, sqrt(w)-weighted and of unit norm, is dropped when
+#: its distance from the span of the columns kept before it is at most
+#: this (`_fold`), and a term u_j v_j when it is at most this fraction of
+#: the largest (`_significant`)
+_DEPENDENT = 1e-12
 #: side of the square tiles `_symmetrize` averages in place, and the height
 #: of the row blocks in which the stages overwrite a sample
 _TILE = 64
@@ -315,7 +330,8 @@ _GENERATORS = {
 
 def _carrying(k, generators):
     """`k`, carrying `generators` (as in `_GENERATORS`, or None) privately
-    for `_generators_on`; no transform but `apply_weight` passes them on."""
+    for `_generators_on`; the transforms pass them on (`_derived`), and
+    `dataclasses.replace` drops them."""
     object.__setattr__(k, "_generators", generators)
     return k
 
@@ -324,6 +340,101 @@ def _generators_on(k, g):
     """(u, v, odd) of `k` on the grid g, weighted where `k` is, or None."""
     generators = getattr(k, "_generators", None)
     return generators and generators(g)
+
+
+def _columns(g, cols):
+    """The columns `cols` (arrays on the nodes of g, or constants) as one
+    fresh C-ordered (n, r) array."""
+    return np.column_stack([np.broadcast_to(c, g.x.shape) for c in cols])
+
+
+def _generator_sample(generators, g):
+    """The sample of a kernel from its generators on g: one dgemm gives
+    u(x_i) . v(x_j) for every i, j, and the tiles above the diagonal are
+    mirrored below it, so the sample is bitwise symmetric."""
+    u, v, odd = generators(g)
+    values = blas.dgemm(1.0, _columns(g, v), _columns(g, u), trans_b=True).T
+    for a, b in _tile_pairs(g.n):
+        if a == b:
+            lower = np.tril_indices(len(values[a, a]), -1)
+            values[a, a][lower] = values[a, a].T[lower]
+        else:
+            values[b, a] = values[a, b].T
+    return values, odd
+
+
+def _fold(g, a, b):
+    """(a, b) with each column of a that the others span up to rounding
+    folded into the partner columns b: if the dropped a_d are a_kept C,
+    then sum a_k b_k = a_kept . (b_kept + b_dropped C^T).  A pivoted QR of
+    a's sqrt(w)-weighted unit columns picks the kept ones; when it keeps
+    them all, a and b come back as they were."""
+    A = _columns(g, a)
+    # scaled by its largest entry first, as a column may pass 1e154
+    norms = np.abs(A).max(axis=0)
+    norms[norms == 0.0] = 1.0
+    W = A * (np.sqrt(g.w)[:, None] / norms)
+    unit = np.sqrt(np.einsum("ir,ir->r", W, W))
+    unit[unit == 0.0] = 1.0
+    norms *= unit
+    R, piv = qr(W / unit, mode="r", pivoting=True)
+    k = np.count_nonzero(np.abs(np.diag(R)) > _DEPENDENT * abs(R[0, 0]))
+    if k == A.shape[1]:
+        return a, b
+    kept, dropped = piv[:k], piv[k:]
+    C = solve_triangular(R[:k, :k], R[:k, k:])
+    C *= norms[dropped] / norms[kept][:, None]
+    B = _columns(g, b)
+    B = B[:, kept] + np.einsum("id,kd->ik", B[:, dropped], C)
+    return list(A[:, kept].T), list(B.T)
+
+
+def _significant(g, u, v):
+    """(u, v) without the terms u_j(t) v_j(s) that stay at most
+    _DEPENDENT of the largest term on t <= s: rounding, such as the integral
+    of a centred kernel's zero row integral, which `_fold` would take for
+    a column of its own."""
+    U, V = _columns(g, u), _columns(g, v)
+    size = (np.maximum.accumulate(np.abs(U), axis=0) * np.abs(V)).max(axis=0)
+    keep = size > _DEPENDENT * size.max()
+    if keep.all():
+        return u, v
+    return list(U[:, keep].T), list(V[:, keep].T)
+
+
+def _row_integrals(g, u, v):
+    """(U_1, V_1, r) of the generators u, v on g: U_1 = int_0^t u,
+    V_1 = -int_t^1 v and the row integral r(t) = int_0^1 G(t, s) ds =
+    U_1(t) . v(t) - u(t) . V_1(t).  Each column is integrated over the side
+    of t on which G uses it, so every product U_1(t) V_1(s), t <= s, stays
+    of the kernel's size: a decaying v integrated from 0 (Bogolyubov's
+    e^{-omega s}) would leave a constant that cancels against the growing
+    U_1 ~ e^{omega t} to e^omega eps."""
+    U, V = _columns(g, u), _columns(g, v)
+    U1, V1 = integrate_rows(g, U.copy()), integrate_rows(g, V.copy(), lower=1)
+    return U1, V1, np.einsum("ir,ir->i", U1, V) - np.einsum("ir,ir->i", U, V1)
+
+
+def _derived(k, label, half_order, sample, step):
+    """The kernel a transform makes of `k`, sampled by the closure `sample`
+    of `k`'s samples -- or, when `k` carries generators and `step` is not
+    None, with generators step(g, u, v, odd) of `k`'s and sampled from
+    them.  Negligible terms are dropped (`_significant`), and the dependent
+    columns of u are folded into v, then those of v into u (`_fold`),
+    which keeps u's columns independent."""
+    parent = step and getattr(k, "_generators", None)
+    if parent is None:
+        return Kernel(k.grid, label, half_order, sample, symmetric=True)
+
+    def generators(g):
+        u, v, odd = step(g, *parent(g))
+        u, v = _fold(g, *_significant(g, u, v))
+        v, u = _fold(g, v, u)
+        return u, v, odd
+
+    return _carrying(Kernel(k.grid, label, half_order,
+                            partial(_generator_sample, generators),
+                            symmetric=True), generators)
 
 
 #: canonical family -> (aliases, boundary-value problem or None).  A problem
@@ -437,7 +548,16 @@ def integrate_kernel(k, beta):
     The sign cancels in the covariance, so the result is
     K'(t, s) = int_beta^t int_beta^s K(u, v) dv du for beta = 0 or 1.
     Iterated integrals are C^1 across the diagonal, hence odd = None.
-    Both integrations and the symmetrization overwrite the sample of `k`.
+    Without generators both integrations and the symmetrization overwrite
+    the sample of `k`.  With them, and U_1, V_1 and the row integral r of
+    `_row_integrals`, the result has generators (U_1, R), (V_1, 1) for
+    beta = 0, R = int_0^t r, and (U_1, 1), (V_1, -R) for beta = 1,
+    R = -int_t^1 r -- any antiderivatives of u and v would do, and these
+    keep every product of the kernel's size -- up to half order 3.
+    Beyond it the closure is kept: three-fold integrated bridges and
+    Wiener processes, with columns integrated from beta, miscounted at up
+    to 5 of 38 midpoints on 2048 nodes (sigma near 1e-11 lambda_1); with
+    these columns they matched, but on those two chains only.
     """
     if beta not in (0, 1):
         raise ValueError("beta must be 0 or 1")
@@ -449,8 +569,15 @@ def integrate_kernel(k, beta):
         # the second integral runs along A's contiguous rows
         return _symmetrize(integrate_cols(g, A, lower=beta)), None
 
-    return Kernel(k.grid, f"int[{beta}]({k.label})", k.half_order + 1, sample,
-                  symmetric=True)
+    def step(g, u, v, odd):
+        U1, V1, r = _row_integrals(g, u, v)
+        R = integrate_rows(g, r[:, None], lower=beta)[:, 0]
+        u, v = list(U1.T), list(V1.T)
+        return ((u + [R], v + [1.0]) if beta == 0
+                else (u + [1.0], v + [-R])) + (None,)
+
+    return _derived(k, f"int[{beta}]({k.label})", k.half_order + 1, sample,
+                    step if k.half_order < 3 else None)
 
 
 def center_kernel(k):
@@ -459,7 +586,16 @@ def center_kernel(k):
     K'(t,s) = K(t,s) - r(t) - r(s) + c with r(t) = int K(t,u) du and
     c = int int K; the result annihilates constants, and the |t-s| kink
     coefficient is untouched (only smooth rank-one terms are subtracted).
-    The subtraction overwrites the sample of `k`, a row block at a time.
+    Without generators the subtraction overwrites the sample of `k`, a row
+    block at a time.  With them, r is that of `_row_integrals` and the
+    result has generators (u, c/2 - r, 1), (v, 1, c/2 - r) -- for a kernel
+    of half order 1 only.  The constant
+    columns lie in the null space of the centred kernel, so the eigenvalue
+    count's carry grows like 1/sigma along them, and at the depths the
+    faster-decaying spectra reach (sigma below 1e-8 lambda_1) its rounding
+    passed sigma: centred Matern(2) miscounted at up to 59 of 119
+    midpoints on 2048 nodes, and integrated then centred OU and Wiener
+    processes at up to 7 and 9.  Those keep the closure.
     """
     _require_unweighted(k, "center_kernel")
 
@@ -472,8 +608,13 @@ def center_kernel(k):
             v[rows] -= np.add.outer(s[rows], s)
         return v, o
 
-    return Kernel(k.grid, f"center({k.label})", k.half_order, sample,
-                  symmetric=True)
+    def step(g, u, v, odd):
+        r = _row_integrals(g, u, v)[2]
+        q = 0.5 * g.integrate(r) - r
+        return [*u, q, 1.0], [*v, 1.0, q], odd
+
+    return _derived(k, f"center({k.label})", k.half_order, sample,
+                    step if k.half_order == 1 else None)
 
 
 def condition_kernel(k, cross, gram):
@@ -483,7 +624,9 @@ def condition_kernel(k, cross, gram):
     matrix of cross-covariances Cov(X(t_i), Z_j); gram: the (q, q)
     covariance matrix of Z.  Returns the kernel of (X | Z = 0),
     K'(t,s) = K(t,s) - c(t)^T Sigma^+ c(s), via a symmetric pseudo-solve;
-    one dgemm subtracts the rank-q term from the sample of `k` in place.
+    without generators one dgemm subtracts the rank-q term from the sample
+    of `k` in place, and with them it adds the columns -c Sigma^+ to u and
+    c to v.
     """
     _require_unweighted(k, "condition_kernel")
     S = np.atleast_2d(np.asarray(gram, dtype=float))
@@ -500,8 +643,7 @@ def condition_kernel(k, cross, gram):
             f"(limit {CONDITION_LIMIT:g})")
     P = pinvh(S)
 
-    def sample(g):
-        v, o = k.evaluate_on(g)
+    def cross_on(g):
         C = np.asarray(cross(g.x), dtype=float)
         if C.ndim == 1:
             C = C[:, None]
@@ -509,14 +651,23 @@ def condition_kernel(k, cross, gram):
             raise ValueError(
                 f"cross-covariance shape {C.shape} does not match "
                 f"{(g.n, S.shape[0])}")
+        return C
+
+    def sample(g):
+        v, o = k.evaluate_on(g)
+        C = cross_on(g)
         # v -= C P C^T, written as v^T -= C (C P)^T in v's Fortran view:
         # one dgemm that writes into v
         blas.dgemm(-1.0, C, np.einsum("ik,kl->il", C, P), 1.0, v.T,
                    trans_b=True, overwrite_c=True)
         return _symmetrize(v), o
 
-    return Kernel(k.grid, f"cond[{S.shape[0]}]({k.label})", k.half_order,
-                  sample, symmetric=True)
+    def step(g, u, v, odd):
+        C = cross_on(g)
+        return ([*u, *(-np.einsum("ik,kl->il", C, P)).T], [*v, *C.T], odd)
+
+    return _derived(k, f"cond[{S.shape[0]}]({k.label})", k.half_order,
+                    sample, step)
 
 
 def apply_weight(k, w):
@@ -632,8 +783,9 @@ def _conditional_integrated_wiener(level, g):
     for _ in range(level):
         k = integrate_kernel(k, 0)
     k = condition_kernel(k, _ciw_cross(level), _ciw_gram(level))
-    return dataclasses.replace(
-        k, label=f"conditional-integrated-wiener({level})")
+    return _carrying(dataclasses.replace(
+        k, label=f"conditional-integrated-wiener({level})"),
+        getattr(k, "_generators", None))
 
 
 def build_process(spec, grid=None):

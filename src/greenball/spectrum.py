@@ -16,7 +16,9 @@ the weighted kernel on composite Gauss-Legendre grids with an exact
 correction for the |t-s| kink.  One dense eigensolve runs on the coarsest
 grid with at least 8K nodes; the requested grid and its doubling get block
 Krylov Rayleigh-Ritz solves seeded with the previous grid's interpolated
-eigenvectors, each certified by a guard.  A catalog base kernel keeps its
+eigenvectors, each certified by a guard.  A catalog kernel -- a base
+kernel or a chain of integrations, centerings and conditionings of one
+that keeps its generators (`kernels.py`), weighted or not -- keeps its
 matrix there in semiseparable form (a Green function is u(t).v(s) on
 t < s), with O(n) products and an exact eigenvalue count as its guard;
 any other kernel is assembled densely and certified by a Cholesky
@@ -412,10 +414,12 @@ def nystrom_eigenvalues(kern, w, K, grid=None):
     `grid` and then its doubling get a block Krylov Rayleigh-Ritz solve
     seeded with the previous grid's interpolated eigenfunctions
     (`_ritz_top`, NonConvergence if it does not settle), and a guard proves
-    that it missed no eigenvalue above its top K: for a catalog base kernel
-    with generators, which is never assembled there, an exact count of the
-    eigenvalues above the guard's sigma (`_count_guard`), else a Cholesky
-    factorization of the deflated matrix (`_guard`).
+    that it missed no eigenvalue above its top K: for a kernel with
+    generators (a catalog base kernel, or integrations, centerings and
+    conditionings of one), which is never assembled there, an exact count
+    of the eigenvalues above the guard's sigma (`_count_guard`), else a
+    Cholesky factorization of the deflated matrix (`_guard`).  The dense
+    solve samples a transformed kernel from its generators too.
     The doubled grid's are returned; `err` is their relative gap to those
     on `grid`, at least the rounding floor 8 eps lambda_1/lambda_k, and
     GridTooCoarse is raised when that gap exceeds 1e-4 or a guard fails.
@@ -526,7 +530,8 @@ def _semiseparable(kern, g):
     """The Nystrom matrix of `kern` on `g` as (D, U, V), or None if `kern`
     has no generators u, v finite on `g`: U = d u and V = d v, d = sqrt(w
     psi), shaped (panels, order, r), give S_ij = U_i . V_j for x_i in an
-    earlier panel than x_j, and D the kink-corrected diagonal blocks."""
+    earlier panel than x_j, and D the diagonal blocks, kink-corrected
+    unless the kink coefficient is None (an integrated kernel)."""
     gens = _generators_on(kern, g)
     if gens is None:
         return None
@@ -539,7 +544,7 @@ def _semiseparable(kern, g):
     # G(x_i, x_j) = u(x_i) . v(x_j) for i <= j, mirrored below the diagonal
     D = np.triu(np.einsum("pir,pjr->pij", U, V))
     D += np.triu(D, 1).transpose(0, 2, 1)
-    return _kink_blocks(g, D, odd), U, V
+    return (D if odd is None else _kink_blocks(g, D, odd)), U, V
 
 
 def _semiseparable_product(D, U, V, X, out):
@@ -633,9 +638,13 @@ def _ritz_top(product, Q, K):
         r[:b] = np.sqrt(np.einsum("ij,ij->j", R, R))
         if m == n or (_ritz_bounds(theta, r)[:K] <= tol * theta[0]).all():
             # theta inherits the rounding of H's n-term sums (10 eps theta_1
-            # at n = 1600): the Rayleigh quotient theta + u.r / u.u does not
-            return theta[:b] + (np.einsum("ij,ij->j", U, R)
-                                / np.einsum("ij,ij->j", U, U)), U
+            # at n = 1600): the Rayleigh quotient theta + u.r / u.u does not.
+            # It can swap the two members of a double eigenvalue, so the
+            # pairs are sorted again
+            rq = theta[:b] + (np.einsum("ij,ij->j", U, R)
+                              / np.einsum("ij,ij->j", U, U))
+            order = np.argsort(-rq, kind="stable")
+            return rq[order], U[:, order]
         if m == basis.shape[1]:
             raise NonConvergence(
                 f"the seeded solve on {n} nodes did not resolve the top {K} "
@@ -703,8 +712,18 @@ def _count_guard(D, U, V, theta, K):
     Schur complements on successive panels: with Phi the r x r carry of the
     panels eliminated, A_p = sigma I - D_p - V_p Phi V_p^T is
     eigendecomposed by LAPACK and Phi += W_p^T A_p^-1 W_p, W_p = U_p +
-    V_p Phi; O(n (order + r)^2) work."""
+    V_p Phi; O(n (order + r)^2) work.
+
+    The panels are eliminated from the end of [0, 1] whose diagonal block
+    has the smaller trace: where a process is pinned, the columns the carry
+    gathers (U forward, V backward) vanish with the kernel.  Started from
+    the other end, the carry amplified their rounding past the small
+    eigenvalues: Wiener m = 2, betas (0, 1), pinned at 1, miscounted at 36
+    of 102 midpoints on 2048 nodes from 0, and integrated Matern(2), pinned
+    at 0, at up to 67 of 102 from 1."""
     sigma = 0.5 * (theta[K - 1] + theta[-1])
+    if np.trace(D[0]) > np.trace(D[-1]):  # reversed, U and V swap roles
+        D, U, V = D[::-1, ::-1, ::-1], V[::-1, ::-1], U[::-1, ::-1]
     phi, shift = np.zeros((U.shape[2],) * 2), sigma * np.eye(U.shape[1])
     above = 0
     for Dp, Up, Vp in zip(D, U, V):

@@ -494,16 +494,49 @@ def test_too_coarse_grid_exits_3(capsys):
     assert rc == 3
 
 
+def test_readme_default_prob_passes_grid_doubling(capsys):
+    # K = 200 on the 1600-node grid: sampled from its generators, the
+    # integrated bridge passes the doubled-grid check (the closure chain's
+    # sampling error moved an eigenvalue by 2.47e-4 there)
+    rc, out, err = run_cli(["prob", "--process", "bridge", "-m", "1",
+                            "--betas", "0"], capsys)
+    assert rc == 0, err
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert abs(float(row["p"]) - 0.393962868) < 1e-9
+
+
+def test_integrated_bogolyubov_at_omega_40_passes_grid_doubling(capsys):
+    # its generators grow like e^{40 t}; integrated from the side where
+    # each column is small they sample the kernel to 1e-13, where the
+    # closure chain moved an eigenvalue by 2.47e-4 on the doubled grid
+    rc, out, err = run_cli(["prob", "--process", "bogolyubov", "--omega",
+                            "40", "-m", "1", "--betas", "0"], capsys)
+    assert rc == 0, err
+    row = next(csv.DictReader(io.StringIO(out)))
+    # E ||X||^2 is about 1/(2 omega^2) = 3e-4, far below eps^2 = 0.01:
+    # P(||X|| < 0.1) is 1 - 2.2e-10
+    assert 0.0 < 1.0 - float(row["p"]) < 1e-9
+
+
 @pytest.mark.parametrize("argv, gap", [
-    (["prob", "--process", "bridge", "-m", "1", "--betas", "0"], "2.47e-04"),
-    (["mc", "--process", "ciw", "--level", "1"], "2.50e-04"),
+    (["mc", "--process", "ciw", "--level", "1"], "1.13e-04"),
 ])
 def test_readme_defaults_exit_3_on_grid_doubling(capsys, argv, gap):
     # K = 200 on the 1600-node grid, which has no coarser dense level: the
-    # doubled-grid check still refuses these spectra (ROADMAP item 3)
+    # doubled-grid check still refuses this spectrum (ROADMAP item 5)
     rc, out, err = run_cli(argv, capsys)
     assert rc == 3 and out == ""
     assert f"grid-doubling moved an eigenvalue by {gap} relative" in err
+
+
+def test_double_eigenvalues_keep_prob_going(capsys):
+    # the Ritz values of the periodic kernel's double eigenvalues are
+    # sorted again after their Rayleigh correction; unsorted, mu was not
+    # ascending and prob exited 2
+    rc, out, err = run_cli(["prob", "--process", "bogolyubov", "--omega",
+                            "3", "-K", "40", "--eps", "0.3"], capsys)
+    assert rc == 0, err
+    assert 0.0 < float(next(csv.DictReader(io.StringIO(out)))["p"]) < 1.0
 
 
 def test_invalid_eps_exits_2(capsys):

@@ -415,7 +415,9 @@ NYSTROM_PATH = {
                     "_orthonormalize", "_ritz_top", "_guard", "_count_guard"),
     "quadrature.py": ("integrate_full", "integrate_rows", "integrate_cols"),
     "kernels.py": ("integrate_kernel", "center_kernel", "condition_kernel",
-                   "apply_weight", "_generators_on"),
+                   "apply_weight", "_generators_on", "_columns",
+                   "_generator_sample", "_fold", "_significant",
+                   "_row_integrals", "_derived"),
 }
 
 #: numpy functions that hand a product to numpy's BLAS

@@ -8,6 +8,8 @@ Closed-form oracles used below (t <= s throughout; symmetrize for t > s):
   int from 1 of Wiener   C(t,s)  = (1-s^2)/2 - (1-s^3)/6 - t^2(1-s)/2
                          (C(0,0) = 1/3)
   centered bridge        Kc(t,s) = min(t,s) - ts - t(1-t)/2 - s(1-s)/2 + 1/12
+  its integral from 0    K1(t,s) - t^2 s^2/4 - s(t^2/4 - t^3/6)
+                         - t(s^2/4 - s^3/6) + ts/12
 """
 
 import dataclasses
@@ -55,6 +57,11 @@ def _int_from_one(t, s):
 def _centered_bridge(t, s):
     return (np.minimum(t, s) - t * s - t * (1.0 - t) / 2.0
             - s * (1.0 - s) / 2.0 + 1.0 / 12.0)
+
+
+def _centered_integrated_bridge(t, s):
+    return (_k1(t, s) - t * t * s * s / 4.0 - s * (t * t / 4.0 - t ** 3 / 6.0)
+            - t * (s * s / 4.0 - s ** 3 / 6.0) + t * s / 12.0)
 
 
 def _panel_lags(g=GRID):
@@ -364,22 +371,26 @@ def test_catalog_kernels_are_symmetric_by_construction():
 
 def test_build_process_samples_lazily(monkeypatch):
     import greenball.kernels as kernels
-    calls = []
-    wiener = kernels._wiener_values
+    calls, dense = [], []
+    wiener = kernels._GENERATORS["wiener"]
 
     def counted(g):
         calls.append(g.n)
         return wiener(g)
 
-    monkeypatch.setattr(kernels, "_wiener_values", counted)
+    monkeypatch.setitem(kernels._GENERATORS, "wiener", counted)
+    monkeypatch.setattr(kernels, "_wiener_values",
+                        lambda g: dense.append(g.n))
     k = build_process(ProcessSpec("wiener", m=2, betas=(0, 1)), GRID)
     assert calls == []
     assert k.evaluate_on(GRID)[1] is None
     assert calls == [GRID.n]
-    # nothing is kept: every call samples its grid anew
+    # nothing is kept: every call samples its grid anew, from the
+    # generators, and never the base formula
     k.evaluate_on(GRID.doubled())
     k.evaluate_on(GRID)
     assert calls == [GRID.n, 2 * GRID.n, GRID.n]
+    assert dense == []
 
 
 # ---------------------------------------------------------------------------
@@ -587,12 +598,10 @@ def test_build_process_plain_families():
 def test_build_process_centered_integrated_bridge():
     spec = ProcessSpec("bridge", centerings=1)
     got = build_process(spec, GRID)
-    # independent route: integrate the closed-form centered-bridge kernel
-    from greenball.quadrature import integrate_rows
-    kc = _sym_closed_form(_centered_bridge, GRID.x)
-    A = integrate_rows(GRID, kc, _panel_constant(-0.5), lower=0)
-    expect = integrate_rows(GRID, A.T, None, lower=0).T
-    expect = 0.5 * (expect + expect.T)
+    # independent route: the closed-form centered bridge integrated twice
+    # by hand (quadrature that takes its first integral as smooth across
+    # the diagonal is off by 1.9e-9)
+    expect = _sym_closed_form(_centered_integrated_bridge, GRID.x)
     assert np.abs(got.evaluate_on(GRID)[0] - expect).max() < 1e-10
     assert _gram_min_eig(got) > -1e-10
     assert got.half_order == 2

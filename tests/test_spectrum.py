@@ -5,14 +5,16 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
-from scipy.linalg import blas, expm
+from scipy.linalg import blas, eigh, expm
 from scipy.optimize import brentq
 
-from greenball import spectrum
+from greenball import kernels, spectrum
+from greenball.cli import main
 from greenball.errors import (GridTooCoarse, MissedRoot, NonConvergence,
                              NormalizationMismatch, StepFailure)
 from greenball.kernels import (ProcessSpec, _radial_split, apply_weight,
-                               base_kernel, build_process, catalog_problem)
+                               base_kernel, build_process, catalog_problem,
+                               center_kernel, integrate_kernel)
 from greenball.model import (BoundaryCondition, BVProblem, OperatorSpec,
                              Weight, normalization_integral)
 from greenball.quadrature import Grid, _kink_full_moments
@@ -542,9 +544,11 @@ class TestNystrom:
                 _check_above_noise(np.array(lam))
 
 
-def _dense_top(kern, g, K):
+def _dense_top(kern, g, K, rayleigh=False):
     """Top K eigenvalues of the Nystrom matrix by a dense eigvalsh, the
-    matrix assembled with plain temporaries (outer product, S + S.T)."""
+    matrix assembled with plain temporaries (outer product, S + S.T); with
+    `rayleigh`, the Rayleigh quotients of the eigenvectors of a dense eigh,
+    summed pairwise."""
     values, odd = kern.evaluate_on(g)
     sw = np.sqrt(g.w)
     S = values * np.outer(sw, sw)
@@ -555,7 +559,14 @@ def _dense_top(kern, g, K):
         corr = odd * (g.h ** 2 * _kink_full_moments(q))
         S.reshape(P, q, P, q)[p, :, p] += (swb[:, :, None] * corr
                                            / swb[:, None, :])
-    return np.linalg.eigvalsh(0.5 * (S + S.T))[::-1][:K]
+    S = 0.5 * (S + S.T)
+    if not rayleigh:
+        return np.linalg.eigvalsh(S)[::-1][:K]
+    X = eigh(S, subset_by_index=(g.n - K, g.n - 1))[1][:, ::-1]
+    # the rows of the transposed products are contiguous, so they are
+    # summed pairwise
+    return (np.ascontiguousarray((S @ X * X).T).sum(axis=1)
+            / np.ascontiguousarray((X * X).T).sum(axis=1))
 
 
 def _dense(S):
@@ -565,6 +576,10 @@ def _dense(S):
 
 
 PSI_HALF = "(0.5+1.5*t)^(-4)"
+#: the cases of `test_matches_dense_doubled_grid` held to Rayleigh
+#: quotients: the eigvalsh of integrated Wiener's generator matrix on 1600
+#: nodes is 13 eps lambda_1 off them, where eigh's subset driver is 0.5
+RAYLEIGH = {"integrated_wiener"}
 
 
 class TestSeededNystrom:
@@ -582,6 +597,8 @@ class TestSeededNystrom:
         ("centred_integrated_bridge",
          lambda: build_process(ProcessSpec("bridge", m=1, betas=(0,),
                                            centerings=1)), None, 30, 512),
+        ("ciw1", lambda: build_process(ProcessSpec("ciw", level=1)),
+         PSI_HALF, 40, 512),
         ("matern2", lambda: build_process(ProcessSpec("matern", n=2)),
          None, 30, 512),
         # lambda_0 is simple and the rest come in pairs: K = 12 keeps one
@@ -620,8 +637,11 @@ class TestSeededNystrom:
         res = nystrom_eigenvalues(kern, w, K, grid=grid)
         kw = kern if w is None else apply_weight(kern, w)
         g = Grid.composite(grid, kw.grid.order)
-        fine = _dense_top(kw, g.doubled(), K)
-        coarse = _dense_top(kw, g, K)
+        # a transformed kernel is compared with the dense solve of the
+        # matrix its generators sample
+        rayleigh = name in RAYLEIGH
+        fine = _dense_top(kw, g.doubled(), K, rayleigh)
+        coarse = _dense_top(kw, g, K, rayleigh)
         eps = np.finfo(float).eps
         # the dense solve runs on the coarsest grid with >= 8K nodes when
         # that has at most half the nodes of g; g then gets a Ritz solve
@@ -659,6 +679,13 @@ class TestSeededNystrom:
         kern = build_process(ProcessSpec("bogolyubov", omega=1.0))
         lam = 1.0 / nystrom_eigenvalues(kern, None, 13, grid=512).mu
         np.testing.assert_allclose(lam[1:13:2], lam[2:13:2], rtol=1e-12)
+
+    def test_double_eigenvalues_come_back_ascending(self):
+        # the Rayleigh correction can swap the two members of a pair; at
+        # omega = 3 it did at three pairs, by up to 1.3e-11 in mu
+        kern = build_process(ProcessSpec("bogolyubov", omega=3.0))
+        mu = nystrom_eigenvalues(kern, None, 40, grid=512).mu
+        assert (np.diff(mu) >= 0).all()
 
     def test_guard_catches_a_missing_leading_mode(self, monkeypatch):
         # a seed without the leading eigenvector, and no Krylov block to
@@ -780,22 +807,47 @@ BASE_FAMILIES = {
     "bogolyubov3": lambda: base_kernel("bogolyubov", {"omega": 3.0}),
 }
 
+#: transformed chains: integration, centering and conditioning pass the
+#: generators on
+CHAINS = {
+    "integrated_wiener": ProcessSpec("wiener", m=1, betas=(0,)),
+    "integrated_wiener_from_1": ProcessSpec("wiener", m=1, betas=(1,)),
+    "ciw1": ProcessSpec("ciw", level=1),
+    "centred_integrated_bridge": ProcessSpec("bridge", m=1, betas=(0,),
+                                             centerings=1),
+    "wiener_m2": ProcessSpec("wiener", m=2, betas=(0, 1)),
+    "ou_centred": ProcessSpec("ou", center_final=True),
+    "ciw2": ProcessSpec("ciw", level=2),
+    "integrated_matern2": ProcessSpec("matern", n=2, m=1, betas=(0,)),
+    "bridge_m2_00": ProcessSpec("bridge", m=2, betas=(0, 0)),
+    "bridge_m2_11": ProcessSpec("bridge", m=2, betas=(1, 1)),
+    "bridge_m2_10": ProcessSpec("bridge", m=2, betas=(1, 0)),
+    "ou_m2_00": ProcessSpec("ou", m=2, betas=(0, 0)),
+    "ou_m2_11": ProcessSpec("ou", m=2, betas=(1, 1)),
+    # its generators grow like e^{40 t}
+    "integrated_bogolyubov40": ProcessSpec("bogolyubov", omega=40.0, m=1,
+                                           betas=(0,)),
+}
+
 
 def _base_kernel(family, weight):
-    kern = BASE_FAMILIES[family]()
+    kern = (BASE_FAMILIES[family]() if family in BASE_FAMILIES
+            else build_process(CHAINS[family]))
     return kern if weight is None else apply_weight(
         kern, Weight.from_text(weight))
 
 
 class TestSemiseparable:
-    """A catalog base kernel, weighted or not, keeps its Nystrom matrix in
-    semiseparable form: products and the eigenvalue count it offers must be
-    those of the dense matrix (`_nystrom_matrix` of a copy, which carries
-    no generators)."""
+    """A catalog base kernel, and a chain of transforms of one that keeps
+    its generators, weighted or not, keeps its Nystrom matrix in
+    semiseparable form: products and the eigenvalue count it offers must
+    be those of the dense matrix (`_nystrom_matrix` of a copy, which
+    carries no generators and samples the same formula: the base one, or
+    a chain's generators)."""
 
     @pytest.mark.parametrize("n", [256, 512, 2048])
     @pytest.mark.parametrize("weight", [None, PSI_HALF], ids=["1", "psi"])
-    @pytest.mark.parametrize("family", sorted(BASE_FAMILIES))
+    @pytest.mark.parametrize("family", sorted(BASE_FAMILIES) + sorted(CHAINS))
     def test_count_matches_the_dense_inertia(self, family, weight, n):
         kern, g = _base_kernel(family, weight), Grid.composite(n, 8)
         parts = spectrum._semiseparable(kern, g)
@@ -818,7 +870,7 @@ class TestSemiseparable:
 
     @pytest.mark.parametrize("n", [512, 2048])
     @pytest.mark.parametrize("weight", [None, PSI_HALF], ids=["1", "psi"])
-    @pytest.mark.parametrize("family", sorted(BASE_FAMILIES))
+    @pytest.mark.parametrize("family", sorted(BASE_FAMILIES) + sorted(CHAINS))
     def test_product_matches_the_dense_product(self, family, weight, n):
         kern, g = _base_kernel(family, weight), Grid.composite(n, 8)
         S = _nystrom_matrix(dataclasses.replace(kern), g)
@@ -847,14 +899,134 @@ class TestSemiseparable:
             if parts is not None:
                 assert all(np.isfinite(a).all() for a in parts)
 
-    def test_transforms_drop_the_generators(self):
+    def test_transforms_keep_the_generators(self):
         g = Grid.composite(64, 8)
-        for spec in (ProcessSpec("wiener", m=1, betas=(0,)),
-                     ProcessSpec("bridge", center_final=True),
-                     ProcessSpec("ciw", level=1)):
+        for spec in CHAINS.values():
+            kern = build_process(spec)
+            assert spectrum._semiseparable(kern, g) is not None, spec
+            assert spectrum._semiseparable(apply_weight(
+                kern, Weight.from_text(PSI_HALF)), g) is not None, spec
+            # a copy carries none
+            assert spectrum._semiseparable(dataclasses.replace(kern),
+                                           g) is None, spec
+        # a centred kernel's row integral is zero, so the column R that
+        # integrating it adds is rounding, and it is dropped
+        kern = build_process(ProcessSpec("bridge", centerings=1))
+        assert len(kernels._generators_on(kern, g)[0]) == 3
+        # centering a kernel of half order 2 or more, and integrating one
+        # of half order 3, keep the closure
+        for spec in (ProcessSpec("matern", n=2, center_final=True),
+                     ProcessSpec("ou", m=1, betas=(0,), center_final=True),
+                     ProcessSpec("wiener", m=3, betas=(0, 1, 0))):
             assert spectrum._semiseparable(build_process(spec), g) is None
-        assert spectrum._semiseparable(build_process(ProcessSpec("ou")),
-                                       g) is not None
+        # a custom covariance and omega > 700 have none to pass on
+        for kern in (base_kernel("bogolyubov", {"omega": 3.0,
+                                                "covariance": "cosh(t)"}),
+                     base_kernel("bogolyubov", {"omega": 701.0})):
+            for k in (kern, integrate_kernel(kern, 0), center_kernel(kern)):
+                assert spectrum._semiseparable(k, g) is None, k
+
+    @pytest.mark.parametrize("beta, exact", [
+        (0, lambda t, s: t * t * s / 2.0 - t ** 3 / 6.0),
+        (1, lambda t, s: ((1.0 - s * s) / 2.0 - (1.0 - s ** 3) / 6.0
+                          - t * t * (1.0 - s) / 2.0)),
+    ])
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_generator_samples_are_exact(self, beta, exact, n):
+        # the closure chain's second integration takes the once-integrated
+        # kernel as smooth across the diagonal, which it is not: 5.7e-9
+        # relative on 256 nodes.  The generators integrate smooth columns
+        g = Grid.composite(n, 8)
+        kern = build_process(ProcessSpec("wiener", m=1, betas=(beta,)), g)
+        values, odd = kern.evaluate_on(g)
+        want = exact(np.minimum.outer(g.x, g.x), np.maximum.outer(g.x, g.x))
+        assert odd is None
+        assert np.abs(values - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("omega", [3.0, 40.0])
+    @pytest.mark.parametrize("beta", [0, 1])
+    def test_integrated_bogolyubov_samples_are_exact(self, omega, beta):
+        # int_0^t int_0^s f(|x - y|) = Phi(t) + Phi(s) - Phi(t - s) - Phi(0)
+        # for the even Phi with Phi'' = f(|.|), and the kernel is
+        # stationary, so beta = 1 mirrors it.  Integrated from 0, the
+        # decaying column e^{-omega s} would leave a constant that cancels
+        # against e^{omega t} to e^omega eps, 0.4 of the kernel at omega =
+        # 40
+        g = Grid.composite(512, 8)
+        S = 2.0 * omega * np.sinh(omega / 2.0)
+
+        def phi(z):
+            z = np.abs(z)
+            return (np.cosh(omega * (z - 0.5)) / S + 0.5 * z) / omega ** 2
+
+        x = g.x if beta == 0 else 1.0 - g.x
+        want = phi(x)[:, None] + phi(x) - phi(np.subtract.outer(x, x)) \
+            - phi(0.0)
+        kern = integrate_kernel(base_kernel("bogolyubov", {"omega": omega}),
+                                beta)
+        assert spectrum._semiseparable(kern, g) is not None
+        values, _ = kern.evaluate_on(g)
+        assert np.abs(values - want).max() <= 1e-13 * np.abs(want).max()
+        # centred, the kernel loses its constant row integral 1/omega^2
+        kern = center_kernel(base_kernel("bogolyubov", {"omega": omega}))
+        want = base_kernel("bogolyubov", {"omega": omega}).evaluate_on(g)[0]
+        want -= 1.0 / omega ** 2
+        values, _ = kern.evaluate_on(g)
+        assert np.abs(values - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("run", [
+        *(functools.partial(nystrom_eigenvalues, build_process(spec),
+                            None if w is None else Weight.from_text(w), K,
+                            grid=grid)
+          for spec, K, w, grid in (
+              (CHAINS["integrated_wiener"], 80, None, 1600),
+              (CHAINS["ciw1"], 40, None, None),
+              (ProcessSpec("ou"), 100, None, None),
+              (ProcessSpec("bridge"), 60, PSI_HALF, None),
+              (CHAINS["centred_integrated_bridge"], 60, None, None),
+              (ProcessSpec("matern", n=2), 40, None, None),
+              (CHAINS["wiener_m2"], 30, None, None))),
+        # the README defaults at K = 200; the second exits 3 on its
+        # doubling check
+        functools.partial(main, ["prob", "--process", "bridge", "-m", "1",
+                                 "--betas", "0"]),
+        functools.partial(main, ["mc", "--process", "ciw", "--level", "1"]),
+    ], ids=["integrated_wiener", "ciw1", "ou", "bridge_psi",
+            "centred_integrated_bridge", "matern2", "wiener_m2",
+            "prob_integrated_bridge", "mc_ciw1"])
+    def test_chains_keep_off_the_dense_path(self, run, monkeypatch, capsys):
+        # the benchmark's Nystrom chains: the requested and doubled grids
+        # are semiseparable and counted, never assembled or factored, and
+        # nothing there is sampled by the closure chain (the base formula,
+        # then integrations and centering), which a transformed kernel
+        # never runs at all
+        calls = []
+
+        def recorded(name, f):
+            def call(*args, **kw):
+                out = f(*args, **kw)
+                calls.append((name, next((a.n for a in args
+                                          if isinstance(a, Grid)), 0),
+                              out is not None))
+                return out
+            return call
+
+        monkeypatch.setattr(spectrum, "_semiseparable",
+                            recorded("semi", spectrum._semiseparable))
+        monkeypatch.setattr(spectrum, "_guard",
+                            recorded("guard", spectrum._guard))
+        for name in ("_wiener_values", "_bridge_values"):
+            monkeypatch.setattr(kernels, name,
+                                recorded("base", getattr(kernels, name)))
+        for name in ("integrate_cols", "integrate_full"):
+            monkeypatch.setattr(kernels, name,
+                                recorded("closure", getattr(kernels, name)))
+        run()
+        capsys.readouterr()
+        ritz = {n for name, n, _ in calls if name == "semi"}
+        assert ritz and all(ok for name, _, ok in calls if name == "semi")
+        assert not [c for c in calls if c[0] in ("guard", "closure")], calls
+        assert not ritz & {n for name, n, _ in calls if name == "base"}
 
     def test_count_guard_catches_a_missing_leading_mode(self, monkeypatch):
         # as the dense guard's test: a seed without the leading eigenvector
